@@ -110,3 +110,38 @@ def subset_unrank(rank: int, length: int, weight: int) -> BitWord:
         bits |= 1 << c
         rank -= comb(c, j)
     return BitWord(length, bits)
+
+
+# Splitting and joining fixed-width fields of a long integer. Shifting the
+# whole integer once per field costs time quadratic in the field count. These
+# go through one byte string instead: eight fields of w bits fill exactly w
+# bytes, so every group of eight starts on a byte boundary and is converted
+# on its own, in time linear in the total length.
+
+
+def _split_fields(value: int, width: int, count: int) -> Iterator[int]:
+    """Yield the low count * width bits of value as count fields, field 0 first."""
+    mask = (1 << width) - 1
+    raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
+    for start in range(0, count, 8):
+        group = int.from_bytes(raw[start * width // 8 : (start + 8) * width // 8], "little")
+        for _ in range(min(8, count - start)):
+            yield group & mask
+            group >>= width
+
+
+def _join_fields(fields: Iterable[int], width: int) -> int:
+    """Inverse of _split_fields: the sum of fields[i] << (i * width).
+
+    Every field must fit in width bits.
+    """
+    out = bytearray()
+    group = shift = 0
+    for value in fields:
+        group |= value << shift
+        shift += width
+        if shift == 8 * width:
+            out += group.to_bytes(width, "little")
+            group = shift = 0
+    out += group.to_bytes((shift + 7) // 8, "little")
+    return int.from_bytes(out, "little")

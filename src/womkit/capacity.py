@@ -13,7 +13,7 @@ floors and the image file format stores densities as num/den pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, floor, log2
 
@@ -143,7 +143,8 @@ class WomParams:
     bits holding per-round hash coefficients and t header bits counting
     rounds in unary. k lists k_2..k_t (hash input sizes, l <= k_j <= n);
     l is the output slack. c records the derivation constant when the
-    parameters came from derive_parameters.
+    parameters came from derive_parameters. The weight budgets are
+    computed once, when the parameters are built.
     """
 
     t: int
@@ -153,6 +154,7 @@ class WomParams:
     k: tuple[int, ...]
     p: WeightVector
     c: int | None = None
+    _budgets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t < 1:
@@ -169,16 +171,17 @@ class WomParams:
             raise ValueError(f"hash sizes must satisfy l <= k_j <= n (l={self.l}, n={self.n})")
         if self.p.t != self.t:
             raise ValueError(f"density vector has {self.p.t} entries, expected {self.t}")
-
-    @property
-    def budgets(self) -> tuple[int, ...]:
-        """Cumulative weight budgets B_1..B_t: floor((1 - prod(1-p_i)) * n)."""
         out = []
         remaining = Fraction(1)
         for pj in self.p.p:
             remaining *= 1 - pj
             out.append(floor((1 - remaining) * self.n))
-        return tuple(out)
+        object.__setattr__(self, "_budgets", tuple(out))
+
+    @property
+    def budgets(self) -> tuple[int, ...]:
+        """Cumulative weight budgets B_1..B_t: floor((1 - prod(1-p_i)) * n)."""
+        return self._budgets
 
     @property
     def n0(self) -> int:

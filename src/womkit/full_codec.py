@@ -6,6 +6,10 @@ concatenation preserves the rate while the per-block search cost becomes
 polynomial in the total length. This module splits a flat bitstream into
 per-block round messages, joins them back, and bridges block states to
 the flat device memory.
+
+Splitting and joining never shift the whole stream or memory once per
+field: they convert it to bytes once and cut or glue fields eight at a time,
+so they cost time linear in the block count.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitwords import BitWord
+from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WomParams, achieved_rate
 from .block_codec import BlockState, RoundMessage, encode_round, encode_round1
 
@@ -73,10 +77,6 @@ def full_encode_round(
     return [encoder(state, msg) for state, msg in zip(states, msgs)]
 
 
-def _read_bits(stream: BitWord, offset: int, width: int) -> int:
-    return (stream.bits >> offset) & ((1 << width) - 1)
-
-
 def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMessage]:
     """Split a bitstream into per-block round-j messages.
 
@@ -88,16 +88,11 @@ def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMess
     needed = params.round_capacity(j)
     if stream.length < needed:
         raise ValueError(f"stream has {stream.length} bits, round {j} needs {needed}")
-    out = []
-    offset = 0
-    for _ in range(params.n1):
-        payload = []
-        for _ in range(params.block.m):
-            value = _read_bits(stream, offset, width)
-            offset += width
-            payload.append(value if j == 1 else BitWord(width, value))
-        out.append(RoundMessage(j, tuple(payload)))
-    return out
+    m = params.block.m
+    values = list(_split_fields(stream.bits, width, params.n1 * m))
+    if j != 1:
+        values = [BitWord(width, value) for value in values]
+    return [RoundMessage(j, tuple(values[i : i + m])) for i in range(0, len(values), m)]
 
 
 def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord:
@@ -109,8 +104,7 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
         raise ValueError(f"messages disagree on the round: {sorted(rounds)}")
     j = rounds.pop()
     width = params.block.payload_bits(j)
-    bits = 0
-    offset = 0
+    values = []
     for msg in msgs:
         if len(msg.payload) != params.block.m:
             raise ValueError(f"payload has {len(msg.payload)} entries, expected {params.block.m}")
@@ -118,9 +112,8 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
             value = int(entry) if j == 1 else entry.bits
             if value >> width:
                 raise ValueError(f"payload value {value} does not fit in {width} bits")
-            bits |= value << offset
-            offset += width
-    return BitWord(offset, bits)
+            values.append(value)
+    return BitWord(len(values) * width, _join_fields(values, width))
 
 
 def states_to_memory(states: Sequence[BlockState]) -> BitWord:
@@ -130,32 +123,48 @@ def states_to_memory(states: Sequence[BlockState]) -> BitWord:
     p = states[0].params
     if any(s.params != p for s in states):
         raise ValueError("blocks disagree on parameters")
-    memory = 0
-    for i, state in enumerate(states):
-        base = i * p.n0
-        memory |= state.header.bits << base
-        for d, word in enumerate(state.data):
-            memory |= word.bits << (base + p.data_offset(d))
-        for s, word in enumerate(state.sides):
-            memory |= word.bits << (base + p.side_offset(s))
-    return BitWord(len(states) * p.n0, memory)
+    data_offsets = [p.data_offset(d) for d in range(p.m)]
+    side_offsets = [p.side_offset(s) for s in range(p.t - 1)]
+    blocks = []
+    for state in states:
+        bits = state.header.bits
+        for offset, word in zip(data_offsets, state.data):
+            bits |= word.bits << offset
+        for offset, word in zip(side_offsets, state.sides):
+            bits |= word.bits << offset
+        blocks.append(bits)
+    return BitWord(len(states) * p.n0, _join_fields(blocks, p.n0))
 
 
 def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
-    """Slice flat device memory back into per-block states."""
+    """Slice flat device memory back into per-block states.
+
+    Equal words share one BitWord: an image holds few distinct words (every
+    round-1 data word has weight B_1, unwritten side words are zero), so
+    sharing saves most of the objects and the time to build them.
+    """
     if memory.length != params.N1:
         raise ValueError(f"memory has {memory.length} bits, expected {params.N1}")
     p = params.block
-    out = []
-    for i in range(params.n1):
-        base = i * p.n0
-        grab = lambda off, length: BitWord(length, (memory.bits >> (base + off)) & ((1 << length) - 1))
-        out.append(
-            BlockState(
-                params=p,
-                header=grab(0, p.t),
-                data=tuple(grab(p.data_offset(d), p.n) for d in range(p.m)),
-                sides=tuple(grab(p.side_offset(s), 2 * p.n) for s in range(p.t - 1)),
-            )
+    data_offsets = [p.data_offset(d) for d in range(p.m)]
+    side_offsets = [p.side_offset(s) for s in range(p.t - 1)]
+    header_mask, data_mask, side_mask = (1 << p.t) - 1, (1 << p.n) - 1, (1 << 2 * p.n) - 1
+    headers: dict[int, BitWord] = {}
+    datas: dict[int, BitWord] = {}
+    sides: dict[int, BitWord] = {}
+
+    def word(seen: dict[int, BitWord], length: int, bits: int) -> BitWord:
+        found = seen.get(bits)
+        if found is None:
+            found = seen[bits] = BitWord(length, bits)
+        return found
+
+    return [
+        BlockState(
+            params=p,
+            header=word(headers, p.t, bits & header_mask),
+            data=tuple([word(datas, p.n, bits >> offset & data_mask) for offset in data_offsets]),
+            sides=tuple([word(sides, 2 * p.n, bits >> offset & side_mask) for offset in side_offsets]),
         )
-    return out
+        for bits in _split_fields(memory.bits, p.n0, params.n1)
+    ]

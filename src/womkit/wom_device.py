@@ -18,6 +18,10 @@ Multi-block images repeat the header/data/side group once per block, each
 group preceded by a `block=<i>` line (single-block images omit the
 delimiter). Hex packs bits little-endian within bytes: bit index 0 is the
 least significant bit of the first byte.
+
+Saving and loading split the memory into blocks, or join blocks back,
+through one byte string rather than shifting the whole memory once per
+line, so both cost time linear in the block count.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import binascii
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitwords import BitWord
+from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WeightVector, WomParams
 
 MAGIC = b"WOMIMG 1"
@@ -121,17 +125,17 @@ def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
         "p=" + ",".join(f"{x.numerator}/{x.denominator}" for x in params.p.p),
         f"round={round_}",
     ]
-    memory = dev.cells.bits
-    for block in range(n1):
+    data_offsets = [params.data_offset(i) for i in range(params.m)]
+    side_offsets = [params.side_offset(j) for j in range(params.t - 1)]
+    header_mask, data_mask, side_mask = (1 << params.t) - 1, (1 << params.n) - 1, (1 << 2 * params.n) - 1
+    for block, bits in enumerate(_split_fields(dev.cells.bits, params.n0, n1)):
         if n1 > 1:
             lines.append(f"block={block}")
-        base = block * params.n0
-        region = lambda off, length: _bits_to_hex((memory >> (base + off)) & ((1 << length) - 1), length)
-        lines.append("header=" + region(0, params.t))
-        for i in range(params.m):
-            lines.append(f"data{i}=" + region(params.data_offset(i), params.n))
-        for j in range(params.t - 1):
-            lines.append(f"side{j}=" + region(params.side_offset(j), 2 * params.n))
+        lines.append("header=" + _bits_to_hex(bits & header_mask, params.t))
+        for i, offset in enumerate(data_offsets):
+            lines.append(f"data{i}=" + _bits_to_hex(bits >> offset & data_mask, params.n))
+        for j, offset in enumerate(side_offsets):
+            lines.append(f"side{j}=" + _bits_to_hex(bits >> offset & side_mask, 2 * params.n))
     body = "\n".join(lines).encode() + b"\n"
     return body + f"crc32={binascii.crc32(body):08x}\n".encode()
 
@@ -216,26 +220,26 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
         raise MalformedImage(f"round {round_} out of range 0..{params.t}")
 
     delimited = reader.peek() is not None and reader.peek().startswith("block=")
-    memory = 0
-    block = 0
+    data_offsets = [params.data_offset(i) for i in range(params.m)]
+    side_offsets = [params.side_offset(j) for j in range(params.t - 1)]
+    blocks = []
     while True:
         if delimited:
             if reader.peek() is None:
                 break
             label = _parse_int(reader.take("block"), "block index")
-            if label != block:
-                raise MalformedImage(f"expected block={block}, found block={label}")
-        base = block * params.n0
-        memory |= _hex_to_bits(reader.take("header"), params.t) << base
-        for i in range(params.m):
-            memory |= _hex_to_bits(reader.take(f"data{i}"), params.n) << (base + params.data_offset(i))
-        for j in range(params.t - 1):
-            memory |= _hex_to_bits(reader.take(f"side{j}"), 2 * params.n) << (base + params.side_offset(j))
-        block += 1
+            if label != len(blocks):
+                raise MalformedImage(f"expected block={len(blocks)}, found block={label}")
+        bits = _hex_to_bits(reader.take("header"), params.t)
+        for i, offset in enumerate(data_offsets):
+            bits |= _hex_to_bits(reader.take(f"data{i}"), params.n) << offset
+        for j, offset in enumerate(side_offsets):
+            bits |= _hex_to_bits(reader.take(f"side{j}"), 2 * params.n) << offset
+        blocks.append(bits)
         if not delimited:
             break
     if reader.peek() is not None:
         raise MalformedImage(f"unexpected trailing line: {reader.peek()!r}")
 
-    cells = BitWord(block * params.n0, memory)
+    cells = BitWord(len(blocks) * params.n0, _join_fields(blocks, params.n0))
     return Device(cells, cells_programmed=cells.weight), params, round_

@@ -1,0 +1,263 @@
+"""The concatenation and image layers against their shift-and-OR oracles.
+
+`layout_oracle` keeps the field-by-field implementations of the six
+functions that join or split a whole image. The library versions must give
+bit-identical states and streams, byte-identical images, and the same
+exception type and message on every error path.
+"""
+
+import dataclasses
+import random
+import tracemalloc
+from binascii import crc32
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+import layout_oracle as oracle
+from womkit import full_codec, wom_device
+from womkit.bitwords import BitWord, _join_fields, _split_fields
+from womkit.block_codec import BlockState, RoundMessage, decode_round
+from womkit.capacity import WeightVector, WomParams
+from womkit.full_codec import FullParams, full_encode_round
+from womkit.wom_device import Device, apply_write
+
+LIBRARY = SimpleNamespace(
+    **{name: getattr(full_codec, name)
+       for name in ("pack_messages", "unpack_messages", "states_to_memory", "memory_to_states")},
+    save_image=wom_device.save_image,
+    load_image=wom_device.load_image,
+)
+BLOCK_COUNTS = (1, 2, 7, 300)
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type and message of what it raised."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # every exception is compared, not handled
+        return ("raised", type(exc), str(exc))
+
+
+def same(name, *args):
+    """Library and oracle agree on name(*args); returns the library outcome."""
+    got = outcome(getattr(LIBRARY, name), *args)
+    assert got == outcome(getattr(oracle, name), *args), name
+    return got
+
+
+def random_params(rnd: random.Random, t: int, zero_rank_width: bool = False) -> WomParams:
+    n = rnd.randint(2, 12)
+    l = rnd.randint(0, n)
+    p1 = [Fraction(0)] if zero_rank_width else []
+    densities = p1 + [Fraction(rnd.randint(0, 4), 8) for _ in range(t - 1 - len(p1))]
+    return WomParams(
+        t=t, n=n, m=rnd.randint(1, 5), l=l,
+        k=tuple(rnd.randint(l, n) for _ in range(t - 1)),
+        p=WeightVector(densities + [Fraction(1, 2)]),
+    )
+
+
+def shapes():
+    rnd = random.Random(40)
+    out = [(random_params(rnd, t), n1) for t in (1, 2, 3) for n1 in BLOCK_COUNTS]
+    # p_1 = 0: B_1 = 0, C(n, 0) = 1, so a round-1 rank is 0 bits wide
+    out += [(random_params(rnd, t, zero_rank_width=True), n1) for t in (2, 3) for n1 in (1, 7)]
+    assert any(p.payload_bits(1) == 0 for p, _ in out)
+    return out
+
+
+def random_memory(rnd: random.Random, full: FullParams) -> BitWord:
+    """Random device contents whose every block has a unary header."""
+    p = full.block
+    bits = 0
+    for _ in range(full.n1):
+        block = rnd.getrandbits(p.n0) & ~((1 << p.t) - 1) | (1 << rnd.randint(0, p.t)) - 1
+        bits = bits << p.n0 | block
+    return BitWord(full.N1, bits)
+
+
+def test_split_and_join_fields_match_field_by_field_shifts():
+    rnd = random.Random(41)
+    for width in (0, 1, 5, 62, 64, 65):
+        for count in (0, 1, 2, 3, 7, 8, 9, 300):
+            value = rnd.getrandbits(width * count) if width * count else 0
+            fields = [(value >> (i * width)) & ((1 << width) - 1) for i in range(count)]
+            assert list(_split_fields(value, width, count)) == fields
+            assert _join_fields(fields, width) == value
+            # bits above the last field are ignored
+            assert list(_split_fields(value | 5 << (width * count), width, count)) == fields
+
+
+@pytest.mark.parametrize("params,n1", shapes())
+def test_layers_match_oracles(params, n1):
+    rnd = random.Random(repr((params, n1)))
+    full = FullParams(params, n1)
+    memory = random_memory(rnd, full)
+    _, states = same("memory_to_states", memory, full)
+    assert same("states_to_memory", states) == ("ok", memory)
+    dev = Device(memory, cells_programmed=memory.weight)
+    for round_ in range(params.t + 1):
+        _, image = same("save_image", dev, params, round_)
+        assert (b"\nblock=" in image) == (n1 > 1)
+        assert same("load_image", image) == ("ok", (dev, params, round_))
+    for j in range(1, params.t + 1):
+        needed = full.round_capacity(j)
+        for extra in (0, 1, 13):  # a stream longer than the round needs
+            stream = BitWord(needed + extra, rnd.getrandbits(needed + extra) if needed + extra else 0)
+            _, msgs = same("pack_messages", stream, j, full)
+            tail = stream.bits & ((1 << needed) - 1)
+            assert same("unpack_messages", msgs, full) == ("ok", BitWord(needed, tail))
+
+
+def test_pack_and_unpack_error_paths_match():
+    rnd = random.Random(44)
+    params = random_params(rnd, 2)
+    full = FullParams(params, 3)
+    needed = full.round_capacity(1)
+    same("pack_messages", BitWord(needed - 1, 0), 1, full)  # stream too short
+    same("pack_messages", BitWord(needed, 0), 3, full)  # round without a hash size
+    _, msgs = same("pack_messages", BitWord(needed, rnd.getrandbits(needed)), 1, full)
+    _, msgs2 = same("pack_messages", BitWord(full.round_capacity(2), 0), 2, full)
+    wide = params.payload_bits(2) + 1
+    cases = [
+        msgs[:2],  # too few messages
+        msgs[:2] + msgs2[:1],  # rounds disagree
+        msgs[:2] + [RoundMessage(1, msgs[2].payload[:-1])],  # short payload
+        msgs[:2] + [RoundMessage(1, msgs[2].payload + (0,))],  # long payload
+        msgs[:1] + [RoundMessage(1, (1 << params.payload_bits(1),) * params.m)] * 2,  # rank too wide
+        msgs[:1] + [RoundMessage(1, (-1,) * params.m)] * 2,  # negative rank
+        [RoundMessage(2, (BitWord(wide, 1 << (wide - 1)),) * params.m)] * 3,  # word too wide
+        [RoundMessage(3, ())] * 3,  # round without a hash size
+    ]
+    for case in cases:
+        assert same("unpack_messages", case, full)[0] == "raised"
+
+
+def test_state_memory_error_paths_match():
+    rnd = random.Random(45)
+    params = random_params(rnd, 3)
+    full = FullParams(params, 4)
+    same("states_to_memory", [])
+    states = [BlockState.fresh(params), BlockState.fresh(dataclasses.replace(params, c=7))]
+    assert same("states_to_memory", states)[0] == "raised"
+    same("memory_to_states", BitWord(full.N1 - 1, 0), full)
+    memory = random_memory(rnd, full)
+    header2 = ((1 << params.t) - 1) << (2 * params.n0)
+    not_unary = BitWord(full.N1, memory.bits & ~header2 | 0b10 << (2 * params.n0))
+    assert same("memory_to_states", not_unary, full)[0] == "raised"
+    dev = Device(memory)
+    same("save_image", Device.fresh(params.n0 + 1), params, 0)
+    same("save_image", Device.fresh(0), params, 0)
+    same("save_image", dev, params, params.t + 1)
+    same("save_image", dev, params, -1)
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + f"crc32={crc32(body):08x}\n".encode()
+
+
+def image_mutations(image: bytes):
+    """Altered copies of an image: raw cuts and edits, and line edits with a fixed CRC."""
+    yield b"NOTIMG 1\n" + image
+    yield image[:-1]
+    yield image[: image.rfind(b"crc32=")]
+    yield image[:-3] + b"zz\n"
+    middle = len(image) // 2
+    yield image[:middle] + bytes([image[middle] ^ 1]) + image[middle + 1 :]
+    body = image[: image.rfind(b"crc32=")]
+    yield with_crc(body.replace(b"header=", b"header=\xff", 1))
+    lines = body.split(b"\n")[:-1]
+    edits = [
+        lambda line: b"",
+        lambda line: line + b"0",
+        lambda line: line[:-1],
+        lambda line: line[:-1] + b"g",
+        lambda line: line.replace(b"=", b"=x", 1),
+        lambda line: line.replace(b"=1", b"=2", 1).replace(b"=0", b"=9", 1),
+        lambda line: line.replace(b"/", b"/0", 1),
+        lambda line: line.replace(b"/", b".", 1),
+        lambda line: line.replace(b" ", b"  ", 1),
+        lambda line: line.replace(b"n=", b"x=", 1),
+        lambda line: line.split(b"=")[0] + b"=",
+        lambda line: b"block=" + line,
+    ]
+    for i in range(1, len(lines)):
+        yield with_crc(b"\n".join(lines[:i] + lines[i + 1 :]) + b"\n")  # line dropped
+        yield with_crc(b"\n".join(lines[: i + 1] + lines[i:]) + b"\n")  # line doubled
+        for edit in edits:
+            changed = edit(lines[i])
+            if changed != lines[i]:
+                yield with_crc(b"\n".join(lines[:i] + [changed] + lines[i + 1 :]) + b"\n")
+    yield with_crc(body + b"block=9\n")
+    yield with_crc(body + b"extra\n")
+
+
+@pytest.mark.parametrize("t,n1", [(1, 1), (2, 1), (2, 3), (3, 2)])
+def test_load_image_error_paths_match(t, n1):
+    rnd = random.Random(46 + 10 * t + n1)
+    params = random_params(rnd, t)
+    memory = random_memory(rnd, FullParams(params, n1))
+    image = wom_device.save_image(Device(memory), params, rnd.randint(0, t))
+    kinds = set()
+    for altered in image_mutations(image):
+        got = same("load_image", altered)
+        kinds.add(got[1] if got[0] == "raised" else "ok")
+    assert {wom_device.BadMagic, wom_device.TruncatedImage, wom_device.ChecksumMismatch,
+            wom_device.MalformedImage} <= kinds
+
+
+def test_budgets_computed_once_without_changing_identity():
+    params = random_params(random.Random(47), 3)
+    fields = (params.t, params.n, params.m, params.l, params.k, params.p, params.c)
+    assert repr(params) == (
+        f"WomParams(t={params.t}, n={params.n}, m={params.m}, l={params.l}, k={params.k!r}, "
+        f"p={params.p!r}, c=None)"
+    )
+    assert hash(params) == hash(fields)
+    twin = WomParams(*fields)
+    assert twin == params and hash(twin) == hash(params)
+    assert params != dataclasses.replace(params, c=3)
+    assert isinstance(vars(WomParams)["budgets"], property)
+    for n in (params.n, params.n + 5, 40):
+        wider = dataclasses.replace(params, n=n)
+        remaining, want = Fraction(1), []
+        for pj in params.p.p:
+            remaining *= 1 - pj
+            want.append(int((1 - remaining) * n))
+        assert wider.budgets == tuple(want)
+
+
+def round1_pipeline(impl, stream: BitWord, full: FullParams) -> BitWord:
+    """pack -> states -> encode -> memory -> save -> load -> states -> decode -> unpack."""
+    msgs = impl.pack_messages(stream, 1, full)
+    states = full_encode_round(impl.memory_to_states(Device.fresh(full.N1).cells, full), msgs)
+    dev = apply_write(Device.fresh(full.N1), impl.states_to_memory(states))
+    image = impl.save_image(dev, full.block, 1)
+    loaded, params, j = impl.load_image(image)
+    decoded = [decode_round(s, j) for s in impl.memory_to_states(loaded.cells, FullParams(params, full.n1))]
+    return impl.unpack_messages(decoded, full)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_peak_within_ten_percent_of_oracle():
+    params = WomParams(t=2, n=10, m=4, l=2, k=(7,), p=WeightVector([Fraction(1, 3), Fraction(1, 2)]))
+    full = FullParams(params, 8000)
+    needed = full.round_capacity(1)
+    stream = BitWord(needed, random.Random(48).getrandbits(needed))
+    small = FullParams(params, 2)
+    for impl in (oracle, LIBRARY):  # warm lazy caches before measuring
+        round1_pipeline(impl, BitWord(small.round_capacity(1), 0), small)
+    want, oracle_peak = traced_peak(round1_pipeline, oracle, stream, full)
+    got, peak = traced_peak(round1_pipeline, LIBRARY, stream, full)
+    assert got == want == stream
+    assert peak <= 1.10 * oracle_peak, (peak, oracle_peak)
