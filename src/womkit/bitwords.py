@@ -89,10 +89,23 @@ def count_above(w: BitWord, max_weight: int) -> int:
 
 
 def subset_rank(word: BitWord, weight: int) -> int:
-    """Colexicographic rank of a weight-`weight` word among all such words."""
-    if word.weight != weight:
+    """Colexicographic rank of a weight-`weight` word among all such words.
+
+    The rank is the sum of C(c_j, j) over the set coordinates c_1 < c_2 < ...
+    It walks the set bits of the mask directly, lowest first, with no
+    support tuple: a round-1 read ranks every data word of the image.
+    """
+    bits = word.bits
+    if bits.bit_count() != weight:
         raise ValueError(f"word has weight {word.weight}, expected {weight}")
-    return sum(comb(c, j + 1) for j, c in enumerate(word.support()))
+    rank = 0
+    j = 1
+    while bits:
+        low = bits & -bits
+        rank += comb(low.bit_length() - 1, j)
+        bits ^= low
+        j += 1
+    return rank
 
 
 def subset_unrank(rank: int, length: int, weight: int) -> BitWord:

@@ -53,6 +53,16 @@ class RoundMessage:
             raise ValueError("rounds are numbered from 1")
 
 
+def _shape_is(words: tuple[BitWord, ...], count: int, length: int) -> bool:
+    """Whether there are `count` words, each of `length` bits."""
+    if len(words) != count:
+        return False
+    for word in words:
+        if word.length != length:
+            return False
+    return True
+
+
 @dataclass(frozen=True, slots=True)
 class BlockState:
     """Immutable contents of one block; the round is derived from the header."""
@@ -63,18 +73,26 @@ class BlockState:
     sides: tuple[BitWord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "data", tuple(self.data))
-        object.__setattr__(self, "sides", tuple(self.sides))
+        # Codecs build one state per block per round, so this stays cheap:
+        # tuples are kept as they are, and a header h is unary iff h & (h + 1) == 0.
+        data, sides = self.data, self.sides
+        if type(data) is not tuple:
+            data = tuple(data)
+            object.__setattr__(self, "data", data)
+        if type(sides) is not tuple:
+            sides = tuple(sides)
+            object.__setattr__(self, "sides", sides)
         p = self.params
-        if self.header.length != p.t:
-            raise ValueError(f"header has {self.header.length} bits, expected {p.t}")
-        r = self.header.bits.bit_length()
-        if self.header.bits != (1 << r) - 1:
-            raise ValueError(f"header 0b{self.header.bits:b} is not a unary round counter")
-        if len(self.data) != p.m or any(d.length != p.n for d in self.data):
-            raise ValueError(f"expected {p.m} data words of {p.n} bits")
-        if len(self.sides) != p.t - 1 or any(s.length != 2 * p.n for s in self.sides):
-            raise ValueError(f"expected {p.t - 1} side words of {2 * p.n} bits")
+        n = p.n
+        header = self.header
+        if header.length != p.t:
+            raise ValueError(f"header has {header.length} bits, expected {p.t}")
+        if header.bits & (header.bits + 1):
+            raise ValueError(f"header 0b{header.bits:b} is not a unary round counter")
+        if not _shape_is(data, p.m, n):
+            raise ValueError(f"expected {p.m} data words of {n} bits")
+        if not _shape_is(sides, p.t - 1, 2 * n):
+            raise ValueError(f"expected {p.t - 1} side words of {2 * n} bits")
 
     @classmethod
     def fresh(cls, params: WomParams) -> "BlockState":
@@ -100,15 +118,27 @@ def _check_message(state: BlockState, msg: RoundMessage, expected_round: int) ->
         raise ValueError(f"payload has {len(msg.payload)} entries, expected {state.params.m}")
 
 
-def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
-    """Write the first round: payload ranks become fixed-weight data words."""
+def encode_round1(state: BlockState, msg: RoundMessage, _words: dict | None = None) -> BlockState:
+    """Write the first round: payload ranks become fixed-weight data words.
+
+    `_words`, if given, maps ranks to the words already unranked for these
+    parameters and gains each word this call unranks, so a caller writing
+    many blocks unranks each distinct rank once and shares the word.
+    """
     if state.round != 0:
         raise SequencingError(f"block already holds {state.round} round(s)")
     _check_message(state, msg, 1)
     p = state.params
     b1 = p.budgets[0]
-    data = tuple(subset_unrank(int(rank), p.n, b1) for rank in msg.payload)
-    return BlockState(p, BitWord(p.t, 1), data, state.sides)
+    words = {} if _words is None else _words
+    data = []
+    for rank in msg.payload:
+        rank = int(rank)
+        word = words.get(rank)
+        if word is None:
+            word = words[rank] = subset_unrank(rank, p.n, b1)
+        data.append(word)
+    return BlockState(p, BitWord(p.t, 1), tuple(data), state.sides)
 
 
 def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bool:
@@ -241,7 +271,8 @@ def decode_round(state: BlockState, j: int) -> RoundMessage:
         raise ValueError(f"block holds {state.round} round(s), round {j} is not current")
     p = state.params
     if j == 1:
-        return RoundMessage(1, tuple(subset_rank(d, p.budgets[0]) for d in state.data))
+        b1 = p.budgets[0]
+        return RoundMessage(1, tuple([subset_rank(d, b1) for d in state.data]))
     spec = canonical_spec(p.n)
     side = state.sides[j - 2].bits
     a = FieldElement(spec, side & ((1 << p.n) - 1))

@@ -9,7 +9,12 @@ the flat device memory.
 
 Splitting and joining never shift the whole stream or memory once per
 field: they convert it to bytes once and cut or glue fields eight at a time,
-so they cost time linear in the block count.
+so they cost time linear in the block count. Round 1 draws every data word
+from at most C(n, B_1) fixed-weight words, so the round-1 path does each
+distinct thing once per call: `full_encode_round` unranks each distinct
+rank once, and `memory_to_states` builds one state per distinct block and
+one word per distinct word. States and words are immutable, so sharing
+them is invisible to callers.
 """
 
 from __future__ import annotations
@@ -73,8 +78,16 @@ def full_encode_round(
     rounds = {s.round for s in states}
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
-    encoder = encode_round1 if msgs[0].round == 1 else encode_round
-    return [encoder(state, msg) for state, msg in zip(states, msgs)]
+    if msgs[0].round != 1:
+        return [encode_round(state, msg) for state, msg in zip(states, msgs)]
+    # A round-1 word depends only on its rank and the parameters, so blocks
+    # with the first block's parameters share one rank -> word table.
+    p = states[0].params
+    words: dict[int, BitWord] = {}
+    return [
+        encode_round1(state, msg, _words=words if state.params is p else None)
+        for state, msg in zip(states, msgs)
+    ]
 
 
 def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMessage]:
@@ -139,8 +152,9 @@ def states_to_memory(states: Sequence[BlockState]) -> BitWord:
 def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     """Slice flat device memory back into per-block states.
 
-    Equal words share one BitWord: an image holds few distinct words (every
-    round-1 data word has weight B_1, unwritten side words are zero), so
+    Equal blocks share one BlockState and equal words one BitWord: an image
+    holds few distinct words (every round-1 data word has weight B_1,
+    unwritten side words are zero) and a fresh device one distinct block, so
     sharing saves most of the objects and the time to build them.
     """
     if memory.length != params.N1:
@@ -159,12 +173,16 @@ def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
             found = seen[bits] = BitWord(length, bits)
         return found
 
-    return [
-        BlockState(
-            params=p,
-            header=word(headers, p.t, bits & header_mask),
-            data=tuple([word(datas, p.n, bits >> offset & data_mask) for offset in data_offsets]),
-            sides=tuple([word(sides, 2 * p.n, bits >> offset & side_mask) for offset in side_offsets]),
-        )
-        for bits in _split_fields(memory.bits, p.n0, params.n1)
-    ]
+    states: dict[int, BlockState] = {}
+    out = []
+    for bits in _split_fields(memory.bits, p.n0, params.n1):
+        state = states.get(bits)
+        if state is None:
+            state = states[bits] = BlockState(
+                params=p,
+                header=word(headers, p.t, bits & header_mask),
+                data=tuple([word(datas, p.n, bits >> offset & data_mask) for offset in data_offsets]),
+                sides=tuple([word(sides, 2 * p.n, bits >> offset & side_mask) for offset in side_offsets]),
+            )
+        out.append(state)
+    return out

@@ -21,7 +21,11 @@ least significant bit of the first byte.
 
 Saving and loading split the memory into blocks, or join blocks back,
 through one byte string rather than shifting the whole memory once per
-line, so both cost time linear in the block count.
+line, so both cost time linear in the block count. Both work slot by slot
+(`header`, `data<i>`, `side<j>`) and handle each distinct value of a slot
+once per call: saving formats it once, and loading parses and checks each
+distinct line text once, then reuses the value wherever that exact text
+appears again in the same slot.
 """
 
 from __future__ import annotations
@@ -109,6 +113,15 @@ def _hex_to_bits(text: str, length: int) -> int:
     return bits
 
 
+def _slots(params: WomParams) -> list[tuple[str, int, int]]:
+    """(key, bit length, offset in the block) of each line of a block group, in order."""
+    return (
+        [("header", params.t, 0)]
+        + [(f"data{i}", params.n, params.data_offset(i)) for i in range(params.m)]
+        + [(f"side{j}", 2 * params.n, params.side_offset(j)) for j in range(params.t - 1)]
+    )
+
+
 def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
     """Serialize the device; the block count is the device size / block size."""
     n1, rem = divmod(dev.cells.length, params.n0)
@@ -125,17 +138,17 @@ def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
         "p=" + ",".join(f"{x.numerator}/{x.denominator}" for x in params.p.p),
         f"round={round_}",
     ]
-    data_offsets = [params.data_offset(i) for i in range(params.m)]
-    side_offsets = [params.side_offset(j) for j in range(params.t - 1)]
-    header_mask, data_mask, side_mask = (1 << params.t) - 1, (1 << params.n) - 1, (1 << 2 * params.n) - 1
+    # Each slot formats each distinct value once: slot -> {value: line}.
+    slots = [(key, length, offset, (1 << length) - 1, {}) for key, length, offset in _slots(params)]
     for block, bits in enumerate(_split_fields(dev.cells.bits, params.n0, n1)):
         if n1 > 1:
             lines.append(f"block={block}")
-        lines.append("header=" + _bits_to_hex(bits & header_mask, params.t))
-        for i, offset in enumerate(data_offsets):
-            lines.append(f"data{i}=" + _bits_to_hex(bits >> offset & data_mask, params.n))
-        for j, offset in enumerate(side_offsets):
-            lines.append(f"side{j}=" + _bits_to_hex(bits >> offset & side_mask, 2 * params.n))
+        for key, length, offset, mask, seen in slots:
+            value = bits >> offset & mask
+            line = seen.get(value)
+            if line is None:
+                line = seen[value] = f"{key}=" + _bits_to_hex(value, length)
+            lines.append(line)
     body = "\n".join(lines).encode() + b"\n"
     return body + f"crc32={binascii.crc32(body):08x}\n".encode()
 
@@ -219,25 +232,36 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
     if not 0 <= round_ <= params.t:
         raise MalformedImage(f"round {round_} out of range 0..{params.t}")
 
-    delimited = reader.peek() is not None and reader.peek().startswith("block=")
-    data_offsets = [params.data_offset(i) for i in range(params.m)]
-    side_offsets = [params.side_offset(j) for j in range(params.t - 1)]
+    # Each slot parses each distinct line once: slot -> {line: value << offset}.
+    # Only a line text that already parsed in this slot is taken from the
+    # memo; any other line, a canonical block label aside, gets every check.
+    slots = [(key, length, offset, {}) for key, length, offset in _slots(params)]
+    lines, pos, end = reader.lines, reader.pos, len(reader.lines)
+    delimited = pos < end and lines[pos].startswith("block=")
     blocks = []
     while True:
         if delimited:
-            if reader.peek() is None:
+            if pos == end:
                 break
-            label = _parse_int(reader.take("block"), "block index")
-            if label != len(blocks):
-                raise MalformedImage(f"expected block={len(blocks)}, found block={label}")
-        bits = _hex_to_bits(reader.take("header"), params.t)
-        for i, offset in enumerate(data_offsets):
-            bits |= _hex_to_bits(reader.take(f"data{i}"), params.n) << offset
-        for j, offset in enumerate(side_offsets):
-            bits |= _hex_to_bits(reader.take(f"side{j}"), 2 * params.n) << offset
+            if lines[pos] != f"block={len(blocks)}":
+                reader.pos = pos
+                label = _parse_int(reader.take("block"), "block index")
+                if label != len(blocks):
+                    raise MalformedImage(f"expected block={len(blocks)}, found block={label}")
+            pos += 1
+        bits = 0
+        for key, length, offset, seen in slots:
+            line = lines[pos] if pos < end else None
+            value = seen.get(line)
+            if value is None:
+                reader.pos = pos
+                value = seen[line] = _hex_to_bits(reader.take(key), length) << offset
+            bits |= value
+            pos += 1
         blocks.append(bits)
         if not delimited:
             break
+    reader.pos = pos
     if reader.peek() is not None:
         raise MalformedImage(f"unexpected trailing line: {reader.peek()!r}")
 

@@ -1,18 +1,24 @@
-"""Reference shift-and-OR implementations of the concatenation and image layers.
+"""Reference implementations of the round-1 and image layers.
 
 These are the straightforward bodies of `full_codec.pack_messages`,
 `unpack_messages`, `states_to_memory`, `memory_to_states` and
 `wom_device.save_image`, `load_image`: each shifts or ORs the whole image
-integer once per field, so they cost time quadratic in the block count.
-The library versions split and join fields through one byte string
-instead; tests require bit-identical results, byte-identical images and
-the same exceptions from both.
+integer once per field, so they cost time quadratic in the block count,
+and each builds, formats or parses every block and line anew. The library
+versions split and join fields through one byte string and share equal
+words, blocks and lines instead. The image helpers (`_LineReader`,
+`_hex_to_bits`, `_bits_to_hex`, `_parse_int`), `subset_rank`,
+`subset_unrank` and the checks of `BlockState.__post_init__` are kept here
+as they were, so the oracles do not follow the library's internals. Tests
+require bit-identical results, byte-identical images and the same
+exceptions from both.
 """
 
 from __future__ import annotations
 
 import binascii
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from womkit.bitwords import BitWord
@@ -26,11 +32,91 @@ from womkit.wom_device import (
     Device,
     MalformedImage,
     TruncatedImage,
-    _bits_to_hex,
-    _hex_to_bits,
-    _LineReader,
-    _parse_int,
 )
+
+
+def subset_rank(word: BitWord, weight: int) -> int:
+    """Colexicographic rank of a weight-`weight` word among all such words."""
+    if word.weight != weight:
+        raise ValueError(f"word has weight {word.weight}, expected {weight}")
+    return sum(comb(c, j + 1) for j, c in enumerate(word.support()))
+
+
+def subset_unrank(rank: int, length: int, weight: int) -> BitWord:
+    """Inverse of subset_rank: the weight-`weight` word of given colex rank."""
+    if not 0 <= weight <= length:
+        raise ValueError(f"weight {weight} out of range for length {length}")
+    total = comb(length, weight)
+    if not 0 <= rank < total:
+        raise ValueError(f"rank {rank} out of range, expected 0..{total - 1}")
+    bits = 0
+    c = length - 1
+    for j in range(weight, 0, -1):
+        while comb(c, j) > rank:
+            c -= 1
+        bits |= 1 << c
+        rank -= comb(c, j)
+    return BitWord(length, bits)
+
+
+def check_block_state(params: WomParams, header: BitWord, data, sides) -> tuple[tuple, tuple]:
+    """The checks of BlockState.__post_init__; returns data and sides as tuples."""
+    data = tuple(data)
+    sides = tuple(sides)
+    p = params
+    if header.length != p.t:
+        raise ValueError(f"header has {header.length} bits, expected {p.t}")
+    r = header.bits.bit_length()
+    if header.bits != (1 << r) - 1:
+        raise ValueError(f"header 0b{header.bits:b} is not a unary round counter")
+    if len(data) != p.m or any(d.length != p.n for d in data):
+        raise ValueError(f"expected {p.m} data words of {p.n} bits")
+    if len(sides) != p.t - 1 or any(s.length != 2 * p.n for s in sides):
+        raise ValueError(f"expected {p.t - 1} side words of {2 * p.n} bits")
+    return data, sides
+
+
+def _bits_to_hex(bits: int, length: int) -> str:
+    return bits.to_bytes((length + 7) // 8, "little").hex()
+
+
+def _hex_to_bits(text: str, length: int) -> int:
+    nbytes = (length + 7) // 8
+    if len(text) != 2 * nbytes:
+        raise MalformedImage(f"expected {2 * nbytes} hex digits for {length} bits, got {len(text)}")
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError as exc:
+        raise MalformedImage(f"bad hex payload: {text!r}") from exc
+    bits = int.from_bytes(raw, "little")
+    if bits >> length:
+        raise MalformedImage("padding bits beyond the region length are set")
+    return bits
+
+
+class _LineReader:
+    def __init__(self, lines: list[str]):
+        self.lines = lines
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.lines[self.pos] if self.pos < len(self.lines) else None
+
+    def take(self, key: str) -> str:
+        line = self.peek()
+        if line is None:
+            raise TruncatedImage(f"file ends where {key}= was expected")
+        if not line.startswith(key + "="):
+            raise MalformedImage(f"expected {key}=..., found {line!r}")
+        self.pos += 1
+        return line[len(key) + 1 :]
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise MalformedImage(f"bad {what}: {text!r}") from exc
 
 
 def _read_bits(stream: BitWord, offset: int, width: int) -> int:

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import layout_oracle as oracle
 from womkit.bitwords import BitWord, count_above, dominates, enumerate_above, subset_rank, subset_unrank
 
 
@@ -110,3 +111,48 @@ def test_subset_errors():
         subset_unrank(-1, 4, 2)
     with pytest.raises(ValueError):
         subset_unrank(0, 4, 5)  # weight above length
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type and message of what it raised."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # every exception is compared, not handled
+        return ("raised", type(exc), str(exc))
+
+
+def test_subset_rank_and_unrank_match_oracle_exhaustively_len14():
+    for length in range(15):
+        for bits in range(1 << length):
+            word = BitWord(length, bits)
+            assert subset_rank(word, word.weight) == oracle.subset_rank(word, word.weight)
+        for weight in range(length + 1):
+            for rank in range(comb(length, weight)):
+                assert subset_unrank(rank, length, weight) == oracle.subset_unrank(rank, length, weight)
+
+
+def test_subset_rank_and_unrank_match_oracle_on_samples_len24():
+    rnd = random.Random(16)
+    for _ in range(3000):
+        length = rnd.randint(15, 24)
+        word = BitWord(length, rnd.getrandbits(length))
+        rank = subset_rank(word, word.weight)
+        assert rank == oracle.subset_rank(word, word.weight)
+        assert subset_unrank(rank, length, word.weight) == oracle.subset_unrank(rank, length, word.weight) == word
+        weight = rnd.randint(0, length)
+        rank = rnd.randrange(comb(length, weight))
+        assert subset_unrank(rank, length, weight) == oracle.subset_unrank(rank, length, weight)
+
+
+def test_subset_errors_match_oracle():
+    word = BitWord(4, 0b0111)
+    for weight in (0, 2, 4, -1):  # weight mismatch
+        assert outcome(subset_rank, word, weight)[0] == "raised"
+        assert outcome(subset_rank, word, weight) == outcome(oracle.subset_rank, word, weight)
+    for args in [
+        (6, 4, 2), (1 << 70, 24, 12), (1, 5, 0),  # rank out of range
+        (-1, 4, 2), (-1, 0, 0),  # negative rank
+        (0, 4, 5), (0, 0, 1), (0, 4, -1),  # weight above the length, negative weight
+    ]:
+        assert outcome(subset_unrank, *args)[0] == "raised"
+        assert outcome(subset_unrank, *args) == outcome(oracle.subset_unrank, *args)

@@ -53,6 +53,39 @@ def test_header_must_be_unary():
         BlockState(params, BitWord(2, 0b10), state.data, state.sides)
 
 
+def test_block_state_checks_match_oracle():
+    """Every check and message of BlockState, and tuple-typed fields, for any container."""
+    import layout_oracle as oracle
+
+    def outcome(fn, *args):
+        try:
+            return ("ok", fn(*args))
+        except ValueError as exc:
+            return ("raised", str(exc))
+
+    def library(*args):
+        state = BlockState(*args)
+        assert type(state.data) is tuple and type(state.sides) is tuple
+        return state.data, state.sides
+
+    class Words(tuple):
+        pass
+
+    containers = (list, tuple, iter, Words)
+    for params in (params_t2(), params_t3()):
+        t, n, m = params.t, params.n, params.m
+        data, sides = [BitWord(n, 1)] * m, [BitWord(2 * n, 3)] * (t - 1)
+        headers = [BitWord(t, h) for h in range(1 << t)] + [BitWord(t + 1, 1), BitWord(t - 1, 0)]
+        datas = [data, data[:-1], data + data[:1], data[:-1] + [BitWord(n + 1, 0)], [BitWord(n - 1, 0)] + data[1:], []]
+        sideses = [sides, sides + [BitWord(2 * n, 0)], [BitWord(n, 0)] * (t - 1), sides[:-1] + [BitWord(2 * n + 1, 0)]]
+        for header in headers:
+            for d in datas:
+                for s in sideses:
+                    for box in containers:
+                        got = outcome(library, params, header, box(d), box(s))
+                        assert got == outcome(oracle.check_block_state, params, header, box(d), box(s))
+
+
 def test_encode_round1_colex_first():
     params = params_t2()
     state = encode_round1(BlockState.fresh(params), RoundMessage(1, (0, 0, 0, 0)))

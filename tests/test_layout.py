@@ -17,8 +17,8 @@ import pytest
 
 import layout_oracle as oracle
 from womkit import full_codec, wom_device
-from womkit.bitwords import BitWord, _join_fields, _split_fields
-from womkit.block_codec import BlockState, RoundMessage, decode_round
+from womkit.bitwords import BitWord, _join_fields, _split_fields, subset_unrank
+from womkit.block_codec import BlockState, RoundMessage, decode_round, encode_round1
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import FullParams, full_encode_round
 from womkit.wom_device import Device, apply_write
@@ -261,3 +261,120 @@ def test_memory_peak_within_ten_percent_of_oracle():
     got, peak = traced_peak(round1_pipeline, LIBRARY, stream, full)
     assert got == want == stream
     assert peak <= 1.10 * oracle_peak, (peak, oracle_peak)
+
+
+# Sharing: equal blocks, words and image lines are built, unranked, formatted
+# or parsed once per call. None of it may leak between calls or parameters,
+# or let an error through.
+
+BULK = WomParams(t=2, n=10, m=4, l=2, k=(7,), p=WeightVector([Fraction(1, 3), Fraction(1, 2)]))
+
+
+def test_memory_to_states_shares_one_state_for_a_fresh_device():
+    full = FullParams(BULK, 8000)
+    states = full_codec.memory_to_states(BitWord(full.N1, 0), full)
+    assert all(state is states[0] for state in states)
+    assert states == oracle.memory_to_states(BitWord(full.N1, 0), full)
+
+
+def test_memory_to_states_with_repeated_blocks_matches_oracle():
+    rnd = random.Random(49)
+    params = random_params(rnd, 3)
+    kinds = [random_memory(rnd, FullParams(params, 1)).bits for _ in range(4)]
+    blocks = [kinds[i] for i in (0, 1, 0, 2, 1, 0, 3, 3, 0)]
+    full = FullParams(params, len(blocks))
+    memory = BitWord(full.N1, _join_fields(blocks, params.n0))
+    _, states = same("memory_to_states", memory, full)
+    for a, b, state_a, state_b in zip(blocks, blocks[1:], states, states[1:]):
+        assert (state_a is state_b) == (a == b)
+    # a block that is not unary, after repeats of valid ones, still raises
+    not_unary = BitWord(full.N1 + params.n0, memory.bits | 0b10 << full.N1)
+    assert same("memory_to_states", not_unary, FullParams(params, full.n1 + 1))[0] == "raised"
+
+
+def per_block_round1(states, msgs):
+    return [encode_round1(state, msg) for state, msg in zip(states, msgs)]
+
+
+def test_round1_full_encode_matches_per_block_encode():
+    rnd = random.Random(50)
+    other = dataclasses.replace(BULK, n=12)  # same rank width, other words
+    twin = dataclasses.replace(BULK)  # equal parameters in another object
+    assert twin == BULK and twin is not BULK
+    ranks = [rnd.randrange(BULK.round1_space) for _ in range(3)]
+    msgs = [RoundMessage(1, tuple(rnd.choice(ranks) for _ in range(BULK.m))) for _ in range(40)]
+    fresh = [BlockState.fresh(rnd.choice((BULK, BULK, twin, other))) for _ in msgs]
+    for states in ([BlockState.fresh(BULK)] * len(msgs), fresh):
+        got = full_encode_round(states, msgs)
+        assert got == per_block_round1(states, msgs)
+        words = {}
+        for state, msg in zip(got, msgs):
+            for rank, word in zip(msg.payload, state.data):
+                assert words.setdefault((state.params.n, rank), word) == word
+    bad = [(BULK.round1_space,) * BULK.m, (-1,) * BULK.m, (ranks[0],) * (BULK.m - 1), ("x",) * BULK.m]
+    for payload in bad:
+        case = msgs[:5] + [RoundMessage(1, payload)] + msgs[5:]
+        states = [BlockState.fresh(BULK)] * len(case)
+        got = outcome(full_encode_round, states, case)
+        assert got[0] == "raised" and got == outcome(per_block_round1, states, case)
+
+
+def repeated_line_image(n1: int = 6) -> bytes:
+    """A round-1 image whose data, header and side lines each repeat.
+
+    Its ranks give words whose hex holds letters, so upper case changes them.
+    """
+    full = FullParams(BULK, n1)
+    b1 = BULK.budgets[0]
+    ranks = [rank for rank in range(BULK.round1_space)
+             if set(oracle._bits_to_hex(subset_unrank(rank, BULK.n, b1).bits, BULK.n)) & set("abcdef")]
+    rnd = random.Random(51)
+    msgs = [RoundMessage(1, tuple(rnd.choice(ranks[:3]) for _ in range(BULK.m))) for _ in range(n1)]
+    states = full_encode_round(full_codec.memory_to_states(BitWord(full.N1, 0), full), msgs)
+    return wom_device.save_image(Device(full_codec.states_to_memory(states)), BULK, 1)
+
+
+def replaced(image: bytes, index: int, line: bytes) -> bytes:
+    """The image with line `index` replaced and the CRC recomputed."""
+    lines = image[: image.rfind(b"crc32=")].split(b"\n")[:-1]
+    return with_crc(b"\n".join(lines[:index] + [line] + lines[index + 1 :]) + b"\n")
+
+
+def set_padding_bit(line: bytes) -> bytes:
+    key, _, digits = line.partition(b"=")
+    raw = bytearray(bytes.fromhex(digits.decode()))
+    raw[-1] |= 0x80
+    return key + b"=" + raw.hex().encode()
+
+
+def test_load_image_with_repeated_lines_matches_oracle():
+    image = repeated_line_image()
+    assert same("load_image", image)[0] == "ok"
+    lines = image[: image.rfind(b"crc32=")].split(b"\n")[:-1]
+    first_block = lines.index(b"block=0")
+    # a valid data0 line moved into a later data1 slot
+    data0 = [i for i, line in enumerate(lines) if line.startswith(b"data0=")]
+    data1 = [i for i, line in enumerate(lines) if line.startswith(b"data1=")]
+    for source in data0:
+        for target in data1:
+            assert same("load_image", replaced(image, target, lines[source]))[0] == "raised"
+    # a repeated line altered at its second occurrence only: every edit but
+    # upper case (which bytes.fromhex reads as the same value) is an error
+    edits = {
+        "extra digit": lambda line: line + b"0",
+        "bad digit": lambda line: line[:-1] + b"g",
+        "padding bit": set_padding_bit,
+        "upper case": lambda line: line.partition(b"=")[0] + b"=" + line.partition(b"=")[2].upper(),
+    }
+    kinds = {}
+    for i, line in enumerate(lines[first_block:], first_block):
+        if line.startswith(b"block=") or lines.index(line) == i:
+            continue
+        for kind, edit in edits.items():
+            if edit(line) != line:
+                kinds.setdefault(kind, set()).add(same("load_image", replaced(image, i, edit(line)))[0])
+    assert kinds == {"extra digit": {"raised"}, "bad digit": {"raised"}, "padding bit": {"raised"},
+                     "upper case": {"ok"}}
+    # block labels: canonical, non-canonical but equal, and wrong
+    for label in (b"block=1", b"block=01", b"block=+1", b"block= 1", b"block=2", b"block=x", b"blok=1"):
+        same("load_image", replaced(image, lines.index(b"block=1"), label))
