@@ -26,15 +26,13 @@ from .capacity import (
 from .full_codec import (
     FullParams,
     full_encode_round,
-    full_rate,
     memory_to_states,
     pack_messages,
-    replication_count,
     states_to_memory,
     unpack_messages,
 )
-from .gf2n import FieldElement, FieldSpec, canonical_spec, field_add, field_mul
-from .hashfam import HashIndex, affine_shift_identity_check, hash_apply, image_fraction_audit, lhl_exact_distance
+from .gf2n import canonical_spec, mul_bits
+from .hashfam import hash_apply, image_fraction_audit, lhl_exact_distance
 from .wom_device import (
     BadMagic,
     ChecksumMismatch,

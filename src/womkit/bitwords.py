@@ -59,8 +59,8 @@ def dominates(y: BitWord, w: BitWord) -> bool:
     return w.bits & y.bits == w.bits
 
 
-def enumerate_above(w: BitWord, max_weight: int) -> Iterator[BitWord]:
-    """All y >= w with weight(y) <= max_weight, in ascending integer order.
+def enumerate_above(w: BitWord, max_weight: int) -> Iterator[int]:
+    """The masks of all y >= w with weight(y) <= max_weight, ascending.
 
     Empty when weight(w) already exceeds max_weight, which signals an
     infeasible round state to the caller rather than raising here.
@@ -72,7 +72,7 @@ def enumerate_above(w: BitWord, max_weight: int) -> Iterator[BitWord]:
     s = 0
     while True:
         if s.bit_count() <= budget:
-            yield BitWord(w.length, w.bits | s)
+            yield w.bits | s
         # next submask of `free` in ascending integer order
         s = (s - free) & free
         if s == 0:

@@ -3,10 +3,13 @@
 A block is t header bits (round counter, unary), m data words of n bits,
 and t-1 side words of 2n bits. Round 1 writes each message as the
 characteristic word of a fixed-weight subset. Every later round j finds a
-single truncated affine map H and per-word replacements y_i >= w_i within
-the round's weight budget such that H(y_i) equals the i-th message, then
-stores H's coefficient pair in side word j-2. Decoding the current round
-reads the pair back and re-applies the map (round 1 unranks the subsets).
+single truncated affine map H, the int pair (a, b), and per-word
+replacements y_i >= w_i within the round's weight budget such that H(y_i)
+equals the i-th message, then stores a | b << n in side word j-2. The
+search is a kernel over ints: candidate words are masks, and one hashing
+pass per multiplier yields both the targets and their witnesses. Decoding
+the current round reads the pair back and re-applies the map (round 1
+unranks the subsets).
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise.
@@ -19,8 +22,8 @@ from typing import Sequence
 
 from .bitwords import BitWord, count_above, enumerate_above, subset_rank, subset_unrank
 from .capacity import WomParams
-from .gf2n import FieldElement, canonical_spec
-from .hashfam import HashIndex, hash_apply
+from .gf2n import canonical_spec
+from .hashfam import hash_apply
 
 
 class SequencingError(Exception):
@@ -158,21 +161,22 @@ def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bo
 
 def search_block_encoding(
     params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord]
-) -> tuple[HashIndex, list[BitWord]]:
-    """Find a map H and words y_i >= w_i of weight <= B_j with H(y_i) = x_i.
+) -> tuple[int, int, list[BitWord]]:
+    """Find a map (a, b) and words y_i >= w_i of weight <= B_j with H(y_i) = x_i.
 
     Scans multipliers a in ascending order. For each a the candidate
     targets T_i = { H_{a,0}(y) XOR x_i : y in Y_i } are intersected; a
     nonempty intersection yields the shift v = min(intersection), the
     additive coefficient b = v padded with zeros, and per word the smallest
-    candidate hashing to x_i XOR v. The ascending scan and min tie-breaks
-    make the result a pure function of the inputs.
+    candidate hashing to x_i XOR v. The one hashing pass maps each target
+    to its smallest witness. The ascending scan and min tie-breaks make the
+    result a pure function of the inputs.
     """
     if not 2 <= j <= params.t:
         raise ValueError(f"round {j} out of range 2..{params.t}")
     if len(ws) != params.m or len(xs) != params.m:
         raise ValueError(f"expected {params.m} current words and messages")
-    spec = canonical_spec(params.n)  # rejects widths the search cannot cover
+    modulus = canonical_spec(params.n)  # rejects widths the search cannot cover
     n = params.n
     kj = params.k_for_round(j)
     out_len = kj - params.l
@@ -187,16 +191,18 @@ def search_block_encoding(
         if x.length != out_len:
             raise ValueError(f"message {i} has {x.length} bits, expected {out_len}")
 
+    # Candidates run in descending order, so the last witness stored for a
+    # target is its smallest one.
     candidates = []
     for i, w in enumerate(ws):
-        masks = [y.bits for y in enumerate_above(w, budget)]
+        masks = list(enumerate_above(w, budget))
         if not masks:
             raise NoEncoding(f"no words above data word {i} within budget {budget}", i)
+        masks.reverse()
         candidates.append(masks)
 
     mask = (1 << out_len) - 1
     top = 1 << n
-    modulus = spec.modulus
     fail_counts = [0] * params.m
     for a in range(top):
         # Truncated products a*z^bit; a*y folds over the set bits of y.
@@ -208,9 +214,10 @@ def search_block_encoding(
             if r & top:
                 r ^= modulus
         common = None
+        witnesses = []
         for i in range(params.m):
             xi = xs[i].bits
-            targets = set()
+            witness = {}
             for y in candidates[i]:
                 acc = 0
                 yy = y
@@ -218,28 +225,15 @@ def search_block_encoding(
                     low = yy & -yy
                     acc ^= rows[low.bit_length() - 1]
                     yy ^= low
-                targets.add(acc ^ xi)
-            common = targets if common is None else common & targets
+                witness[acc ^ xi] = y
+            common = witness.keys() if common is None else common & witness.keys()
             if not common:
                 fail_counts[i] += 1
                 break
+            witnesses.append(witness)
         if common:
             v = min(common)
-            ys = []
-            for i in range(params.m):
-                want = xs[i].bits ^ v
-                for y in candidates[i]:
-                    acc = 0
-                    yy = y
-                    while yy:
-                        low = yy & -yy
-                        acc ^= rows[low.bit_length() - 1]
-                        yy ^= low
-                    if acc == want:
-                        ys.append(BitWord(n, y))
-                        break
-            index = HashIndex(FieldElement(spec, a), FieldElement(spec, v), kj, params.l)
-            return index, ys
+            return a, v, [BitWord(n, witness[v]) for witness in witnesses]
     bottleneck = max(range(params.m), key=lambda i: (fail_counts[i], -i))
     raise NoEncoding(
         f"exhausted all {top} multipliers for round {j}; data word {bottleneck} "
@@ -257,8 +251,8 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
         raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
     _check_message(state, msg, j)
     p = state.params
-    index, ys = search_block_encoding(p, j, state.data, msg.payload)
-    side = BitWord(2 * p.n, index.a.coeffs | (index.b.coeffs << p.n))
+    a, b, ys = search_block_encoding(p, j, state.data, msg.payload)
+    side = BitWord(2 * p.n, a | (b << p.n))
     sides = state.sides[: j - 2] + (side,) + state.sides[j - 1 :]
     return BlockState(p, BitWord(p.t, (1 << j) - 1), tuple(ys), sides)
 
@@ -273,9 +267,7 @@ def decode_round(state: BlockState, j: int) -> RoundMessage:
     if j == 1:
         b1 = p.budgets[0]
         return RoundMessage(1, tuple([subset_rank(d, b1) for d in state.data]))
-    spec = canonical_spec(p.n)
     side = state.sides[j - 2].bits
-    a = FieldElement(spec, side & ((1 << p.n) - 1))
-    b = FieldElement(spec, side >> p.n)
-    index = HashIndex(a, b, p.k_for_round(j), p.l)
-    return RoundMessage(j, tuple(hash_apply(index, d) for d in state.data))
+    a, b = side & ((1 << p.n) - 1), side >> p.n
+    out_len = p.k_for_round(j) - p.l
+    return RoundMessage(j, tuple(hash_apply(a, b, out_len, d) for d in state.data))

@@ -18,7 +18,7 @@ from math import ceil
 
 from . import selftest
 from .bitwords import BitWord
-from .block_codec import NoEncoding, SequencingError, decode_round, in_guaranteed_regime
+from .block_codec import BlockState, NoEncoding, SequencingError, decode_round, in_guaranteed_regime
 from .capacity import (
     RatePoint,
     WeightVector,
@@ -69,7 +69,10 @@ def _parse_densities(text: str) -> WeightVector:
         num, sep, den = part.partition("/")
         if not sep:
             raise ValueError(f"density {part!r} must be a num/den rational")
-        entries.append(Fraction(int(num), int(den)))
+        try:
+            entries.append(Fraction(int(num), int(den)))
+        except ZeroDivisionError:
+            raise ValueError(f"density {part!r} has a zero denominator") from None
     return WeightVector(entries)
 
 
@@ -184,14 +187,14 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
-def _load_session(path: str) -> tuple[Device, FullParams, int]:
+def _load_session(path: str) -> tuple[Device, FullParams, int, list[BlockState]]:
     with open(path, "rb") as handle:
         dev, params, round_ = load_image(handle.read())
     full = FullParams(params, dev.cells.length // params.n0)
     states = memory_to_states(dev.cells, full)
     if any(s.round != round_ for s in states):
         raise ImageFormatError("block headers disagree with the round line")
-    return dev, full, round_
+    return dev, full, round_, states
 
 
 def _read_message_file(path: str) -> BitWord:
@@ -206,7 +209,7 @@ def _read_message_file(path: str) -> BitWord:
 
 def cmd_write(args) -> int:
     with _image_lock(args.img):
-        dev, full, current = _load_session(args.img)
+        dev, full, current, states = _load_session(args.img)
         if args.blocks is not None and args.blocks != full.n1:
             raise ValueError(f"image holds {full.n1} block(s), not {args.blocks}")
         if not 1 <= args.round <= full.block.t:
@@ -217,7 +220,6 @@ def cmd_write(args) -> int:
             )
         stream = _read_message_file(args.infile)
         msgs = pack_messages(stream, args.round, full)
-        states = memory_to_states(dev.cells, full)
         if args.round >= 2:
             guaranteed = all(
                 in_guaranteed_regime(full.block, args.round, state.data) for state in states
@@ -236,13 +238,12 @@ def cmd_write(args) -> int:
 
 
 def cmd_read(args) -> int:
-    dev, full, current = _load_session(args.img)
+    _, full, current, states = _load_session(args.img)
     if current == 0:
         raise NothingWritten("image holds no written rounds yet")
     j = current if args.round is None else args.round
     if j != current:
         raise ValueError(f"only the most recent round ({current}) is decodable")
-    states = memory_to_states(dev.cells, full)
     msgs = [decode_round(state, j) for state in states]
     stream = unpack_messages(msgs, full)
     payload = stream.bits.to_bytes(ceil(stream.length / 8) if stream.length else 0, "little")
@@ -257,6 +258,8 @@ def cmd_audit_hash(args) -> int:
 
     if not 2 <= args.n <= AUDIT_MAX_WIDTH:
         raise ValueError(f"audit width must be in 2..{AUDIT_MAX_WIDTH}, got {args.n}")
+    if not 0 <= args.l <= args.k <= args.n:
+        raise ValueError(f"need 0 <= l <= k <= n, got l={args.l} k={args.k} n={args.n}")
     if args.trials < 1:
         raise ValueError("need at least one trial set")
     rnd = random.Random(args.seed)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
-from .capacity import WomParams, achieved_rate
+from .capacity import WomParams
 from .block_codec import BlockState, RoundMessage, encode_round, encode_round1
 
 
@@ -45,22 +45,6 @@ class FullParams:
     def round_capacity(self, j: int) -> int:
         """Message bits one round carries across all blocks."""
         return self.n1 * self.block.m * self.block.payload_bits(j)
-
-
-def replication_count(n: int, a: float) -> float:
-    """Copy count 2^(4n/(a-1)) that makes encoding cost N1^a; report only.
-
-    Materializing this many blocks is the asymptotic argument, not a desk
-    operation, hence the float return.
-    """
-    if a <= 1:
-        raise ValueError("complexity exponent must exceed 1")
-    return 2.0 ** (4 * n / (a - 1))
-
-
-def full_rate(params: FullParams) -> float:
-    """Rate of the concatenated code; equals the single-block rate exactly."""
-    return achieved_rate(params.block)
 
 
 def full_encode_round(

@@ -1,15 +1,15 @@
-"""Arithmetic in GF(2^n) for 2 <= n <= 24.
+"""Arithmetic in GF(2^n) for 2 <= n <= 24, on plain ints.
 
-Field elements double as n-bit words: bit i of the coefficient mask is the
-coefficient of z^i, which gives a fixed bijection between the field and
-{0,1}^n. Each width uses one canonical modulus (the irreducible polynomial
-of degree n with the smallest integer encoding), so two fields of equal
-width are the same field.
+An element is an n-bit coefficient mask: bit i is the coefficient of z^i,
+which gives a fixed bijection between the field and {0,1}^n. Addition is
+XOR and `mul_bits` multiplies. Each width uses one canonical modulus (the
+irreducible polynomial of degree n with the smallest integer encoding,
+leading term included), which `canonical_spec(n)` returns, so two fields
+of equal width are the same field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 MIN_WIDTH = 2
@@ -82,67 +82,18 @@ def is_irreducible(modulus: int) -> bool:
     return power == z
 
 
-@dataclass(frozen=True, slots=True)
-class FieldSpec:
-    """GF(2^n): bit width and irreducible modulus mask (leading term included)."""
-
-    n: int
-    modulus: int
-
-    def __post_init__(self):
-        if not MIN_WIDTH <= self.n <= MAX_WIDTH:
-            raise ValueError(f"field width must be in {MIN_WIDTH}..{MAX_WIDTH}, got {self.n}")
-        if self.modulus.bit_length() != self.n + 1:
-            raise ValueError(f"modulus 0b{self.modulus:b} does not have degree {self.n}")
-        if not is_irreducible(self.modulus):
-            raise ValueError(f"modulus 0b{self.modulus:b} is reducible")
-
-    @property
-    def order(self) -> int:
-        return 1 << self.n
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """Element of GF(2^n): bit i of coeffs is the coefficient of z^i."""
-
-    spec: FieldSpec
-    coeffs: int
-
-    def __post_init__(self):
-        if not 0 <= self.coeffs < self.spec.order:
-            raise ValueError(f"coefficient mask 0x{self.coeffs:x} out of range for n={self.spec.n}")
-
-
 @lru_cache(maxsize=None)
-def canonical_spec(n: int) -> FieldSpec:
-    """The field of width n with the smallest-mask irreducible modulus."""
+def canonical_spec(n: int) -> int:
+    """The modulus of the width-n field: the smallest-mask irreducible polynomial."""
     if not MIN_WIDTH <= n <= MAX_WIDTH:
         raise ValueError(f"field width must be in {MIN_WIDTH}..{MAX_WIDTH}, got {n}")
     # Constant term must be 1, otherwise z divides the candidate.
     for candidate in range((1 << n) + 1, 1 << (n + 1), 2):
         if is_irreducible(candidate):
-            return FieldSpec(n, candidate)
+            return candidate
     raise AssertionError(f"no irreducible polynomial of degree {n}")  # unreachable
 
 
-def _require_same_spec(x: FieldElement, y: FieldElement) -> None:
-    if x.spec != y.spec:
-        raise ValueError("operands belong to different fields")
-
-
-def field_add(x: FieldElement, y: FieldElement) -> FieldElement:
-    """Sum in GF(2^n): coordinatewise XOR of coefficient masks."""
-    _require_same_spec(x, y)
-    return FieldElement(x.spec, x.coeffs ^ y.coeffs)
-
-
-def field_mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    """Product in GF(2^n), reduced by the spec's modulus."""
-    _require_same_spec(x, y)
-    return FieldElement(x.spec, mul_bits(x.spec, x.coeffs, y.coeffs))
-
-
-def mul_bits(spec: FieldSpec, a: int, b: int) -> int:
-    """Low-level product on raw coefficient masks (hot-path form of field_mul)."""
-    return _mulmod(a, b, spec.modulus, spec.n)
+def mul_bits(modulus: int, a: int, b: int) -> int:
+    """Product of two coefficient masks in the field of this modulus."""
+    return _mulmod(a, b, modulus, modulus.bit_length() - 1)

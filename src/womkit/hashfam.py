@@ -1,66 +1,38 @@
 """Truncated affine maps over GF(2^n) and exact audits of their uniformity.
 
-A map is indexed by a coefficient pair (a, b): compute a*x + b in the
-field, read the result as an n-bit word, keep the first k-l bits (indices
-0..k-l-1). Two exact audits back the guarantees the encoder relies on:
-how often the truncated image of a fixed 2^k-element source is small, and
-the exact statistical distance of (a, b, output) from uniform.
+A map is the int pair (a, b) of n-bit coefficient masks: compute a*x + b
+in the field, read the result as an n-bit word, keep the first k-l bits
+(indices 0..k-l-1). Two exact audits back the guarantees the encoder
+relies on: how often the truncated image of a fixed 2^k-element source is
+small, and the exact statistical distance of (a, b, output) from uniform.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bitwords import BitWord
-from .gf2n import FieldElement, canonical_spec, mul_bits
+from .gf2n import canonical_spec, mul_bits
 
 AUDIT_MAX_WIDTH = 12       # image audit enumerates all coefficient pairs
 DISTANCE_MAX_WIDTH = 6     # distance audit walks the full joint distribution
 
 
-@dataclass(frozen=True, slots=True)
-class HashIndex:
-    """One map from the family: x -> first k-l bits of a*x + b."""
+def hash_apply(a: int, b: int, out_len: int, x: BitWord) -> BitWord:
+    """The first out_len bits of a*x + b in the field as wide as the word x.
 
-    a: FieldElement
-    b: FieldElement
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if self.a.spec != self.b.spec:
-            raise ValueError("coefficients belong to different fields")
-        if not 0 <= self.l <= self.k <= self.a.spec.n:
-            raise ValueError(f"need 0 <= l <= k <= n, got l={self.l} k={self.k} n={self.a.spec.n}")
-
-    @property
-    def n(self) -> int:
-        return self.a.spec.n
-
-    @property
-    def out_len(self) -> int:
-        return self.k - self.l
-
-
-def hash_apply(h: HashIndex, x: BitWord) -> BitWord:
-    """Evaluate the map on an n-bit word; result has k-l bits."""
-    if x.length != h.n:
-        raise ValueError(f"input has {x.length} bits, field width is {h.n}")
-    full = mul_bits(h.a.spec, h.a.coeffs, x.bits) ^ h.b.coeffs
-    return BitWord(h.out_len, full & ((1 << h.out_len) - 1))
-
-
-def affine_shift_identity_check(h: HashIndex, x: BitWord) -> bool:
-    """Truncation is linear: H_{a,b}(x) = H_{a,0}(x) XOR (first k-l bits of b).
-
-    Always true; exposed so tests and the encoder's shift search can assert
-    the identity they build on.
+    The word's length is the field width n; a and b are n-bit coefficient
+    masks and 0 <= out_len <= n (out_len = k - l for the family's k and l).
     """
-    linear = hash_apply(HashIndex(h.a, FieldElement(h.a.spec, 0), h.k, h.l), x)
-    shifted = linear.bits ^ (h.b.coeffs & ((1 << h.out_len) - 1))
-    return hash_apply(h, x).bits == shifted
+    n = x.length
+    modulus = canonical_spec(n)  # rejects widths outside the field range
+    if not 0 <= out_len <= n:
+        raise ValueError(f"output length {out_len} out of range 0..{n}")
+    if not (0 <= a < 1 << n and 0 <= b < 1 << n):
+        raise ValueError(f"coefficients 0x{a:x}, 0x{b:x} are not both {n}-bit masks")
+    full = mul_bits(modulus, a, x.bits) ^ b
+    return BitWord(out_len, full & ((1 << out_len) - 1))
 
 
 def _distinct_masks(values: Iterable, n: int) -> list[int]:
@@ -89,7 +61,7 @@ def image_fraction_audit(n: int, k: int, l: int, sets: Sequence[Iterable]) -> fl
         raise ValueError(f"need 0 <= l <= k <= n, got l={l} k={k} n={n}")
     if not sets:
         raise ValueError("need at least one source set")
-    spec = canonical_spec(n)
+    modulus = canonical_spec(n)
     mask = (1 << (k - l)) - 1
     threshold = (1 << (k - l)) * (1.0 - 2.0 ** (-l / 4))
     worst = 0.0
@@ -99,7 +71,7 @@ def image_fraction_audit(n: int, k: int, l: int, sets: Sequence[Iterable]) -> fl
             raise ValueError(f"source has {len(ys)} elements, need at least {1 << k}")
         bad_pairs = 0
         for a in range(1 << n):
-            image_size = len({mul_bits(spec, a, y) & mask for y in ys})
+            image_size = len({mul_bits(modulus, a, y) & mask for y in ys})
             if image_size <= threshold:
                 bad_pairs += 1 << n
         worst = max(worst, bad_pairs / (1 << (2 * n)))
@@ -120,7 +92,7 @@ def lhl_exact_distance(n: int, k: int, l: int, source: Iterable) -> float:
     ys = _distinct_masks(source, n)
     if len(ys) != (1 << k):
         raise ValueError(f"source has {len(ys)} elements, expected exactly {1 << k}")
-    spec = canonical_spec(n)
+    modulus = canonical_spec(n)
     out_len = k - l
     mask = (1 << out_len) - 1
     size = len(ys)
@@ -128,7 +100,7 @@ def lhl_exact_distance(n: int, k: int, l: int, source: Iterable) -> float:
     # the distance is that sum / (2 * 2^(2n) * |Y| * 2^(k-l)).
     total = 0
     for a in range(1 << n):
-        products = [mul_bits(spec, a, y) for y in ys]
+        products = [mul_bits(modulus, a, y) for y in ys]
         for b in range(1 << n):
             counts = Counter((prod ^ b) & mask for prod in products)
             hit = 0

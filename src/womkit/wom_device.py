@@ -70,11 +70,9 @@ class MalformedImage(ImageFormatError):
 
 @dataclass(frozen=True, slots=True)
 class Device:
-    """Write-once memory of fixed size with wear counters."""
+    """Write-once memory of fixed size."""
 
     cells: BitWord
-    writes_applied: int = 0
-    cells_programmed: int = 0
 
     @classmethod
     def fresh(cls, nbits: int) -> "Device":
@@ -91,8 +89,7 @@ def apply_write(dev: Device, new_state: BitWord) -> Device:
     if cleared:
         index = (cleared & -cleared).bit_length() - 1
         raise WriteOnceViolation(f"write clears programmed cell {index}", index)
-    fresh_bits = (new_state.bits & ~dev.cells.bits).bit_count()
-    return Device(new_state, dev.writes_applied + 1, dev.cells_programmed + fresh_bits)
+    return Device(new_state)
 
 
 def _bits_to_hex(bits: int, length: int) -> str:
@@ -266,4 +263,4 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
         raise MalformedImage(f"unexpected trailing line: {reader.peek()!r}")
 
     cells = BitWord(len(blocks) * params.n0, _join_fields(blocks, params.n0))
-    return Device(cells, cells_programmed=cells.weight), params, round_
+    return Device(cells), params, round_

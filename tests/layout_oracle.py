@@ -304,4 +304,4 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
         raise MalformedImage(f"unexpected trailing line: {reader.peek()!r}")
 
     cells = BitWord(block * params.n0, memory)
-    return Device(cells, cells_programmed=cells.weight), params, round_
+    return Device(cells), params, round_

@@ -39,9 +39,9 @@ def test_dominates_examples():
 
 
 def test_enumerate_above_examples():
-    assert [w.bits for w in enumerate_above(BitWord(2, 0b00), 2)] == [0b00, 0b01, 0b10, 0b11]
-    assert [w.bits for w in enumerate_above(BitWord(2, 0b10), 1)] == [0b10]
-    assert [w.bits for w in enumerate_above(BitWord(3, 0b100), 2)] == [0b100, 0b101, 0b110]
+    assert list(enumerate_above(BitWord(2, 0b00), 2)) == [0b00, 0b01, 0b10, 0b11]
+    assert list(enumerate_above(BitWord(2, 0b10), 1)) == [0b10]
+    assert list(enumerate_above(BitWord(3, 0b100), 2)) == [0b100, 0b101, 0b110]
     # exhausted budget yields the empty sequence, not an error
     assert list(enumerate_above(BitWord(3, 0b111), 2)) == []
 
@@ -51,7 +51,7 @@ def test_enumerate_above_matches_brute_force_exhaustively():
         for bits in range(1 << length):
             w = BitWord(length, bits)
             for max_weight in range(length + 1):
-                got = [y.bits for y in enumerate_above(w, max_weight)]
+                got = list(enumerate_above(w, max_weight))
                 assert got == brute_force_above(w, max_weight)
                 assert len(got) == count_above(w, max_weight)
 
@@ -61,7 +61,7 @@ def test_enumerate_above_matches_brute_force_len14():
     for _ in range(8):
         w = BitWord(14, rnd.getrandbits(14))
         for max_weight in (w.weight, w.weight + 2, 10, 14):
-            got = [y.bits for y in enumerate_above(w, max_weight)]
+            got = list(enumerate_above(w, max_weight))
             assert got == brute_force_above(w, max_weight)
 
 

@@ -122,18 +122,18 @@ def test_search_postconditions_are_met():
     for _ in range(20):
         ws = [BitWord.from_support(rnd.sample(range(10), 3), 10) for _ in range(4)]
         xs = [BitWord(5, rnd.getrandbits(5)) for _ in range(4)]
-        index, ys = search_block_encoding(params, 2, ws, xs)
+        a, b, ys = search_block_encoding(params, 2, ws, xs)
         for w, x, y in zip(ws, xs, ys):
             assert dominates(y, w)
             assert y.weight <= budget
-            assert hash_apply(index, y) == x
+            assert hash_apply(a, b, 5, y) == x
 
 
 def test_search_degenerate_zero_width():
     params = params_t2(n=6, m=2, l=2, k2=2, p1=Fraction(1, 3))
     w = BitWord.from_support([1, 4], 6)
-    index, ys = search_block_encoding(params, 2, [w, w], [BitWord(0, 0), BitWord(0, 0)])
-    assert index.a.coeffs == 0 and index.b.coeffs == 0
+    a, b, ys = search_block_encoding(params, 2, [w, w], [BitWord(0, 0), BitWord(0, 0)])
+    assert a == 0 and b == 0
     assert ys == [w, w]
 
 
@@ -154,11 +154,11 @@ def test_search_no_encoding_verified_exhaustively():
     assert params.budgets == (1, 1)
     w = BitWord(2, 0b01)
     xs = [BitWord(1, 0), BitWord(1, 1)]
-    assert [y.bits for y in enumerate_above(w, 1)] == [w.bits]
-    spec = canonical_spec(2)
+    assert list(enumerate_above(w, 1)) == [w.bits]
+    modulus = canonical_spec(2)
     for a in range(4):
         for b in range(4):
-            out = (mul_bits(spec, a, w.bits) ^ b) & 1
+            out = (mul_bits(modulus, a, w.bits) ^ b) & 1
             assert not (out == xs[0].bits and out == xs[1].bits)
     with pytest.raises(NoEncoding) as err:
         search_block_encoding(params, 2, [w, w], xs)
@@ -175,10 +175,10 @@ def test_guaranteed_regime_never_fails():
         ]
         xs = [BitWord(4, rnd.getrandbits(4)) for _ in range(2)]
         assert in_guaranteed_regime(params, 2, ws)
-        index, ys = search_block_encoding(params, 2, ws, xs)
+        a, b, ys = search_block_encoding(params, 2, ws, xs)
         for w, x, y in zip(ws, xs, ys):
             assert dominates(y, w) and y.weight <= params.budgets[1]
-            assert hash_apply(index, y) == x
+            assert hash_apply(a, b, 4, y) == x
 
 
 def test_regime_detects_small_candidate_sets():
@@ -286,26 +286,26 @@ def test_search_agrees_with_brute_force_existence_oracle():
     rnd = random.Random(13)
     params = WomParams(t=2, n=4, m=2, l=2, k=(3,), p=WeightVector([Fraction(1, 4), Fraction(1, 2)]))
     assert params.budgets == (1, 2)
-    spec = canonical_spec(4)
+    modulus = canonical_spec(4)
     found = missing = 0
     for _ in range(60):
         ws = [BitWord.from_support(rnd.sample(range(4), rnd.randint(0, 1)), 4) for _ in range(2)]
         xs = [BitWord(1, rnd.getrandbits(1)) for _ in range(2)]
-        candidates = [[y.bits for y in enumerate_above(w, 2)] for w in ws]
+        candidates = [list(enumerate_above(w, 2)) for w in ws]
         exists = any(
             all(
-                any((mul_bits(spec, a, y) ^ b) & 1 == x.bits for y in cand)
+                any((mul_bits(modulus, a, y) ^ b) & 1 == x.bits for y in cand)
                 for cand, x in zip(candidates, xs)
             )
             for a in range(16)
             for b in range(16)
         )
         try:
-            index, ys = search_block_encoding(params, 2, ws, xs)
+            a, b, ys = search_block_encoding(params, 2, ws, xs)
             assert exists
             for w, x, y in zip(ws, xs, ys):
                 assert dominates(y, w) and y.weight <= 2
-                assert hash_apply(index, y) == x
+                assert hash_apply(a, b, 1, y) == x
             found += 1
         except NoEncoding:
             assert not exists

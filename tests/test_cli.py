@@ -204,6 +204,15 @@ def test_init_derived_analysis_scale_is_refused(tmp_path, capsys):
     assert not img.exists()
 
 
+def test_init_zero_denominator_density_is_usage_error(tmp_path, capsys):
+    img = tmp_path / "z.wom"
+    code, out, err = run(capsys, "init", "--out", str(img), "--t", "2", "--n", "10", "--m", "4",
+                         "--l", "2", "--k", "7", "--p", "1/0,1/2")
+    assert code == 2
+    assert (out, err) == ("", "error: density '1/0' has a zero denominator\n")
+    assert not img.exists()
+
+
 def test_corrupted_image_is_usage_error(tmp_path, capsys):
     img = tmp_path / "c.wom"
     init_image(capsys, img)
@@ -225,6 +234,14 @@ def test_audit_hash_pass_and_range_check(capsys):
     assert float(kv["image_audit_worst"]) <= float(kv["image_audit_bound"])
     code, _, err = run(capsys, "audit-hash", "--n", "13", "--k", "4", "--l", "2", "--trials", "1")
     assert code == 2
+
+
+def test_audit_hash_checks_sizes_before_sampling(capsys):
+    # k = 7 > n = 6 would otherwise ask for more source words than exist
+    for n, k, l in ((6, 7, 2), (6, 4, 5), (6, 4, -1)):
+        code, out, err = run(capsys, "audit-hash", "--n", str(n), "--k", str(k), "--l", str(l), "--trials", "1")
+        assert code == 2
+        assert (out, err) == ("", f"error: need 0 <= l <= k <= n, got l={l} k={k} n={n}\n")
 
 
 def test_audit_hash_n8_reports_bound_half(capsys):

@@ -7,14 +7,12 @@ import pytest
 
 from womkit.bitwords import BitWord
 from womkit.block_codec import BlockState, RoundMessage, decode_round, encode_round, encode_round1
-from womkit.capacity import WeightVector, WomParams, achieved_rate
+from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import (
     FullParams,
     full_encode_round,
-    full_rate,
     memory_to_states,
     pack_messages,
-    replication_count,
     states_to_memory,
     unpack_messages,
 )
@@ -87,19 +85,6 @@ def test_atomic_failure_leaves_states_untouched():
     with pytest.raises(SequencingError):
         full_encode_round(states, msgs)
     assert all(state.round == 0 for state in states)
-
-
-def test_full_rate_equals_block_rate_for_any_n1():
-    block = params_t2()
-    expected = achieved_rate(block)
-    for n1 in (1, 2, 8):
-        assert full_rate(FullParams(block, n1)) == expected
-
-
-def test_replication_count_formula():
-    assert replication_count(8, 2.0) == 2.0 ** 32
-    with pytest.raises(ValueError):
-        replication_count(8, 1.0)
 
 
 def test_pack_unpack_identity_100_streams():

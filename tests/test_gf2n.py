@@ -2,16 +2,7 @@ import random
 
 import pytest
 
-from womkit.gf2n import (
-    MAX_WIDTH,
-    FieldElement,
-    FieldSpec,
-    canonical_spec,
-    field_add,
-    field_mul,
-    is_irreducible,
-    mul_bits,
-)
+from womkit.gf2n import MAX_WIDTH, canonical_spec, is_irreducible, mul_bits
 
 
 def naive_mul(n, modulus, x, y):
@@ -45,54 +36,52 @@ def irreducible_by_trial_division(poly):
     return True
 
 
-def elem(n, coeffs):
-    return FieldElement(canonical_spec(n), coeffs)
-
-
 def test_add_frozen_examples():
-    assert field_add(elem(3, 0b101), elem(3, 0b101)).coeffs == 0b000
-    assert field_add(elem(3, 0b101), elem(3, 0b000)).coeffs == 0b101
-    assert field_add(elem(3, 0b011), elem(3, 0b110)).coeffs == 0b101
+    # addition is XOR of coefficient masks, and the product distributes over it
+    m3 = canonical_spec(3)
+    assert 0b101 ^ 0b101 == 0b000 and 0b101 ^ 0b000 == 0b101 and 0b011 ^ 0b110 == 0b101
+    assert mul_bits(m3, 0b010, 0b011 ^ 0b110) == mul_bits(m3, 0b010, 0b011) ^ mul_bits(m3, 0b010, 0b110)
+    assert mul_bits(m3, 0b010, 0b101 ^ 0b101) == 0
 
 
 def test_mul_identity():
     rnd = random.Random(1)
-    one = elem(5, 1)
+    m5 = canonical_spec(5)
     for _ in range(20):
-        x = elem(5, rnd.randrange(32))
-        assert field_mul(one, x) == x
-        assert field_mul(x, one) == x
+        x = rnd.randrange(32)
+        assert mul_bits(m5, 1, x) == x
+        assert mul_bits(m5, x, 1) == x
 
 
 def test_mul_frozen_examples():
     # z * z^2 = z^3 = z + 1 and z * (z^2 + z) = z^2 + z + 1 mod z^3 + z + 1
-    assert canonical_spec(3).modulus == 0b1011
-    assert field_mul(elem(3, 0b010), elem(3, 0b100)).coeffs == 0b011
-    assert field_mul(elem(3, 0b010), elem(3, 0b110)).coeffs == 0b111
+    assert canonical_spec(3) == 0b1011
+    assert mul_bits(0b1011, 0b010, 0b100) == 0b011
+    assert mul_bits(0b1011, 0b010, 0b110) == 0b111
 
 
 def test_mul_against_naive_oracle():
     rnd = random.Random(2)
     for n in (3, 8, 12, 16):
-        spec = canonical_spec(n)
+        modulus = canonical_spec(n)
         for _ in range(300):
             x, y = rnd.randrange(1 << n), rnd.randrange(1 << n)
-            assert mul_bits(spec, x, y) == naive_mul(n, spec.modulus, x, y)
+            assert mul_bits(modulus, x, y) == naive_mul(n, modulus, x, y)
 
 
 def test_canonical_spec_frozen_masks():
-    assert canonical_spec(2).modulus == 0b111
-    assert canonical_spec(3).modulus == 0b1011
-    assert canonical_spec(4).modulus == 0b10011
+    assert canonical_spec(2) == 0b111
+    assert canonical_spec(3) == 0b1011
+    assert canonical_spec(4) == 0b10011
 
 
 def test_canonical_spec_all_widths_irreducible_and_minimal():
     for n in range(2, MAX_WIDTH + 1):
-        spec = canonical_spec(n)
-        assert spec.modulus.bit_length() == n + 1
-        assert irreducible_by_trial_division(spec.modulus)
+        modulus = canonical_spec(n)
+        assert modulus.bit_length() == n + 1
+        assert irreducible_by_trial_division(modulus)
         # nothing smaller of the same degree is irreducible
-        for smaller in range((1 << n) + 1, spec.modulus):
+        for smaller in range((1 << n) + 1, modulus):
             assert not irreducible_by_trial_division(smaller)
 
 
@@ -108,33 +97,12 @@ def test_is_irreducible_matches_trial_division():
         assert is_irreducible(poly) == irreducible_by_trial_division(poly), bin(poly)
 
 
-def test_fieldspec_validates():
-    with pytest.raises(ValueError):
-        FieldSpec(3, 0b1001)  # z^3 + 1 = (z + 1)(z^2 + z + 1)
-    with pytest.raises(ValueError):
-        FieldSpec(3, 0b10011)  # wrong degree
-
-
-def test_element_range_checked():
-    with pytest.raises(ValueError):
-        elem(3, 8)
-    with pytest.raises(ValueError):
-        elem(3, -1)
-
-
-def test_mismatched_specs_rejected():
-    with pytest.raises(ValueError):
-        field_add(elem(3, 1), elem(4, 1))
-    with pytest.raises(ValueError):
-        field_mul(elem(3, 1), elem(4, 1))
-
-
-def field_pow(x, e):
-    acc = FieldElement(x.spec, 1)
+def field_pow(modulus, x, e):
+    acc = 1
     while e:
         if e & 1:
-            acc = field_mul(acc, x)
-        x = field_mul(x, x)
+            acc = mul_bits(modulus, acc, x)
+        x = mul_bits(modulus, x, x)
         e >>= 1
     return acc
 
@@ -142,14 +110,18 @@ def field_pow(x, e):
 def test_axioms_and_fermat():
     rnd = random.Random(3)
     for n in (3, 8, 12, 16):
-        spec = canonical_spec(n)
+        modulus = canonical_spec(n)
+
+        def mul(x, y):
+            return mul_bits(modulus, x, y)
+
         for _ in range(10_000):
-            x = FieldElement(spec, rnd.randrange(1 << n))
-            y = FieldElement(spec, rnd.randrange(1 << n))
-            z = FieldElement(spec, rnd.randrange(1 << n))
-            assert field_mul(x, y) == field_mul(y, x)
-            assert field_mul(field_mul(x, y), z) == field_mul(x, field_mul(y, z))
-            assert field_mul(x, field_add(y, z)) == field_add(field_mul(x, y), field_mul(x, z))
+            x = rnd.randrange(1 << n)
+            y = rnd.randrange(1 << n)
+            z = rnd.randrange(1 << n)
+            assert mul(x, y) == mul(y, x)
+            assert mul(mul(x, y), z) == mul(x, mul(y, z))
+            assert mul(x, y ^ z) == mul(x, y) ^ mul(x, z)
         for _ in range(200):
-            x = FieldElement(spec, rnd.randrange(1, 1 << n))
-            assert field_pow(x, (1 << n) - 1).coeffs == 1
+            x = rnd.randrange(1, 1 << n)
+            assert field_pow(modulus, x, (1 << n) - 1) == 1

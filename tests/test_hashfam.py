@@ -3,89 +3,79 @@ import random
 import pytest
 
 from womkit.bitwords import BitWord
-from womkit.gf2n import FieldElement, canonical_spec, field_add, field_mul
-from womkit.hashfam import (
-    HashIndex,
-    affine_shift_identity_check,
-    hash_apply,
-    image_fraction_audit,
-    lhl_exact_distance,
-)
+from womkit.gf2n import canonical_spec, mul_bits
+from womkit.hashfam import hash_apply, image_fraction_audit, lhl_exact_distance
 
 
-def index(n, k, l, a, b):
-    spec = canonical_spec(n)
-    return HashIndex(FieldElement(spec, a), FieldElement(spec, b), k, l)
+def affine_shift_identity_check(a, b, out_len, x):
+    """Truncation is linear: H_{a,b}(x) = H_{a,0}(x) XOR (first k-l bits of b)."""
+    shifted = hash_apply(a, 0, out_len, x).bits ^ (b & ((1 << out_len) - 1))
+    return hash_apply(a, b, out_len, x).bits == shifted
 
 
 def test_hash_apply_identity_and_constant():
     rnd = random.Random(5)
     for _ in range(30):
         x = BitWord(6, rnd.getrandbits(6))
-        # a = 1 truncates the input itself
-        h = index(6, 5, 2, 1, 0)
-        assert hash_apply(h, x).bits == x.bits & 0b111
-        # a = 0 is the constant map b truncated
-        h = index(6, 6, 3, 0, 0b101101)
-        assert hash_apply(h, x).bits == 0b101101 & 0b111
+        # a = 1 truncates the input itself (k = 5, l = 2)
+        assert hash_apply(1, 0, 3, x).bits == x.bits & 0b111
+        # a = 0 is the constant map b truncated (k = 6, l = 3)
+        assert hash_apply(0, 0b101101, 3, x).bits == 0b101101 & 0b111
 
 
 def test_hash_apply_worked_example():
-    # oracle: field_mul then XOR then truncate, done by hand here
-    spec = canonical_spec(3)
-    a, b, x = FieldElement(spec, 0b010), FieldElement(spec, 0b001), BitWord(3, 0b100)
-    full = field_add(field_mul(a, FieldElement(spec, x.bits)), b)
-    assert full.coeffs == 0b010
-    h = HashIndex(a, b, 3, 1)
-    out = hash_apply(h, x)
+    # oracle: field product then XOR then truncate, done by hand here
+    a, b, x = 0b010, 0b001, BitWord(3, 0b100)
+    assert mul_bits(canonical_spec(3), a, x.bits) ^ b == 0b010
+    out = hash_apply(a, b, 2, x)  # k = 3, l = 1
     assert out.length == 2
     assert out.bits == 0b10  # coordinate 0 clear, coordinate 1 set
 
 
 def test_hash_apply_length_check():
-    h = index(6, 5, 2, 1, 0)
+    # the word's length is the field width: it must be one, and hold a and b
     with pytest.raises(ValueError):
-        hash_apply(h, BitWord(5, 0))
+        hash_apply(1, 0, 1, BitWord(1, 0))
+    with pytest.raises(ValueError):
+        hash_apply(1, 0, 3, BitWord(25, 0))
+    with pytest.raises(ValueError):
+        hash_apply(0b100000, 0, 3, BitWord(5, 0))  # a 6-bit multiplier on a 5-bit word
 
 
 def test_hash_index_validation():
+    x = BitWord(6, 0b101)
     with pytest.raises(ValueError):
-        index(6, 7, 2, 1, 0)  # k above n
+        hash_apply(1, 0, 7, x)  # k above n
     with pytest.raises(ValueError):
-        index(6, 4, 5, 1, 0)  # l above k
-    spec3, spec4 = canonical_spec(3), canonical_spec(4)
+        hash_apply(1, 0, -1, x)  # l above k
     with pytest.raises(ValueError):
-        HashIndex(FieldElement(spec3, 1), FieldElement(spec4, 1), 3, 1)
+        hash_apply(1, 1 << 6, 3, x)  # b outside the field
+    with pytest.raises(ValueError):
+        hash_apply(-1, 0, 3, x)
+    assert hash_apply(1, 0, 0, x) == BitWord(0, 0)
+    assert hash_apply(1, 0, 6, x) == x
 
 
 def test_shift_identity_exhaustive_small_widths():
     for n, k, l in ((3, 3, 1), (4, 3, 1), (4, 4, 2), (5, 4, 2), (6, 5, 2)):
-        spec = canonical_spec(n)
         for a in range(1 << n):
             for b in range(1 << n):
-                h = HashIndex(FieldElement(spec, a), FieldElement(spec, b), k, l)
                 for xv in range(1 << n):
-                    assert affine_shift_identity_check(h, BitWord(n, xv))
+                    assert affine_shift_identity_check(a, b, k - l, BitWord(n, xv))
 
 
 def test_shift_identity_randomized_larger_widths():
     rnd = random.Random(6)
     for n in (12, 16):
-        spec = canonical_spec(n)
         for _ in range(3000):
             k = rnd.randint(1, n)
             l = rnd.randint(0, k)
-            h = HashIndex(
-                FieldElement(spec, rnd.getrandbits(n)),
-                FieldElement(spec, rnd.getrandbits(n)),
-                k,
-                l,
-            )
-            assert affine_shift_identity_check(h, BitWord(n, rnd.getrandbits(n)))
+            a, b = rnd.getrandbits(n), rnd.getrandbits(n)
+            assert affine_shift_identity_check(a, b, k - l, BitWord(n, rnd.getrandbits(n)))
 
 
 def test_pairwise_independence_exhaustive_n4():
-    spec = canonical_spec(4)
+    modulus = canonical_spec(4)
     rnd = random.Random(7)
     for _ in range(5):
         x1 = rnd.randrange(16)
@@ -95,9 +85,7 @@ def test_pairwise_independence_exhaustive_n4():
         seen = set()
         for a in range(16):
             for b in range(16):
-                e1 = field_add(field_mul(FieldElement(spec, a), FieldElement(spec, x1)), FieldElement(spec, b))
-                e2 = field_add(field_mul(FieldElement(spec, a), FieldElement(spec, x2)), FieldElement(spec, b))
-                seen.add((e1.coeffs, e2.coeffs))
+                seen.add((mul_bits(modulus, a, x1) ^ b, mul_bits(modulus, a, x2) ^ b))
         assert len(seen) == 256  # uniform over all output pairs
 
 
@@ -120,7 +108,6 @@ def test_image_audit_matches_literal_pair_enumeration():
     # oracle: walk every (a, b) pair explicitly and recount
     rnd = random.Random(77)
     n, k, l = 4, 3, 2
-    spec = canonical_spec(n)
     mask = (1 << (k - l)) - 1
     threshold = (1 << (k - l)) * (1.0 - 2.0 ** (-l / 4))
     for _ in range(5):
@@ -128,11 +115,7 @@ def test_image_audit_matches_literal_pair_enumeration():
         bad = 0
         for a in range(1 << n):
             for b in range(1 << n):
-                elem_a, elem_b = FieldElement(spec, a), FieldElement(spec, b)
-                image = {
-                    hash_apply(HashIndex(elem_a, elem_b, k, l), BitWord(n, y)).bits
-                    for y in ys
-                }
+                image = {hash_apply(a, b, k - l, BitWord(n, y)).bits for y in ys}
                 if len(image) <= threshold:
                     bad += 1
         assert image_fraction_audit(n, k, l, [ys]) == bad / (1 << (2 * n))
@@ -166,15 +149,13 @@ def test_lhl_distance_matches_fraction_oracle():
 
     rnd = random.Random(78)
     n, k, l = 3, 2, 1
-    spec = canonical_spec(n)
     for _ in range(5):
         ys = rnd.sample(range(1 << n), 1 << k)
         atoms = Counter()
         for a in range(1 << n):
             for b in range(1 << n):
-                h = HashIndex(FieldElement(spec, a), FieldElement(spec, b), k, l)
                 for y in ys:
-                    atoms[(a, b, hash_apply(h, BitWord(n, y)).bits)] += 1
+                    atoms[(a, b, hash_apply(a, b, k - l, BitWord(n, y)).bits)] += 1
         total_draws = (1 << (2 * n)) * len(ys)
         uniform = Fraction(1, (1 << (2 * n)) * (1 << (k - l)))
         distance = Fraction(0)

@@ -97,7 +97,7 @@ def test_layers_match_oracles(params, n1):
     memory = random_memory(rnd, full)
     _, states = same("memory_to_states", memory, full)
     assert same("states_to_memory", states) == ("ok", memory)
-    dev = Device(memory, cells_programmed=memory.weight)
+    dev = Device(memory)
     for round_ in range(params.t + 1):
         _, image = same("save_image", dev, params, round_)
         assert (b"\nblock=" in image) == (n1 > 1)

@@ -1,0 +1,14 @@
+"""The README's library example runs as documented."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {"__name__": "readme_example"}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert namespace["image"].startswith(b"WOMIMG 1\n")
