@@ -9,6 +9,7 @@ subset-valued messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -88,16 +89,24 @@ def count_above(w: BitWord, max_weight: int) -> int:
     return sum(comb(free, j) for j in range(min(budget, free) + 1))
 
 
+# Round 1 draws every data word from the C(n, B_1) words of one weight (120
+# at n = 10, B_1 = 3), so ranking and unranking are cached; the bound keeps a
+# long-lived process from holding up to C(24, 12), about 2.7 M, words.
+_CACHE_WORDS = 512
+
+
 def subset_rank(word: BitWord, weight: int) -> int:
     """Colexicographic rank of a weight-`weight` word among all such words.
 
     The rank is the sum of C(c_j, j) over the set coordinates c_1 < c_2 < ...
-    It walks the set bits of the mask directly, lowest first, with no
-    support tuple: a round-1 read ranks every data word of the image.
     """
-    bits = word.bits
-    if bits.bit_count() != weight:
+    if word.bits.bit_count() != weight:
         raise ValueError(f"word has weight {word.weight}, expected {weight}")
+    return _colex_rank(word.bits)
+
+
+@lru_cache(maxsize=_CACHE_WORDS)
+def _colex_rank(bits: int) -> int:
     rank = 0
     j = 1
     while bits:
@@ -108,6 +117,7 @@ def subset_rank(word: BitWord, weight: int) -> int:
     return rank
 
 
+@lru_cache(maxsize=_CACHE_WORDS)
 def subset_unrank(rank: int, length: int, weight: int) -> BitWord:
     """Inverse of subset_rank: the weight-`weight` word of given colex rank."""
     if not 0 <= weight <= length:

@@ -5,11 +5,12 @@ and t-1 side words of 2n bits. Round 1 writes each message as the
 characteristic word of a fixed-weight subset. Every later round j finds a
 single truncated affine map H, the int pair (a, b), and per-word
 replacements y_i >= w_i within the round's weight budget such that H(y_i)
-equals the i-th message, then stores a | b << n in side word j-2. The
-search is a kernel over ints: candidate words are masks, and one hashing
-pass per multiplier yields both the targets and their witnesses. Decoding
-the current round reads the pair back and re-applies the map (round 1
-unranks the subsets).
+equals the i-th message, then stores a | b << n in side word j-2;
+`encode_round` writes any round. The search is a kernel over ints:
+candidate words are masks, and one hashing pass per multiplier yields both
+the targets and their witnesses. Decoding the current round checks that
+each word is one the encoder can write, reads the pair back and re-applies
+the map (round 1 ranks the subsets).
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise.
@@ -112,36 +113,22 @@ class BlockState:
         return self.header.bits.bit_length()
 
 
-def _check_message(state: BlockState, msg: RoundMessage, expected_round: int) -> None:
-    if msg.round != expected_round:
-        raise SequencingError(
-            f"message is for round {msg.round}, block expects round {expected_round}"
-        )
+def _check_payload(state: BlockState, msg: RoundMessage) -> None:
     if len(msg.payload) != state.params.m:
         raise ValueError(f"payload has {len(msg.payload)} entries, expected {state.params.m}")
 
 
-def encode_round1(state: BlockState, msg: RoundMessage, _words: dict | None = None) -> BlockState:
-    """Write the first round: payload ranks become fixed-weight data words.
-
-    `_words`, if given, maps ranks to the words already unranked for these
-    parameters and gains each word this call unranks, so a caller writing
-    many blocks unranks each distinct rank once and shares the word.
-    """
+def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
+    """Write the first round: payload ranks become fixed-weight data words."""
     if state.round != 0:
         raise SequencingError(f"block already holds {state.round} round(s)")
-    _check_message(state, msg, 1)
+    if msg.round != 1:
+        raise SequencingError(f"message is for round {msg.round}, block expects round 1")
+    _check_payload(state, msg)
     p = state.params
     b1 = p.budgets[0]
-    words = {} if _words is None else _words
-    data = []
-    for rank in msg.payload:
-        rank = int(rank)
-        word = words.get(rank)
-        if word is None:
-            word = words[rank] = subset_unrank(rank, p.n, b1)
-        data.append(word)
-    return BlockState(p, BitWord(p.t, 1), tuple(data), state.sides)
+    data = tuple([subset_unrank(int(rank), p.n, b1) for rank in msg.payload])
+    return BlockState(p, BitWord(p.t, 1), data, state.sides)
 
 
 def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bool:
@@ -243,13 +230,15 @@ def search_block_encoding(
 
 
 def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
-    """Write round j >= 2: replace data words and store the map's coefficients."""
+    """Write round msg.round: round 1 by encode_round1, a later round by the map search."""
     j = msg.round
-    if j < 2 or j > state.params.t:
-        raise SequencingError(f"round {j} out of range 2..{state.params.t}")
+    if j == 1:
+        return encode_round1(state, msg)
+    if j > state.params.t:
+        raise SequencingError(f"round {j} out of range 1..{state.params.t}")
     if state.round != j - 1:
         raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
-    _check_message(state, msg, j)
+    _check_payload(state, msg)
     p = state.params
     a, b, ys = search_block_encoding(p, j, state.data, msg.payload)
     side = BitWord(2 * p.n, a | (b << p.n))
@@ -258,7 +247,10 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
 
 
 def decode_round(state: BlockState, j: int) -> RoundMessage:
-    """Read back round j's messages; only the most recent round is decodable."""
+    """Read back round j's messages; only the most recent round is decodable.
+
+    A word the encoder cannot have written (weight off budget, b too wide) raises.
+    """
     if not 1 <= j <= state.params.t:
         raise ValueError(f"round {j} out of range 1..{state.params.t}")
     if state.round != j:
@@ -267,7 +259,13 @@ def decode_round(state: BlockState, j: int) -> RoundMessage:
     if j == 1:
         b1 = p.budgets[0]
         return RoundMessage(1, tuple([subset_rank(d, b1) for d in state.data]))
+    budget = p.budgets[j - 1]
+    for i, d in enumerate(state.data):
+        if d.weight > budget:
+            raise ValueError(f"data word {i} has weight {d.weight}, above round-{j} budget {budget}")
     side = state.sides[j - 2].bits
     a, b = side & ((1 << p.n) - 1), side >> p.n
     out_len = p.k_for_round(j) - p.l
+    if b >> out_len:
+        raise ValueError(f"side word {j - 2} holds b = {b}, wider than {out_len} bits")
     return RoundMessage(j, tuple(hash_apply(a, b, out_len, d) for d in state.data))

@@ -103,6 +103,25 @@ class WeightVector:
         return len(self.p)
 
 
+def parse_densities(text: str) -> list[Fraction]:
+    """Comma-separated num/den rationals such as "1/3,1/2"; WeightVector checks the values."""
+    entries = []
+    for part in text.split(","):
+        num, sep, den = part.partition("/")
+        if not sep:
+            raise ValueError(f"density {part!r} is not a num/den rational")
+        terms = []
+        for digits in (num, den):
+            try:
+                terms.append(int(digits))
+            except ValueError:
+                raise ValueError(f"bad density: {digits!r}") from None
+        if terms[1] == 0:
+            raise ValueError(f"density {part!r} has a zero denominator")
+        entries.append(Fraction(*terms))
+    return entries
+
+
 def optimal_point(t: int) -> tuple[RatePoint, WeightVector]:
     """The rate point of maximal total log2(t+1) and its density vector."""
     if t < 1:

@@ -9,6 +9,7 @@ Stdout is line-oriented `key=value`; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import os
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from .capacity import (
     derive_parameters,
     inverse_entropy,
     optimal_point,
+    parse_densities,
 )
 from .full_codec import (
     FullParams,
@@ -61,19 +63,6 @@ def _parse_rates(text: str) -> RatePoint:
         return RatePoint(tuple(float(x) for x in text.split(",")))
     except ValueError as exc:
         raise ValueError(f"bad rates {text!r}: {exc}") from exc
-
-
-def _parse_densities(text: str) -> WeightVector:
-    entries = []
-    for part in text.split(","):
-        num, sep, den = part.partition("/")
-        if not sep:
-            raise ValueError(f"density {part!r} must be a num/den rational")
-        try:
-            entries.append(Fraction(int(num), int(den)))
-        except ZeroDivisionError:
-            raise ValueError(f"density {part!r} has a zero denominator") from None
-    return WeightVector(entries)
 
 
 def _densities_for_rates(rates: RatePoint) -> WeightVector:
@@ -129,38 +118,49 @@ def _manual_params(args) -> WomParams:
         raise ValueError(f"manual parameters need --{', --'.join(missing)}")
     k_text = args.k or ""
     k = tuple(int(x) for x in k_text.split(",")) if k_text else ()
-    return WomParams(t=args.t, n=args.n, m=args.m, l=args.l, k=k, p=_parse_densities(args.p))
+    return WomParams(t=args.t, n=args.n, m=args.m, l=args.l, k=k, p=WeightVector(parse_densities(args.p)))
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    """Replace path with data through a synced temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".womimg-")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 @contextmanager
 def _image_lock(path: str):
-    lock = path + ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ValueError(f"image is locked by another writer (remove {lock} if stale)") from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+    """Hold an exclusive flock on the image itself; a killed writer's lock dies with it.
+
+    Once locked, a path naming another file means a writer replaced the image first.
+    """
+    with open(path, "rb") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ValueError(f"image {path} is locked by another writer") from None
+        if not os.path.samestat(os.stat(path), os.fstat(handle.fileno())):
+            raise ValueError(f"image {path} was replaced by another writer")
         yield
-    finally:
-        os.unlink(lock)
 
 
 def cmd_init(args) -> int:
+    if args.blocks < 1:
+        raise ValueError(f"--blocks must be at least 1, got {args.blocks}")
     if os.path.exists(args.out) and not args.force:
         raise ValueError(f"{args.out} already exists (use --force to overwrite)")
     manual = [name for name in ("n", "m", "l", "k", "p") if getattr(args, name) is not None]

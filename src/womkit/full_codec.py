@@ -9,12 +9,11 @@ the flat device memory.
 
 Splitting and joining never shift the whole stream or memory once per
 field: they convert it to bytes once and cut or glue fields eight at a time,
-so they cost time linear in the block count. Round 1 draws every data word
-from at most C(n, B_1) fixed-weight words, so the round-1 path does each
-distinct thing once per call: `full_encode_round` unranks each distinct
-rank once, and `memory_to_states` builds one state per distinct block and
-one word per distinct word. States and words are immutable, so sharing
-them is invisible to callers.
+so they cost time linear in the block count. An image holds few distinct
+blocks and words (round 1 draws every data word from C(n, B_1) subsets,
+which `bitwords` ranks and unranks through a cache), so `memory_to_states`
+builds one state per distinct block and one word per distinct word. States
+and words are immutable, so sharing them is invisible to callers.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WomParams
-from .block_codec import BlockState, RoundMessage, encode_round, encode_round1
+from .block_codec import BlockState, RoundMessage, encode_round
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,16 +61,7 @@ def full_encode_round(
     rounds = {s.round for s in states}
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
-    if msgs[0].round != 1:
-        return [encode_round(state, msg) for state, msg in zip(states, msgs)]
-    # A round-1 word depends only on its rank and the parameters, so blocks
-    # with the first block's parameters share one rank -> word table.
-    p = states[0].params
-    words: dict[int, BitWord] = {}
-    return [
-        encode_round1(state, msg, _words=words if state.params is p else None)
-        for state, msg in zip(states, msgs)
-    ]
+    return [encode_round(state, msg) for state, msg in zip(states, msgs)]
 
 
 def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMessage]:

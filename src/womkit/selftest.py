@@ -19,7 +19,6 @@ from .block_codec import (
     RoundMessage,
     decode_round,
     encode_round,
-    encode_round1,
     in_guaranteed_regime,
     search_block_encoding,
 )
@@ -85,7 +84,7 @@ def _run_sessions(params: WomParams, seed: int, count: int) -> list[bytes]:
         for j in range(1, params.t + 1):
             msg = _random_message(params, j, rnd)
             previous = states_to_memory([state])
-            state = encode_round1(state, msg) if j == 1 else encode_round(state, msg)
+            state = encode_round(state, msg)
             flat = states_to_memory([state])
             assert dominates(flat, previous), "encode produced a non-dominating state"
             dev = apply_write(dev, flat)
@@ -259,7 +258,7 @@ def criterion_9() -> CriterionResult:
     params = params_t2()
     rnd = random.Random(0x9C0DE)
     dev = Device.fresh(params.n0)
-    state = encode_round1(BlockState.fresh(params), _random_message(params, 1, rnd))
+    state = encode_round(BlockState.fresh(params), _random_message(params, 1, rnd))
     dev = apply_write(dev, states_to_memory([state]))
     image = save_image(dev, params, 1)
 

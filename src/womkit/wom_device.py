@@ -23,19 +23,18 @@ Saving and loading split the memory into blocks, or join blocks back,
 through one byte string rather than shifting the whole memory once per
 line, so both cost time linear in the block count. Both work slot by slot
 (`header`, `data<i>`, `side<j>`) and handle each distinct value of a slot
-once per call: saving formats it once, and loading parses and checks each
-distinct line text once, then reuses the value wherever that exact text
-appears again in the same slot.
+once per call: saving formats it once. Loading reads every line through
+one checked reader, `_take`, and reuses a slot's value wherever that exact
+line text appears again in the same slot.
 """
 
 from __future__ import annotations
 
 import binascii
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bitwords import BitWord, _join_fields, _split_fields
-from .capacity import WeightVector, WomParams
+from .capacity import WeightVector, WomParams, parse_densities
 
 MAGIC = b"WOMIMG 1"
 
@@ -150,22 +149,14 @@ def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
     return body + f"crc32={binascii.crc32(body):08x}\n".encode()
 
 
-class _LineReader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def take(self, key: str) -> str:
-        line = self.peek()
-        if line is None:
-            raise TruncatedImage(f"file ends where {key}= was expected")
-        if not line.startswith(key + "="):
-            raise MalformedImage(f"expected {key}=..., found {line!r}")
-        self.pos += 1
-        return line[len(key) + 1 :]
+def _take(lines: list[str], pos: int, key: str) -> str:
+    """The text after `key=` on line pos, which must exist and start with it."""
+    if pos >= len(lines):
+        raise TruncatedImage(f"file ends where {key}= was expected")
+    line = lines[pos]
+    if not line.startswith(key + "="):
+        raise MalformedImage(f"expected {key}=..., found {line!r}")
+    return line[len(key) + 1 :]
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -196,10 +187,9 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
         text = covered.decode("ascii")
     except UnicodeDecodeError as exc:
         raise MalformedImage("image is not ASCII text") from exc
-    reader = _LineReader(text.split("\n")[:-1])
-    reader.pos = 1  # magic line already checked
+    lines = text.split("\n")[:-1]  # lines[0] is the magic line, already checked
 
-    fields = reader.take("t").split()
+    fields = _take(lines, 1, "t").split()
     if len(fields) != 4:
         raise MalformedImage("parameter line must hold t= n= m= l=")
     t = _parse_int(fields[0], "t")
@@ -209,23 +199,19 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
             raise MalformedImage(f"expected {key}= in parameter line, found {part!r}")
         values[key] = _parse_int(part[len(key) + 1 :], key)
 
-    k_text = reader.take("k")
+    k_text = _take(lines, 2, "k")
     k = tuple(_parse_int(x, "k entry") for x in k_text.split(",")) if k_text else ()
-    p_entries = []
-    for part in reader.take("p").split(","):
-        num, sep, den = part.partition("/")
-        if not sep:
-            raise MalformedImage(f"density {part!r} is not a num/den rational")
-        try:
-            p_entries.append(Fraction(_parse_int(num, "density"), _parse_int(den, "density")))
-        except ZeroDivisionError as exc:
-            raise MalformedImage(f"density {part!r} has a zero denominator") from exc
+    p_text = _take(lines, 3, "p")
     try:
-        params = WomParams(t=t, n=values["n"], m=values["m"], l=values["l"], k=k, p=WeightVector(p_entries))
+        densities = parse_densities(p_text)
+    except ValueError as exc:
+        raise MalformedImage(str(exc)) from exc
+    try:
+        params = WomParams(t=t, n=values["n"], m=values["m"], l=values["l"], k=k, p=WeightVector(densities))
     except ValueError as exc:
         raise MalformedImage(f"inconsistent parameters: {exc}") from exc
 
-    round_ = _parse_int(reader.take("round"), "round")
+    round_ = _parse_int(_take(lines, 4, "round"), "round")
     if not 0 <= round_ <= params.t:
         raise MalformedImage(f"round {round_} out of range 0..{params.t}")
 
@@ -233,7 +219,7 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
     # Only a line text that already parsed in this slot is taken from the
     # memo; any other line, a canonical block label aside, gets every check.
     slots = [(key, length, offset, {}) for key, length, offset in _slots(params)]
-    lines, pos, end = reader.lines, reader.pos, len(reader.lines)
+    pos, end = 5, len(lines)
     delimited = pos < end and lines[pos].startswith("block=")
     blocks = []
     while True:
@@ -241,8 +227,7 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
             if pos == end:
                 break
             if lines[pos] != f"block={len(blocks)}":
-                reader.pos = pos
-                label = _parse_int(reader.take("block"), "block index")
+                label = _parse_int(_take(lines, pos, "block"), "block index")
                 if label != len(blocks):
                     raise MalformedImage(f"expected block={len(blocks)}, found block={label}")
             pos += 1
@@ -251,16 +236,14 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
             line = lines[pos] if pos < end else None
             value = seen.get(line)
             if value is None:
-                reader.pos = pos
-                value = seen[line] = _hex_to_bits(reader.take(key), length) << offset
+                value = seen[line] = _hex_to_bits(_take(lines, pos, key), length) << offset
             bits |= value
             pos += 1
         blocks.append(bits)
         if not delimited:
             break
-    reader.pos = pos
-    if reader.peek() is not None:
-        raise MalformedImage(f"unexpected trailing line: {reader.peek()!r}")
+    if pos < end:
+        raise MalformedImage(f"unexpected trailing line: {lines[pos]!r}")
 
     cells = BitWord(len(blocks) * params.n0, _join_fields(blocks, params.n0))
     return Device(cells), params, round_

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 import layout_oracle as oracle
+from womkit import bitwords
 from womkit.bitwords import BitWord, count_above, dominates, enumerate_above, subset_rank, subset_unrank
 
 
@@ -156,3 +157,11 @@ def test_subset_errors_match_oracle():
     ]:
         assert outcome(subset_unrank, *args)[0] == "raised"
         assert outcome(subset_unrank, *args) == outcome(oracle.subset_unrank, *args)
+
+
+def test_rank_caches_are_bounded():
+    # unbounded (maxsize None), a cache could hold C(24, 12) words in a long-lived
+    # process; bounded, it must still hold every round-1 word at n = 12, B_1 = 3
+    for cached in (bitwords._colex_rank, bitwords.subset_unrank):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and comb(12, 3) <= maxsize < comb(24, 12)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -238,6 +239,11 @@ def test_sequencing_errors():
     msg1 = RoundMessage(1, (0, 0, 0, 0))
     with pytest.raises(SequencingError):
         encode_round(state, RoundMessage(2, (BitWord(5, 0),) * 4))  # round 2 first
+    with pytest.raises(SequencingError, match="round 3 out of range 1..2"):
+        encode_round(state, RoundMessage(3, (BitWord(5, 0),) * 4))
+    with pytest.raises(SequencingError, match="message is for round 2, block expects round 1"):
+        encode_round1(state, RoundMessage(2, (BitWord(5, 0),) * 4))
+    assert encode_round(state, msg1) == encode_round1(state, msg1)  # encode_round writes round 1 too
     state = encode_round1(state, msg1)
     with pytest.raises(SequencingError):
         encode_round1(state, msg1)  # same round twice
@@ -260,6 +266,38 @@ def test_decode_round_requires_current_round():
         decode_round(state, 1)  # earlier rounds are not decodable
     with pytest.raises(ValueError):
         decode_round(state, 3)
+
+
+def test_decode_round_rejects_words_the_encoder_cannot_write():
+    params = params_t3()
+    rnd = random.Random(60)
+    state = BlockState.fresh(params)
+    for j in (1, 2, 3):
+        state = encode_round(state, random_message(params, j, rnd))
+        budget, out_len = params.budgets[j - 1], params.payload_bits(j)
+        assert all(d.weight <= budget for d in state.data)
+        decode_round(state, j)  # what the encoder wrote decodes
+        if j == 1:
+            continue
+        # a data word one cell over the budget, still above the stored word
+        over = state.data[1].bits
+        while over.bit_count() <= budget:
+            over |= ~over & (over + 1)  # the lowest clear cell
+        heavy = dataclasses.replace(state, data=(state.data[0], BitWord(params.n, over)) + state.data[2:])
+        with pytest.raises(ValueError, match=f"^data word 1 has weight {budget + 1}, above round-{j} budget {budget}$"):
+            decode_round(heavy, j)
+        # the top bit b may use is fine; one bit above it is not
+        side = state.sides[j - 2].bits
+        for bit, ok in ((out_len - 1, True), (out_len, False), (params.n - 1, False)):
+            wide = side | 1 << (params.n + bit)
+            sides = state.sides[: j - 2] + (BitWord(2 * params.n, wide),) + state.sides[j - 1 :]
+            tampered = dataclasses.replace(state, sides=sides)
+            if ok:
+                decode_round(tampered, j)
+            else:
+                with pytest.raises(ValueError, match=f"^side word {j - 2} holds b = {wide >> params.n}, "
+                                                     f"wider than {out_len} bits$"):
+                    decode_round(tampered, j)
 
 
 def test_single_round_code():

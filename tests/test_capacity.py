@@ -13,6 +13,7 @@ from womkit.capacity import (
     in_capacity_region,
     inverse_entropy,
     optimal_point,
+    parse_densities,
 )
 
 
@@ -164,3 +165,16 @@ def test_round1_rank_bits():
     assert params.round1_rank_bits == 6
     assert params.payload_bits(1) == 6
     assert params.payload_bits(2) == 5
+
+
+def test_parse_densities_checks_syntax_only():
+    # values WeightVector would reject still parse: only the syntax is checked here
+    assert parse_densities("1/3,2/4,-1/2,3/2") == [Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+    for text, message in [
+        ("1.3", "density '1.3' is not a num/den rational"),
+        ("1/2,x/3", "bad density: 'x'"),
+        ("1/3,1/0", "density '1/0' has a zero denominator"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            parse_densities(text)
+        assert str(info.value) == message

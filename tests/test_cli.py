@@ -1,5 +1,7 @@
+import fcntl
 import os
 import random
+from binascii import crc32
 
 import pytest
 
@@ -174,15 +176,64 @@ def test_write_insufficient_bits_is_usage_error(tmp_path, capsys):
 def test_lock_file_blocks_concurrent_writer(tmp_path, capsys):
     img = tmp_path / "locked.wom"
     init_image(capsys, img)
-    lock = str(img) + ".lock"
-    open(lock, "w").write("999\n")
+    msg = write_hex(tmp_path / "m.hex", "ffffff")
+    before = img.read_bytes()
+    # flock locks belong to an open file, so a second open() in this process conflicts
+    with open(img, "rb") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        code, out, err = run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)
+        assert code == 2
+        assert (out, err) == ("", f"error: image {img} is locked by another writer\n")
+        assert img.read_bytes() == before
+    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
+    assert sorted(os.listdir(tmp_path)) == ["locked.wom", "m.hex"]  # no lock or temp file
+
+
+def test_writer_that_lost_the_race_to_a_rename_gives_up(tmp_path, capsys, monkeypatch):
+    img = tmp_path / "raced.wom"
+    init_image(capsys, img)
+    msg = write_hex(tmp_path / "m.hex", "ffffff")
+    real_flock = fcntl.flock
+
+    def flock_after_rename(handle, flags):
+        # another writer renames a new image over the path between open() and flock()
+        other = tmp_path / "other.wom"
+        other.write_bytes(img.read_bytes())
+        os.replace(other, img)
+        real_flock(handle, flags)
+
+    monkeypatch.setattr(fcntl, "flock", flock_after_rename)
+    replaced = img.read_bytes()
+    code, out, err = run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)
+    assert code == 2
+    assert (out, err) == ("", f"error: image {img} was replaced by another writer\n")
+    assert img.read_bytes() == replaced
+
+
+def test_leftover_lock_file_does_not_block_writes(tmp_path, capsys):
+    img = tmp_path / "stale.wom"
+    init_image(capsys, img)
+    (tmp_path / "stale.wom.lock").write_text("")  # what a killed writer used to leave
     msg = write_hex(tmp_path / "m.hex", "ffffff")
     code, _, err = run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)
+    assert code == 0, err
+
+
+def test_failed_rename_leaves_image_and_no_temp_file(tmp_path, capsys, monkeypatch):
+    img = tmp_path / "crash.wom"
+    init_image(capsys, img)
+    before = img.read_bytes()
+    msg = write_hex(tmp_path / "m.hex", "ffffff")
+
+    def crash(src, dst):
+        raise OSError(f"simulated crash renaming {os.path.basename(src)}")
+
+    monkeypatch.setattr(os, "replace", crash)
+    code, _, err = run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)
     assert code == 2
-    assert "locked" in err
-    os.unlink(lock)
-    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
-    assert not os.path.exists(lock)  # released after the write
+    assert "simulated crash" in err
+    assert img.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["crash.wom", "m.hex"]
 
 
 def test_init_refuses_overwrite_without_force(tmp_path, capsys):
@@ -211,6 +262,34 @@ def test_init_zero_denominator_density_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert (out, err) == ("", "error: density '1/0' has a zero denominator\n")
     assert not img.exists()
+
+
+@pytest.mark.parametrize("blocks", ["0", "-1"])
+def test_init_names_a_block_count_below_one(tmp_path, capsys, blocks):
+    img = tmp_path / "none.wom"
+    code, out, err = run(capsys, "init", "--out", str(img), "--t", "2", "--n", "10", "--m", "4",
+                         "--l", "2", "--k", "7", "--p", "1/3,1/2", "--blocks", blocks)
+    assert code == 2
+    assert (out, err) == ("", f"error: --blocks must be at least 1, got {blocks}\n")
+    assert not img.exists()
+
+
+def test_tampered_round2_data_word_over_budget_is_rejected(tmp_path, capsys):
+    img = tmp_path / "tampered.wom"
+    init_image(capsys, img)
+    for j, payload in ((1, "a1b2c3"), (2, "0d0e0f")):
+        msg = write_hex(tmp_path / f"r{j}.hex", payload)
+        assert run(capsys, "write", "--img", str(img), "--round", str(j), "--in", msg)[0] == 0
+    assert run(capsys, "read", "--img", str(img))[0] == 0
+    # data0 set to weight 10 with a fixed CRC: B_2 = 6, so no encoder wrote it
+    image = img.read_bytes()
+    body = image[: image.rfind(b"crc32=")]
+    start = body.index(b"\ndata0=") + len(b"\ndata0=")
+    body = body[:start] + b"ff03" + body[start + 4 :]
+    img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
+    code, out, err = run(capsys, "read", "--img", str(img))
+    assert code == 2
+    assert (out, err) == ("", "error: data word 0 has weight 10, above round-2 budget 6\n")
 
 
 def test_corrupted_image_is_usage_error(tmp_path, capsys):

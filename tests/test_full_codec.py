@@ -16,6 +16,7 @@ from womkit.full_codec import (
     states_to_memory,
     unpack_messages,
 )
+from womkit.hashfam import hash_apply
 from womkit.wom_device import Device, apply_write, load_image, save_image
 
 
@@ -134,19 +135,28 @@ def test_block_independence_under_targeted_corruption():
     dev = apply_write(Device.fresh(full.N1), states_to_memory(states))
     image = save_image(dev, full.block, 2)
 
-    # alter block 1's first data word inside the image, fixing the trailer
-    body = image[: image.rfind(b"crc32=")]
-    marker = b"block=1\nheader=03\ndata0="
-    start = body.index(marker) + len(marker)
-    original = body[start : start + 4]
-    replacement = b"ff03"  # all ten bits set: dominates anything, decodes differently
-    assert original != replacement
-    body = body[:start] + replacement + body[start + 4 :]
-    corrupted = body + f"crc32={crc32(body):08x}\n".encode()
+    def with_block1_data0(word: int) -> list[BlockState]:
+        """Block 1's first data word replaced inside the image, trailer fixed, loaded back."""
+        body = image[: image.rfind(b"crc32=")]
+        marker = b"block=1\nheader=03\ndata0="
+        start = body.index(marker) + len(marker)
+        body = body[:start] + word.to_bytes(2, "little").hex().encode() + body[start + 4 :]
+        loaded_dev, loaded_params, _ = load_image(body + f"crc32={crc32(body):08x}\n".encode())
+        return memory_to_states(loaded_dev.cells, FullParams(loaded_params, 2))
 
-    loaded_dev, loaded_params, loaded_round = load_image(corrupted)
-    new_states = memory_to_states(loaded_dev.cells, FullParams(loaded_params, 2))
-    good = decode_round(new_states[0], 2)
-    tampered = decode_round(new_states[1], 2)
-    assert good == decode_round(states[0], 2)  # block 0 untouched
-    assert tampered != decode_round(states[1], 2)  # block 1 took the damage
+    # the smallest in-budget word that decodes differently from the original
+    budget = full.block.budgets[1]
+    original = states[1].data[0]
+    side = states[1].sides[0].bits
+    a, b = side & 0x3FF, side >> 10
+    replacement = next(y for y in range(1 << 10) if y.bit_count() <= budget
+                       and hash_apply(a, b, 5, BitWord(10, y)) != hash_apply(a, b, 5, original))
+    new_states = with_block1_data0(replacement)
+    assert decode_round(new_states[0], 2) == decode_round(states[0], 2)  # block 0 untouched
+    assert decode_round(new_states[1], 2) != decode_round(states[1], 2)  # block 1 took the damage
+
+    # all ten bits set dominates anything but is over the round-2 budget
+    new_states = with_block1_data0(0x3FF)
+    assert decode_round(new_states[0], 2) == decode_round(states[0], 2)
+    with pytest.raises(ValueError, match=f"data word 0 has weight 10, above round-2 budget {budget}"):
+        decode_round(new_states[1], 2)

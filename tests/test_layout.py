@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import layout_oracle as oracle
-from womkit import full_codec, wom_device
+from womkit import bitwords, full_codec, wom_device
 from womkit.bitwords import BitWord, _join_fields, _split_fields, subset_unrank
 from womkit.block_codec import BlockState, RoundMessage, decode_round, encode_round1
 from womkit.capacity import WeightVector, WomParams
@@ -263,9 +263,9 @@ def test_memory_peak_within_ten_percent_of_oracle():
     assert peak <= 1.10 * oracle_peak, (peak, oracle_peak)
 
 
-# Sharing: equal blocks, words and image lines are built, unranked, formatted
-# or parsed once per call. None of it may leak between calls or parameters,
-# or let an error through.
+# Sharing: equal blocks, words and image lines are built, formatted or parsed
+# once per call, and round-1 words come from the bounded rank caches. None of
+# it may leak between calls or parameters, or let an error through.
 
 BULK = WomParams(t=2, n=10, m=4, l=2, k=(7,), p=WeightVector([Fraction(1, 3), Fraction(1, 2)]))
 
@@ -296,6 +296,20 @@ def per_block_round1(states, msgs):
     return [encode_round1(state, msg) for state, msg in zip(states, msgs)]
 
 
+def oracle_round1(states, msgs):
+    """Round-1 states with every word unranked by the oracle."""
+    return [
+        BlockState(s.params, BitWord(s.params.t, 1),
+                   tuple(oracle.subset_unrank(r, s.params.n, s.params.budgets[0]) for r in msg.payload), s.sides)
+        for s, msg in zip(states, msgs)
+    ]
+
+
+def clear_rank_caches():
+    bitwords.subset_unrank.cache_clear()
+    bitwords._colex_rank.cache_clear()
+
+
 def test_round1_full_encode_matches_per_block_encode():
     rnd = random.Random(50)
     other = dataclasses.replace(BULK, n=12)  # same rank width, other words
@@ -305,10 +319,16 @@ def test_round1_full_encode_matches_per_block_encode():
     msgs = [RoundMessage(1, tuple(rnd.choice(ranks) for _ in range(BULK.m))) for _ in range(40)]
     fresh = [BlockState.fresh(rnd.choice((BULK, BULK, twin, other))) for _ in msgs]
     for states in ([BlockState.fresh(BULK)] * len(msgs), fresh):
-        got = full_encode_round(states, msgs)
-        assert got == per_block_round1(states, msgs)
+        want = oracle_round1(states, msgs)
+        for encode in (full_encode_round, per_block_round1):
+            clear_rank_caches()
+            cold = encode(states, msgs)
+            assert cold == encode(states, msgs) == want  # caches cleared, then warm
+            assert [decode_round(state, 1) for state in cold] == msgs
+            clear_rank_caches()
+            assert [decode_round(state, 1) for state in cold] == msgs
         words = {}
-        for state, msg in zip(got, msgs):
+        for state, msg in zip(cold, msgs):
             for rank, word in zip(msg.payload, state.data):
                 assert words.setdefault((state.params.n, rank), word) == word
     bad = [(BULK.round1_space,) * BULK.m, (-1,) * BULK.m, (ranks[0],) * (BULK.m - 1), ("x",) * BULK.m]
