@@ -8,9 +8,12 @@ replacements y_i >= w_i within the round's weight budget such that H(y_i)
 equals the i-th message, then stores a | b << n in side word j-2;
 `encode_round` writes any round. The search is a kernel over ints:
 candidate words are masks, and one hashing pass per multiplier yields both
-the targets and their witnesses. Decoding the current round checks that
-each word is one the encoder can write, reads the pair back and re-applies
-the map (round 1 ranks the subsets).
+the targets and their witnesses. Decoding the current round checks once
+per block that every word is one the encoder can write, then re-applies
+the map through a row table: the truncated map is GF(2)-linear in the data
+word, so with rows[i] = a*z^i truncated, H(y) is b XOR the rows of y's set
+bits. The search builds the same rows for each multiplier it scans. Round 1
+ranks the subsets.
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise.
@@ -24,7 +27,6 @@ from typing import Sequence
 from .bitwords import BitWord, count_above, enumerate_above, subset_rank, subset_unrank
 from .capacity import WomParams
 from .gf2n import canonical_spec
-from .hashfam import hash_apply
 
 
 class SequencingError(Exception):
@@ -52,7 +54,8 @@ class RoundMessage:
     payload: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "payload", tuple(self.payload))
+        if type(self.payload) is not tuple:
+            object.__setattr__(self, "payload", tuple(self.payload))
         if self.round < 1:
             raise ValueError("rounds are numbered from 1")
 
@@ -116,6 +119,18 @@ class BlockState:
 def _check_payload(state: BlockState, msg: RoundMessage) -> None:
     if len(msg.payload) != state.params.m:
         raise ValueError(f"payload has {len(msg.payload)} entries, expected {state.params.m}")
+
+
+def _truncated_rows(a: int, n: int, modulus: int, mask: int) -> list[int]:
+    """rows[i] = a*z^i in the field of this modulus, cut to mask; a*y folds over y's set bits."""
+    rows = []
+    top = 1 << n
+    for _ in range(n):
+        rows.append(a & mask)
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return rows
 
 
 def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
@@ -192,14 +207,7 @@ def search_block_encoding(
     top = 1 << n
     fail_counts = [0] * params.m
     for a in range(top):
-        # Truncated products a*z^bit; a*y folds over the set bits of y.
-        rows = []
-        r = a
-        for _ in range(n):
-            rows.append(r & mask)
-            r <<= 1
-            if r & top:
-                r ^= modulus
+        rows = _truncated_rows(a, n, modulus, mask)
         common = None
         witnesses = []
         for i in range(params.m):
@@ -249,23 +257,43 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
 def decode_round(state: BlockState, j: int) -> RoundMessage:
     """Read back round j's messages; only the most recent round is decodable.
 
-    A word the encoder cannot have written (weight off budget, b too wide) raises.
+    A block the encoder cannot have written raises: a data word off its
+    round's budget, a side word whose b is wider than its round's hash
+    output, or a nonzero side word of a round not yet written. Round j >= 2
+    then builds the rows a*z^i once and hashes each data word as b XOR the
+    rows of its set bits.
     """
-    if not 1 <= j <= state.params.t:
-        raise ValueError(f"round {j} out of range 1..{state.params.t}")
+    p = state.params
+    if not 1 <= j <= p.t:
+        raise ValueError(f"round {j} out of range 1..{p.t}")
     if state.round != j:
         raise ValueError(f"block holds {state.round} round(s), round {j} is not current")
-    p = state.params
+    n = p.n
+    if j > 1:
+        budget = p.budgets[j - 1]
+        for i, d in enumerate(state.data):
+            if d.bits.bit_count() > budget:
+                raise ValueError(f"data word {i} has weight {d.weight}, above round-{j} budget {budget}")
+    for s, side in enumerate(state.sides):
+        if s < j - 1:
+            b, width = side.bits >> n, p.k[s] - p.l
+            if b >> width:
+                raise ValueError(f"side word {s} holds b = {b}, wider than {width} bits")
+        elif side.bits:
+            raise ValueError(f"side word {s} is set, but round {s + 2} is not written")
     if j == 1:
         b1 = p.budgets[0]
         return RoundMessage(1, tuple([subset_rank(d, b1) for d in state.data]))
-    budget = p.budgets[j - 1]
-    for i, d in enumerate(state.data):
-        if d.weight > budget:
-            raise ValueError(f"data word {i} has weight {d.weight}, above round-{j} budget {budget}")
     side = state.sides[j - 2].bits
-    a, b = side & ((1 << p.n) - 1), side >> p.n
-    out_len = p.k_for_round(j) - p.l
-    if b >> out_len:
-        raise ValueError(f"side word {j - 2} holds b = {b}, wider than {out_len} bits")
-    return RoundMessage(j, tuple(hash_apply(a, b, out_len, d) for d in state.data))
+    b, out_len = side >> n, p.k[j - 2] - p.l
+    rows = _truncated_rows(side & ((1 << n) - 1), n, canonical_spec(n), (1 << out_len) - 1)
+    words = []
+    for d in state.data:
+        acc = b
+        bits = d.bits
+        while bits:
+            low = bits & -bits
+            acc ^= rows[low.bit_length() - 1]
+            bits ^= low
+        words.append(BitWord(out_len, acc))
+    return RoundMessage(j, tuple(words))

@@ -13,7 +13,7 @@ import fcntl
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from math import ceil
 
@@ -179,7 +179,10 @@ def cmd_init(args) -> int:
         if not params.desk_executable:
             raise ValueError(f"n={params.n} is outside the searchable field width 2..24")
     dev = Device.fresh(args.blocks * params.n0)
-    _atomic_write(args.out, save_image(dev, params, 0))
+    # Overwriting takes the image's lock: a writer that holds it would later
+    # rename its own image over this one.
+    with _image_lock(args.out) if os.path.exists(args.out) else nullcontext():
+        _atomic_write(args.out, save_image(dev, params, 0))
     print(f"image={args.out}")
     print(f"blocks={args.blocks}")
     print(f"N0={params.n0}")

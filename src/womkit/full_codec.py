@@ -134,29 +134,28 @@ def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     if memory.length != params.N1:
         raise ValueError(f"memory has {memory.length} bits, expected {params.N1}")
     p = params.block
-    data_offsets = [p.data_offset(d) for d in range(p.m)]
-    side_offsets = [p.side_offset(s) for s in range(p.t - 1)]
-    header_mask, data_mask, side_mask = (1 << p.t) - 1, (1 << p.n) - 1, (1 << 2 * p.n) - 1
-    headers: dict[int, BitWord] = {}
+    m = p.m
+    # (words seen, length, offset, mask) of each slot, header first; the
+    # data slots share one dict of words, and so do the side slots.
     datas: dict[int, BitWord] = {}
     sides: dict[int, BitWord] = {}
-
-    def word(seen: dict[int, BitWord], length: int, bits: int) -> BitWord:
-        found = seen.get(bits)
-        if found is None:
-            found = seen[bits] = BitWord(length, bits)
-        return found
-
+    slots = (
+        [({}, p.t, 0, (1 << p.t) - 1)]
+        + [(datas, p.n, p.data_offset(d), (1 << p.n) - 1) for d in range(m)]
+        + [(sides, 2 * p.n, p.side_offset(s), (1 << 2 * p.n) - 1) for s in range(p.t - 1)]
+    )
     states: dict[int, BlockState] = {}
     out = []
     for bits in _split_fields(memory.bits, p.n0, params.n1):
         state = states.get(bits)
         if state is None:
-            state = states[bits] = BlockState(
-                params=p,
-                header=word(headers, p.t, bits & header_mask),
-                data=tuple([word(datas, p.n, bits >> offset & data_mask) for offset in data_offsets]),
-                sides=tuple([word(sides, 2 * p.n, bits >> offset & side_mask) for offset in side_offsets]),
-            )
+            words = []
+            for seen, length, offset, mask in slots:
+                value = bits >> offset & mask
+                word = seen.get(value)
+                if word is None:
+                    word = seen[value] = BitWord(length, value)
+                words.append(word)
+            state = states[bits] = BlockState(p, words[0], tuple(words[1 : m + 1]), tuple(words[m + 1 :]))
         out.append(state)
     return out

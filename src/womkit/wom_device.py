@@ -149,14 +149,14 @@ def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
     return body + f"crc32={binascii.crc32(body):08x}\n".encode()
 
 
-def _take(lines: list[str], pos: int, key: str) -> str:
-    """The text after `key=` on line pos, which must exist and start with it."""
+def _take(lines: list[str], pos: int, prefix: str) -> str:
+    """The text after prefix (`key=`) on line pos, which must exist and start with it."""
     if pos >= len(lines):
-        raise TruncatedImage(f"file ends where {key}= was expected")
+        raise TruncatedImage(f"file ends where {prefix} was expected")
     line = lines[pos]
-    if not line.startswith(key + "="):
-        raise MalformedImage(f"expected {key}=..., found {line!r}")
-    return line[len(key) + 1 :]
+    if not line.startswith(prefix):
+        raise MalformedImage(f"expected {prefix}..., found {line!r}")
+    return line[len(prefix) :]
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -189,7 +189,7 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
         raise MalformedImage("image is not ASCII text") from exc
     lines = text.split("\n")[:-1]  # lines[0] is the magic line, already checked
 
-    fields = _take(lines, 1, "t").split()
+    fields = _take(lines, 1, "t=").split()
     if len(fields) != 4:
         raise MalformedImage("parameter line must hold t= n= m= l=")
     t = _parse_int(fields[0], "t")
@@ -199,9 +199,9 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
             raise MalformedImage(f"expected {key}= in parameter line, found {part!r}")
         values[key] = _parse_int(part[len(key) + 1 :], key)
 
-    k_text = _take(lines, 2, "k")
+    k_text = _take(lines, 2, "k=")
     k = tuple(_parse_int(x, "k entry") for x in k_text.split(",")) if k_text else ()
-    p_text = _take(lines, 3, "p")
+    p_text = _take(lines, 3, "p=")
     try:
         densities = parse_densities(p_text)
     except ValueError as exc:
@@ -211,14 +211,14 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
     except ValueError as exc:
         raise MalformedImage(f"inconsistent parameters: {exc}") from exc
 
-    round_ = _parse_int(_take(lines, 4, "round"), "round")
+    round_ = _parse_int(_take(lines, 4, "round="), "round")
     if not 0 <= round_ <= params.t:
         raise MalformedImage(f"round {round_} out of range 0..{params.t}")
 
     # Each slot parses each distinct line once: slot -> {line: value << offset}.
     # Only a line text that already parsed in this slot is taken from the
     # memo; any other line, a canonical block label aside, gets every check.
-    slots = [(key, length, offset, {}) for key, length, offset in _slots(params)]
+    slots = [(key + "=", length, offset, {}) for key, length, offset in _slots(params)]
     pos, end = 5, len(lines)
     delimited = pos < end and lines[pos].startswith("block=")
     blocks = []
@@ -227,16 +227,16 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
             if pos == end:
                 break
             if lines[pos] != f"block={len(blocks)}":
-                label = _parse_int(_take(lines, pos, "block"), "block index")
+                label = _parse_int(_take(lines, pos, "block="), "block index")
                 if label != len(blocks):
                     raise MalformedImage(f"expected block={len(blocks)}, found block={label}")
             pos += 1
         bits = 0
-        for key, length, offset, seen in slots:
+        for prefix, length, offset, seen in slots:
             line = lines[pos] if pos < end else None
             value = seen.get(line)
             if value is None:
-                value = seen[line] = _hex_to_bits(_take(lines, pos, key), length) << offset
+                value = seen[line] = _hex_to_bits(_take(lines, pos, prefix), length) << offset
             bits |= value
             pos += 1
         blocks.append(bits)

@@ -277,6 +277,27 @@ def test_decode_round_rejects_words_the_encoder_cannot_write():
         budget, out_len = params.budgets[j - 1], params.payload_bits(j)
         assert all(d.weight <= budget for d in state.data)
         decode_round(state, j)  # what the encoder wrote decodes
+        # any set cell in the side word of a round not yet written
+        for s in range(j - 1, params.t - 1):
+            for bit in (0, params.n, 2 * params.n - 1):
+                sides = state.sides[:s] + (BitWord(2 * params.n, 1 << bit),) + state.sides[s + 1 :]
+                with pytest.raises(ValueError, match=f"^side word {s} is set, but round {s + 2} is not written$"):
+                    decode_round(dataclasses.replace(state, sides=sides), j)
+        # an earlier round's side word: b must fit that round's hash output
+        for s in range(j - 2):
+            earlier = params.payload_bits(s + 2)
+            side = state.sides[s].bits
+            for wide, ok in ((side | 1 << (params.n + earlier - 1), True),
+                             (side | 1 << (params.n + earlier), False),
+                             ((1 << 2 * params.n) - 1, False)):
+                tampered = dataclasses.replace(
+                    state, sides=state.sides[:s] + (BitWord(2 * params.n, wide),) + state.sides[s + 1 :])
+                if ok:
+                    decode_round(tampered, j)
+                else:
+                    with pytest.raises(ValueError, match=f"^side word {s} holds b = {wide >> params.n}, "
+                                                         f"wider than {earlier} bits$"):
+                        decode_round(tampered, j)
         if j == 1:
             continue
         # a data word one cell over the budget, still above the stored word

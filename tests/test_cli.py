@@ -247,6 +247,25 @@ def test_init_refuses_overwrite_without_force(tmp_path, capsys):
     assert run(capsys, *base, "--force")[0] == 0
 
 
+def test_init_force_refuses_an_image_a_writer_has_locked(tmp_path, capsys):
+    img = tmp_path / "busy.wom"
+    init_image(capsys, img)
+    msg = write_hex(tmp_path / "m.hex", "ffffff")
+    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
+    before = img.read_bytes()
+    base = ["init", "--out", str(img), "--t", "2", "--n", "10", "--m", "4",
+            "--l", "2", "--k", "7", "--p", "1/3,1/2", "--force"]
+    with open(img, "rb") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        code, out, err = run(capsys, *base)
+        assert code == 2
+        assert (out, err) == ("", f"error: image {img} is locked by another writer\n")
+        assert img.read_bytes() == before
+    assert run(capsys, *base)[0] == 0
+    assert img.read_bytes() != before
+    assert sorted(os.listdir(tmp_path)) == ["busy.wom", "m.hex"]
+
+
 def test_init_derived_analysis_scale_is_refused(tmp_path, capsys):
     img = tmp_path / "big.wom"
     code, _, err = run(capsys, "init", "--out", str(img), "--t", "2", "--epsilon", "0.5")
@@ -290,6 +309,26 @@ def test_tampered_round2_data_word_over_budget_is_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "read", "--img", str(img))
     assert code == 2
     assert (out, err) == ("", "error: data word 0 has weight 10, above round-2 budget 6\n")
+
+
+def test_tampered_round3_earlier_side_word_is_rejected(tmp_path, capsys):
+    img = tmp_path / "side.wom"
+    code, _, err = run(capsys, "init", "--out", str(img), "--t", "3", "--n", "12", "--m", "3",
+                       "--l", "2", "--k", "7,5", "--p", "1/4,1/3,1/2")
+    assert code == 0, err
+    for j, payload in ((1, "a1b2c3"), (2, "0d0e"), (3, "0f0f")):
+        msg = write_hex(tmp_path / f"r{j}.hex", payload)
+        assert run(capsys, "write", "--img", str(img), "--round", str(j), "--in", msg)[0] == 0
+    assert run(capsys, "read", "--img", str(img))[0] == 0
+    # side0 (round 2's map) set to all ones with a fixed CRC: b = 4095, but k_2 - l = 5
+    image = img.read_bytes()
+    body = image[: image.rfind(b"crc32=")]
+    start = body.index(b"\nside0=") + len(b"\nside0=")
+    body = body[:start] + b"ffffff" + body[start + 6 :]
+    img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
+    code, out, err = run(capsys, "read", "--img", str(img))
+    assert code == 2
+    assert (out, err) == ("", "error: side word 0 holds b = 4095, wider than 5 bits\n")
 
 
 def test_corrupted_image_is_usage_error(tmp_path, capsys):

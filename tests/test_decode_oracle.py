@@ -1,0 +1,87 @@
+"""The row-table decoder against the per-word oracle in `decode_oracle`.
+
+Blocks are random t = 2 and t = 3 states at every field width n = 2..24,
+plus n = 1 and n = 25, which no field covers, in every round. Each holds
+what the encoder writes: data words within the round's budget (exactly B_1
+in round 1), earlier side words whose b fits their round's hash output, and
+zero side words for rounds not yet written. Variants put one data word off
+its budget, a too-wide b in the current side word, or both. The library and
+the oracle must return equal messages, or raise the same exception type
+with the same message.
+"""
+
+import random
+from fractions import Fraction
+
+import decode_oracle as oracle
+from womkit.bitwords import BitWord
+from womkit.block_codec import BlockState, decode_round
+from womkit.capacity import WeightVector, WomParams
+
+
+def outcome(decode, state, j):
+    try:
+        return ("ok", decode(state, j))
+    except Exception as exc:  # every exception is compared, not handled
+        return ("raised", type(exc), str(exc))
+
+
+def random_params(rnd, t, n):
+    l = rnd.randint(0, n)
+    densities = [Fraction(rnd.randint(1, 4), 8) for _ in range(t - 1)] + [Fraction(1, 2)]
+    k = tuple(rnd.randint(l, n) for _ in range(t - 1))
+    return WomParams(t=t, n=n, m=rnd.randint(1, 5), l=l, k=k, p=WeightVector(densities))
+
+
+def random_word(rnd, n, weight):
+    return BitWord.from_support(rnd.sample(range(n), weight), n)
+
+
+def random_block(rnd, params, j):
+    """A round-j block the encoder could have written."""
+    n, budget = params.n, params.budgets[j - 1]
+    data = [random_word(rnd, n, budget if j == 1 else rnd.randint(0, budget)) for _ in range(params.m)]
+    sides = [BitWord(2 * n, 0)] * (params.t - 1)
+    for s in range(j - 1):
+        b = rnd.getrandbits(params.k[s] - params.l)
+        sides[s] = BitWord(2 * n, rnd.getrandbits(n) | b << n)
+    return BlockState(params, BitWord(params.t, (1 << j) - 1), tuple(data), tuple(sides))
+
+
+def variants(rnd, state, j):
+    """The block, then each way the oracle can reject it."""
+    p = state.params
+    yield state
+    over = state
+    weights = [w for w in range(p.n + 1) if (w != p.budgets[0] if j == 1 else w > p.budgets[j - 1])]
+    if weights:
+        i = rnd.randrange(p.m)
+        data = state.data[:i] + (random_word(rnd, p.n, rnd.choice(weights)),) + state.data[i + 1 :]
+        over = BlockState(p, state.header, data, state.sides)
+        yield over
+    out_len = p.k[j - 2] - p.l if j > 1 else p.n
+    if out_len < p.n:
+        for base in (state, over):
+            wide = base.sides[j - 2].bits | 1 << (p.n + rnd.randint(out_len, p.n - 1))
+            sides = base.sides[: j - 2] + (BitWord(2 * p.n, wide),) + base.sides[j - 1 :]
+            yield BlockState(p, base.header, base.data, sides)
+
+
+def test_decode_matches_per_word_oracle():
+    rnd = random.Random(0xDEC0DE)
+    kinds = {}
+    for n in range(1, 26):
+        for t in (2, 3):
+            for j in range(1, t + 1):
+                for _ in range(6):
+                    params = random_params(rnd, t, n)
+                    for state in variants(rnd, random_block(rnd, params, j), j):
+                        got = outcome(decode_round, state, j)
+                        assert got == outcome(oracle.decode_round, state, j), (state, j)
+                        kind = got[0] if got[0] == "ok" else got[2].split(" ")[0]
+                        kinds[kind] = kinds.get(kind, 0) + 1
+    # decoded blocks, budget errors ("data word ..." and round 1's "word has
+    # weight ..."), too-wide b ("side word ...") and no field ("field width ...")
+    assert kinds["ok"] >= 500, kinds
+    assert min(kinds["data"], kinds["word"], kinds["side"], kinds["field"]) >= 20, kinds
+

@@ -292,6 +292,25 @@ def test_memory_to_states_with_repeated_blocks_matches_oracle():
     assert same("memory_to_states", not_unary, FullParams(params, full.n1 + 1))[0] == "raised"
 
 
+T3 = WomParams(t=3, n=12, m=3, l=2, k=(7, 5),
+               p=WeightVector([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
+
+
+@pytest.mark.parametrize("params,n1", [(BULK, 1), (BULK, 9), (T3, 1), (T3, 9)])
+def test_memory_to_states_matches_oracle_after_every_round(params, n1):
+    # memories the encoder wrote: round-2 and round-3 blocks hold side words
+    rnd = random.Random(repr((params, n1)))
+    full = FullParams(params, n1)
+    memory = BitWord(full.N1, 0)
+    for j in range(1, params.t + 1):
+        _, states = same("memory_to_states", memory, full)
+        needed = full.round_capacity(j)
+        msgs = full_codec.pack_messages(BitWord(needed, rnd.getrandbits(needed)), j, full)
+        memory = full_codec.states_to_memory(full_encode_round(states, msgs))
+        _, states = same("memory_to_states", memory, full)
+        assert [decode_round(state, j) for state in states] == msgs
+
+
 def per_block_round1(states, msgs):
     return [encode_round1(state, msg) for state, msg in zip(states, msgs)]
 
