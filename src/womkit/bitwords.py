@@ -102,11 +102,12 @@ def subset_rank(word: BitWord, weight: int) -> int:
     """
     if word.bits.bit_count() != weight:
         raise ValueError(f"word has weight {word.weight}, expected {weight}")
-    return _colex_rank(word.bits)
+    return colex_rank(word.bits)
 
 
 @lru_cache(maxsize=_CACHE_WORDS)
-def _colex_rank(bits: int) -> int:
+def colex_rank(bits: int) -> int:
+    """subset_rank of a mask among the words of its own weight, which is not checked."""
     rank = 0
     j = 1
     while bits:

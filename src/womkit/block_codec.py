@@ -6,13 +6,13 @@ characteristic word of a fixed-weight subset. Every later round j finds a
 single truncated affine map H, the int pair (a, b), and per-word
 replacements y_i >= w_i within the round's weight budget such that H(y_i)
 equals the i-th message, then stores a | b << n in side word j-2;
-`encode_round` writes any round. The search is a kernel over ints:
-candidate words are masks, and one hashing pass per multiplier yields both
-the targets and their witnesses. Decoding the current round checks once
-per block that every word is one the encoder can write, then re-applies
-the map through a row table: the truncated map is GF(2)-linear in the data
-word, so with rows[i] = a*z^i truncated, H(y) is b XOR the rows of y's set
-bits. The search builds the same rows for each multiplier it scans. Round 1
+`encode_round` writes any round. The search is a loop over ints:
+candidate words are masks, and per multiplier one `hashfam.hash_words`
+pass over each word's candidates yields both the targets and their
+witnesses. Decoding the current round checks once per block that every
+word is one the encoder can write, then re-applies the map with one
+`hash_words` call over the data words. Both build their row table with
+`hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
 ranks the subsets.
 
 All states are immutable; encoders return new states that dominate their
@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitwords import BitWord, count_above, enumerate_above, subset_rank, subset_unrank
+from .bitwords import BitWord, colex_rank, count_above, enumerate_above, subset_unrank
 from .capacity import WomParams
 from .gf2n import canonical_spec
+from .hashfam import hash_words, truncated_rows
 
 
 class SequencingError(Exception):
@@ -121,18 +122,6 @@ def _check_payload(state: BlockState, msg: RoundMessage) -> None:
         raise ValueError(f"payload has {len(msg.payload)} entries, expected {state.params.m}")
 
 
-def _truncated_rows(a: int, n: int, modulus: int, mask: int) -> list[int]:
-    """rows[i] = a*z^i in the field of this modulus, cut to mask; a*y folds over y's set bits."""
-    rows = []
-    top = 1 << n
-    for _ in range(n):
-        rows.append(a & mask)
-        a <<= 1
-        if a & top:
-            a ^= modulus
-    return rows
-
-
 def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
     """Write the first round: payload ranks become fixed-weight data words."""
     if state.round != 0:
@@ -203,24 +192,15 @@ def search_block_encoding(
         masks.reverse()
         candidates.append(masks)
 
-    mask = (1 << out_len) - 1
     top = 1 << n
     fail_counts = [0] * params.m
     for a in range(top):
-        rows = _truncated_rows(a, n, modulus, mask)
+        rows = truncated_rows(modulus, a, out_len)
         common = None
         witnesses = []
         for i in range(params.m):
-            xi = xs[i].bits
-            witness = {}
-            for y in candidates[i]:
-                acc = 0
-                yy = y
-                while yy:
-                    low = yy & -yy
-                    acc ^= rows[low.bit_length() - 1]
-                    yy ^= low
-                witness[acc ^ xi] = y
+            cands = candidates[i]
+            witness = dict(zip(hash_words(rows, cands, xs[i].bits), cands))
             common = witness.keys() if common is None else common & witness.keys()
             if not common:
                 fail_counts[i] += 1
@@ -258,10 +238,10 @@ def decode_round(state: BlockState, j: int) -> RoundMessage:
     """Read back round j's messages; only the most recent round is decodable.
 
     A block the encoder cannot have written raises: a data word off its
-    round's budget, a side word whose b is wider than its round's hash
-    output, or a nonzero side word of a round not yet written. Round j >= 2
-    then builds the rows a*z^i once and hashes each data word as b XOR the
-    rows of its set bits.
+    round's budget (round 1 writes weight B_1 exactly), a side word whose b
+    is wider than its round's hash output, or a nonzero side word of a round
+    not yet written. Round j >= 2 then builds the rows a*z^i once and
+    hashes the data words with shift b.
     """
     p = state.params
     if not 1 <= j <= p.t:
@@ -269,11 +249,13 @@ def decode_round(state: BlockState, j: int) -> RoundMessage:
     if state.round != j:
         raise ValueError(f"block holds {state.round} round(s), round {j} is not current")
     n = p.n
-    if j > 1:
-        budget = p.budgets[j - 1]
-        for i, d in enumerate(state.data):
-            if d.bits.bit_count() > budget:
-                raise ValueError(f"data word {i} has weight {d.weight}, above round-{j} budget {budget}")
+    budget = p.budgets[j - 1]
+    for i, d in enumerate(state.data):
+        weight = d.bits.bit_count()
+        if j == 1 and weight != budget:
+            raise ValueError(f"data word {i} has weight {weight}, expected round-1 weight {budget}")
+        if weight > budget:
+            raise ValueError(f"data word {i} has weight {weight}, above round-{j} budget {budget}")
     for s, side in enumerate(state.sides):
         if s < j - 1:
             b, width = side.bits >> n, p.k[s] - p.l
@@ -282,18 +264,9 @@ def decode_round(state: BlockState, j: int) -> RoundMessage:
         elif side.bits:
             raise ValueError(f"side word {s} is set, but round {s + 2} is not written")
     if j == 1:
-        b1 = p.budgets[0]
-        return RoundMessage(1, tuple([subset_rank(d, b1) for d in state.data]))
+        return RoundMessage(1, tuple([colex_rank(d.bits) for d in state.data]))
     side = state.sides[j - 2].bits
-    b, out_len = side >> n, p.k[j - 2] - p.l
-    rows = _truncated_rows(side & ((1 << n) - 1), n, canonical_spec(n), (1 << out_len) - 1)
-    words = []
-    for d in state.data:
-        acc = b
-        bits = d.bits
-        while bits:
-            low = bits & -bits
-            acc ^= rows[low.bit_length() - 1]
-            bits ^= low
-        words.append(BitWord(out_len, acc))
-    return RoundMessage(j, tuple(words))
+    out_len = p.k[j - 2] - p.l
+    rows = truncated_rows(canonical_spec(n), side & ((1 << n) - 1), out_len)
+    hashes = hash_words(rows, [d.bits for d in state.data], side >> n)
+    return RoundMessage(j, tuple([BitWord(out_len, h) for h in hashes]))

@@ -133,11 +133,11 @@ def optimal_point(t: int) -> tuple[RatePoint, WeightVector]:
     return RatePoint(rates), densities
 
 
-def in_capacity_region(rates: RatePoint, p: WeightVector, tol: float = REGION_TOL) -> bool:
+def in_capacity_region(rates: RatePoint, p: WeightVector) -> bool:
     """Whether the rate point is achievable under densities p.
 
     Checks R_1 <= H(p_1), R_j <= prod_{i<j}(1-p_i)*H(p_j) for middle rounds,
-    and R_t <= prod_{i<t}(1-p_i), with `tol` slack for float round-off.
+    and R_t <= prod_{i<t}(1-p_i), with REGION_TOL slack for float round-off.
     """
     if rates.t != p.t:
         raise ValueError(f"length mismatch: {rates.t} rates vs {p.t} densities")
@@ -148,7 +148,7 @@ def in_capacity_region(rates: RatePoint, p: WeightVector, tol: float = REGION_TO
             bound = float(remaining) * entropy(float(p.p[j - 1]))
         else:
             bound = float(remaining)
-        if rates.rates[j - 1] > bound + tol:
+        if rates.rates[j - 1] > bound + REGION_TOL:
             return False
         remaining *= 1 - p.p[j - 1]
     return True

@@ -65,6 +65,13 @@ def _parse_rates(text: str) -> RatePoint:
         raise ValueError(f"bad rates {text!r}: {exc}") from exc
 
 
+def _parse_ints(option: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} must be comma-separated integers, got {text!r}") from None
+
+
 def _densities_for_rates(rates: RatePoint) -> WeightVector:
     """Smallest densities supporting each round's rate, final round at 1/2."""
     entries = []
@@ -116,8 +123,7 @@ def _manual_params(args) -> WomParams:
     missing = [name for name in ("n", "m", "l", "p") if getattr(args, name) is None]
     if missing:
         raise ValueError(f"manual parameters need --{', --'.join(missing)}")
-    k_text = args.k or ""
-    k = tuple(int(x) for x in k_text.split(",")) if k_text else ()
+    k = _parse_ints("--k", args.k) if args.k else ()
     return WomParams(t=args.t, n=args.n, m=args.m, l=args.l, k=k, p=WeightVector(parse_densities(args.p)))
 
 
@@ -285,9 +291,7 @@ def cmd_audit_hash(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    numbers = None
-    if args.only:
-        numbers = [int(x) for x in args.only.split(",")]
+    numbers = _parse_ints("--only", args.only) if args.only else None
     results = selftest.run_all(numbers)
     for result in results:
         print(result.line())

@@ -2,9 +2,14 @@
 
 A map is the int pair (a, b) of n-bit coefficient masks: compute a*x + b
 in the field, read the result as an n-bit word, keep the first k-l bits
-(indices 0..k-l-1). Two exact audits back the guarantees the encoder
-relies on: how often the truncated image of a fixed 2^k-element source is
-small, and the exact statistical distance of (a, b, output) from uniform.
+(indices 0..k-l-1). The truncated product is GF(2)-linear in x, so the
+map is evaluated by one kernel over ints: `truncated_rows` builds the n
+rows a*z^i cut to k-l bits, and `hash_words` hashes each word as the
+shift (b's first k-l bits) XOR the rows of its set bits. The encoder's
+search, the decoder, `hash_apply` and both audits all call it. Two exact
+audits back the guarantees the encoder relies on: how often the truncated
+image of a fixed 2^k-element source is small, and the exact statistical
+distance of (a, b, output) from uniform.
 """
 
 from __future__ import annotations
@@ -13,10 +18,37 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .bitwords import BitWord
-from .gf2n import canonical_spec, mul_bits
+from .gf2n import canonical_spec
 
 AUDIT_MAX_WIDTH = 12       # image audit enumerates all coefficient pairs
 DISTANCE_MAX_WIDTH = 6     # distance audit walks the full joint distribution
+
+
+def truncated_rows(modulus: int, a: int, out_len: int) -> list[int]:
+    """The n rows a*z^i (i = 0..n-1) in the field of this modulus, cut to out_len bits."""
+    n = modulus.bit_length() - 1
+    top = 1 << n
+    mask = (1 << out_len) - 1
+    rows = []
+    for _ in range(n):
+        rows.append(a & mask)
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return rows
+
+
+def hash_words(rows: Sequence[int], words: Iterable[int], shift: int) -> list[int]:
+    """For each word mask: shift XOR the rows of its set bits."""
+    out = []
+    for y in words:
+        acc = shift
+        while y:
+            low = y & -y
+            acc ^= rows[low.bit_length() - 1]
+            y ^= low
+        out.append(acc)
+    return out
 
 
 def hash_apply(a: int, b: int, out_len: int, x: BitWord) -> BitWord:
@@ -31,14 +63,14 @@ def hash_apply(a: int, b: int, out_len: int, x: BitWord) -> BitWord:
         raise ValueError(f"output length {out_len} out of range 0..{n}")
     if not (0 <= a < 1 << n and 0 <= b < 1 << n):
         raise ValueError(f"coefficients 0x{a:x}, 0x{b:x} are not both {n}-bit masks")
-    full = mul_bits(modulus, a, x.bits) ^ b
-    return BitWord(out_len, full & ((1 << out_len) - 1))
+    rows = truncated_rows(modulus, a, out_len)
+    return BitWord(out_len, hash_words(rows, (x.bits,), b & ((1 << out_len) - 1))[0])
 
 
 def _distinct_masks(values: Iterable, n: int) -> list[int]:
     masks = set()
     for v in values:
-        bits = v.bits if isinstance(v, BitWord) else int(v)
+        bits = int(v)
         if not 0 <= bits < (1 << n):
             raise ValueError(f"set element 0x{bits:x} is not an {n}-bit word")
         masks.add(bits)
@@ -62,7 +94,6 @@ def image_fraction_audit(n: int, k: int, l: int, sets: Sequence[Iterable]) -> fl
     if not sets:
         raise ValueError("need at least one source set")
     modulus = canonical_spec(n)
-    mask = (1 << (k - l)) - 1
     threshold = (1 << (k - l)) * (1.0 - 2.0 ** (-l / 4))
     worst = 0.0
     for raw in sets:
@@ -71,7 +102,7 @@ def image_fraction_audit(n: int, k: int, l: int, sets: Sequence[Iterable]) -> fl
             raise ValueError(f"source has {len(ys)} elements, need at least {1 << k}")
         bad_pairs = 0
         for a in range(1 << n):
-            image_size = len({mul_bits(modulus, a, y) & mask for y in ys})
+            image_size = len(set(hash_words(truncated_rows(modulus, a, k - l), ys, 0)))
             if image_size <= threshold:
                 bad_pairs += 1 << n
         worst = max(worst, bad_pairs / (1 << (2 * n)))
@@ -83,7 +114,8 @@ def lhl_exact_distance(n: int, k: int, l: int, source: Iterable) -> float:
 
     a and b are uniform over the field, y uniform over the 2^k-element
     source; the reference distribution is uniform over pairs x {0,1}^(k-l).
-    Walks every atom of the joint distribution, so n is capped low.
+    Walks every (a, y) pair, so n is capped low. XOR by b's first k-l bits
+    permutes the outputs, so each a stands for all 2^n values of b.
     """
     if not 2 <= n <= DISTANCE_MAX_WIDTH:
         raise ValueError(f"distance width must be in 2..{DISTANCE_MAX_WIDTH}, got {n}")
@@ -94,18 +126,14 @@ def lhl_exact_distance(n: int, k: int, l: int, source: Iterable) -> float:
         raise ValueError(f"source has {len(ys)} elements, expected exactly {1 << k}")
     modulus = canonical_spec(n)
     out_len = k - l
-    mask = (1 << out_len) - 1
     size = len(ys)
     # Accumulate sum |count*2^(k-l) - |Y|| over all atoms in exact integers;
     # the distance is that sum / (2 * 2^(2n) * |Y| * 2^(k-l)).
     total = 0
     for a in range(1 << n):
-        products = [mul_bits(modulus, a, y) for y in ys]
-        for b in range(1 << n):
-            counts = Counter((prod ^ b) & mask for prod in products)
-            hit = 0
-            for count in counts.values():
-                total += abs(count * (1 << out_len) - size)
-                hit += 1
-            total += ((1 << out_len) - hit) * size
+        counts = Counter(hash_words(truncated_rows(modulus, a, out_len), ys, 0))
+        per_b = ((1 << out_len) - len(counts)) * size
+        for count in counts.values():
+            per_b += abs(count * (1 << out_len) - size)
+        total += per_b << n
     return total / (2 * (1 << (2 * n)) * size * (1 << out_len))

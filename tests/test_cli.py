@@ -293,6 +293,16 @@ def test_init_names_a_block_count_below_one(tmp_path, capsys, blocks):
     assert not img.exists()
 
 
+@pytest.mark.parametrize("k", ["7,x", "x", "7,"])
+def test_init_names_a_bad_hash_size_list(tmp_path, capsys, k):
+    img = tmp_path / "k.wom"
+    code, out, err = run(capsys, "init", "--out", str(img), "--t", "2", "--n", "10", "--m", "4",
+                         "--l", "2", "--k", k, "--p", "1/3,1/2")
+    assert code == 2
+    assert (out, err) == ("", f"error: --k must be comma-separated integers, got {k!r}\n")
+    assert not img.exists()
+
+
 def test_tampered_round2_data_word_over_budget_is_rejected(tmp_path, capsys):
     img = tmp_path / "tampered.wom"
     init_image(capsys, img)
@@ -309,6 +319,23 @@ def test_tampered_round2_data_word_over_budget_is_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "read", "--img", str(img))
     assert code == 2
     assert (out, err) == ("", "error: data word 0 has weight 10, above round-2 budget 6\n")
+
+
+def test_tampered_round1_data_word_off_weight_is_rejected(tmp_path, capsys):
+    img = tmp_path / "round1.wom"
+    init_image(capsys, img)
+    msg = write_hex(tmp_path / "r1.hex", "a1b2c3")
+    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
+    assert run(capsys, "read", "--img", str(img))[0] == 0
+    # data1 set to weight 4 with a fixed CRC: round 1 writes weight B_1 = 3 exactly
+    image = img.read_bytes()
+    body = image[: image.rfind(b"crc32=")]
+    start = body.index(b"\ndata1=") + len(b"\ndata1=")
+    body = body[:start] + b"0f00" + body[start + 4 :]
+    img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
+    code, out, err = run(capsys, "read", "--img", str(img))
+    assert code == 2
+    assert (out, err) == ("", "error: data word 1 has weight 4, expected round-1 weight 3\n")
 
 
 def test_tampered_round3_earlier_side_word_is_rejected(tmp_path, capsys):
@@ -395,3 +422,9 @@ def test_selftest_subset(capsys):
     assert code == 0
     assert "criterion_1=PASS" in out
     assert "criterion_7=PASS" in out
+
+
+def test_selftest_names_a_bad_criterion_list(capsys):
+    code, out, err = run(capsys, "selftest", "--only", "x")
+    assert code == 2
+    assert (out, err) == ("", "error: --only must be comma-separated integers, got 'x'\n")

@@ -326,7 +326,7 @@ def oracle_round1(states, msgs):
 
 def clear_rank_caches():
     bitwords.subset_unrank.cache_clear()
-    bitwords._colex_rank.cache_clear()
+    bitwords.colex_rank.cache_clear()
 
 
 def test_round1_full_encode_matches_per_block_encode():
