@@ -16,12 +16,18 @@ word is one the encoder can write, then re-applies the map with one
 ranks the subsets.
 
 All states are immutable; encoders return new states that dominate their
-inputs coordinatewise.
+inputs coordinatewise. The public `BlockState(...)` checks every field.
+The codec builds its own states through `_built_state`, which skips that
+check: every word it passes was cut or built to its slot's length, and
+every header is the shared unary counter `_header(t, j)`, one word per
+(t, j), so a write over many blocks makes neither the check nor the
+header once per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .bitwords import BitWord, colex_rank, count_above, enumerate_above, subset_unrank
@@ -81,8 +87,7 @@ class BlockState:
     sides: tuple[BitWord, ...]
 
     def __post_init__(self):
-        # Codecs build one state per block per round, so this stays cheap:
-        # tuples are kept as they are, and a header h is unary iff h & (h + 1) == 0.
+        # Tuples are kept as they are, and a header h is unary iff h & (h + 1) == 0.
         data, sides = self.data, self.sides
         if type(data) is not tuple:
             data = tuple(data)
@@ -117,6 +122,34 @@ class BlockState:
         return self.header.bits.bit_length()
 
 
+# The slots' own setters: the frozen dataclass's __setattr__ refuses to assign.
+_set_params, _set_header, _set_data, _set_sides = (
+    BlockState.__dict__[name].__set__ for name in ("params", "header", "data", "sides")
+)
+
+
+def _built_state(
+    params: WomParams, header: BitWord, data: tuple[BitWord, ...], sides: tuple[BitWord, ...]
+) -> BlockState:
+    """BlockState(params, header, data, sides) without __post_init__'s checks.
+
+    Only for a unary header of t bits, m data words of n bits and t - 1 side
+    words of 2n bits, passed as tuples: words the codec cut or built itself.
+    """
+    state = object.__new__(BlockState)
+    _set_params(state, params)
+    _set_header(state, header)
+    _set_data(state, data)
+    _set_sides(state, sides)
+    return state
+
+
+@lru_cache(maxsize=64)
+def _header(t: int, j: int) -> BitWord:
+    """The t-bit header of a block that holds j rounds."""
+    return BitWord(t, (1 << j) - 1)
+
+
 def _check_payload(state: BlockState, msg: RoundMessage) -> None:
     if len(msg.payload) != state.params.m:
         raise ValueError(f"payload has {len(msg.payload)} entries, expected {state.params.m}")
@@ -132,7 +165,7 @@ def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
     p = state.params
     b1 = p.budgets[0]
     data = tuple([subset_unrank(int(rank), p.n, b1) for rank in msg.payload])
-    return BlockState(p, BitWord(p.t, 1), data, state.sides)
+    return _built_state(p, _header(p.t, 1), data, state.sides)
 
 
 def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bool:
@@ -231,7 +264,7 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
     a, b, ys = search_block_encoding(p, j, state.data, msg.payload)
     side = BitWord(2 * p.n, a | (b << p.n))
     sides = state.sides[: j - 2] + (side,) + state.sides[j - 1 :]
-    return BlockState(p, BitWord(p.t, (1 << j) - 1), tuple(ys), sides)
+    return _built_state(p, _header(p.t, j), tuple(ys), sides)
 
 
 def decode_round(state: BlockState, j: int) -> RoundMessage:

@@ -14,6 +14,11 @@ blocks and words (round 1 draws every data word from C(n, B_1) subsets,
 which `bitwords` ranks and unranks through a cache), so `memory_to_states`
 builds one state per distinct block and one word per distinct word. States
 and words are immutable, so sharing them is invisible to callers.
+
+`memory_to_states` builds its states through `block_codec._built_state`,
+which skips `BlockState`'s shape check: it cuts every word to its slot's
+length itself. Only the header comes from outside in a shape the cut cannot
+fix, so it keeps the unary-header check, once per distinct block.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WomParams
-from .block_codec import BlockState, RoundMessage, encode_round
+from .block_codec import BlockState, RoundMessage, _built_state, encode_round
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,11 +80,10 @@ def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMess
     needed = params.round_capacity(j)
     if stream.length < needed:
         raise ValueError(f"stream has {stream.length} bits, round {j} needs {needed}")
-    m = params.block.m
-    values = list(_split_fields(stream.bits, width, params.n1 * m))
+    values = _split_fields(stream.bits, width, params.n1 * params.block.m)
     if j != 1:
         values = [BitWord(width, value) for value in values]
-    return [RoundMessage(j, tuple(values[i : i + m])) for i in range(0, len(values), m)]
+    return [RoundMessage(j, payload) for payload in zip(*[iter(values)] * params.block.m)]
 
 
 def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord:
@@ -108,7 +112,7 @@ def states_to_memory(states: Sequence[BlockState]) -> BitWord:
     if not states:
         raise ValueError("need at least one block")
     p = states[0].params
-    if any(s.params != p for s in states):
+    if any(s.params is not p and s.params != p for s in states):
         raise ValueError("blocks disagree on parameters")
     data_offsets = [p.data_offset(d) for d in range(p.m)]
     side_offsets = [p.side_offset(s) for s in range(p.t - 1)]
@@ -156,6 +160,9 @@ def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
                 if word is None:
                     word = seen[value] = BitWord(length, value)
                 words.append(word)
-            state = states[bits] = BlockState(p, words[0], tuple(words[1 : m + 1]), tuple(words[m + 1 :]))
+            header = words[0].bits
+            if header & (header + 1):
+                raise ValueError(f"header 0b{header:b} is not a unary round counter")
+            state = states[bits] = _built_state(p, words[0], tuple(words[1 : m + 1]), tuple(words[m + 1 :]))
         out.append(state)
     return out

@@ -25,7 +25,9 @@ line, so both cost time linear in the block count. Both work slot by slot
 (`header`, `data<i>`, `side<j>`) and handle each distinct value of a slot
 once per call: saving formats it once. Loading reads every line through
 one checked reader, `_take`, and reuses a slot's value wherever that exact
-line text appears again in the same slot.
+line text appears again in the same slot. Every block's header must be the
+unary counter of the `round=` line; each distinct header line is checked
+once, when it is first parsed.
 """
 
 from __future__ import annotations
@@ -217,7 +219,9 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
 
     # Each slot parses each distinct line once: slot -> {line: value << offset}.
     # Only a line text that already parsed in this slot is taken from the
-    # memo; any other line, a canonical block label aside, gets every check.
+    # memo; any other line, a canonical block label aside, gets every check,
+    # and a header must be the unary counter of the round line.
+    header = (1 << round_) - 1
     slots = [(key + "=", length, offset, {}) for key, length, offset in _slots(params)]
     pos, end = 5, len(lines)
     delimited = pos < end and lines[pos].startswith("block=")
@@ -236,7 +240,10 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
             line = lines[pos] if pos < end else None
             value = seen.get(line)
             if value is None:
-                value = seen[line] = _hex_to_bits(_take(lines, pos, prefix), length) << offset
+                value = _hex_to_bits(_take(lines, pos, prefix), length) << offset
+                if prefix == "header=" and value != header:
+                    raise MalformedImage(f"block {len(blocks)} header 0b{value:b} disagrees with round={round_}")
+                seen[line] = value
             bits |= value
             pos += 1
         blocks.append(bits)

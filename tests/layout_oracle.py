@@ -292,7 +292,10 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
             if label != block:
                 raise MalformedImage(f"expected block={block}, found block={label}")
         base = block * params.n0
-        memory |= _hex_to_bits(reader.take("header"), params.t) << base
+        header = _hex_to_bits(reader.take("header"), params.t)
+        if header != (1 << round_) - 1:
+            raise MalformedImage(f"block {block} header 0b{header:b} disagrees with round={round_}")
+        memory |= header << base
         for i in range(params.m):
             memory |= _hex_to_bits(reader.take(f"data{i}"), params.n) << (base + params.data_offset(i))
         for j in range(params.t - 1):

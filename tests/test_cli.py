@@ -338,6 +338,23 @@ def test_tampered_round1_data_word_off_weight_is_rejected(tmp_path, capsys):
     assert (out, err) == ("", "error: data word 1 has weight 4, expected round-1 weight 3\n")
 
 
+def test_tampered_header_is_rejected_when_the_image_loads(tmp_path, capsys):
+    img = tmp_path / "header.wom"
+    init_image(capsys, img, blocks=3)
+    msg = write_hex(tmp_path / "r1.hex", "a1b2c3" * 8)
+    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
+    assert run(capsys, "read", "--img", str(img))[0] == 0
+    # block 1's header set to round 2's counter with a fixed CRC: the round line says 1
+    image = img.read_bytes()
+    body = image[: image.rfind(b"crc32=")]
+    start = body.index(b"\nblock=1\nheader=") + len(b"\nblock=1\nheader=")
+    body = body[:start] + b"03" + body[start + 2 :]
+    img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
+    code, out, err = run(capsys, "read", "--img", str(img))
+    assert code == 2
+    assert (out, err) == ("", "error: block 1 header 0b11 disagrees with round=1\n")
+
+
 def test_tampered_round3_earlier_side_word_is_rejected(tmp_path, capsys):
     img = tmp_path / "side.wom"
     code, _, err = run(capsys, "init", "--out", str(img), "--t", "3", "--n", "12", "--m", "3",

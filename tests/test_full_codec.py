@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from binascii import crc32
 from fractions import Fraction
@@ -6,7 +7,7 @@ from math import comb
 import pytest
 
 from womkit.bitwords import BitWord
-from womkit.block_codec import BlockState, RoundMessage, decode_round, encode_round, encode_round1
+from womkit.block_codec import BlockState, NoEncoding, RoundMessage, decode_round, encode_round, encode_round1
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import (
     FullParams,
@@ -22,6 +23,13 @@ from womkit.wom_device import Device, apply_write, load_image, save_image
 
 def params_t2():
     return WomParams(t=2, n=10, m=4, l=2, k=(7,), p=WeightVector([Fraction(1, 3), Fraction(1, 2)]))
+
+
+def params_t3():
+    return WomParams(
+        t=3, n=12, m=3, l=2, k=(7, 5),
+        p=WeightVector([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
+    )
 
 
 def full_t2(n1):
@@ -160,3 +168,68 @@ def test_block_independence_under_targeted_corruption():
     assert decode_round(new_states[0], 2) == decode_round(states[0], 2)
     with pytest.raises(ValueError, match=f"data word 0 has weight 10, above round-2 budget {budget}"):
         decode_round(new_states[1], 2)
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+@pytest.mark.parametrize("params", [params_t2(), params_t3()], ids=["t2", "t3"])
+def test_codec_built_states_equal_checked_ones(params):
+    """The codecs build states without BlockState's check; each equals the checked state it stands for."""
+    import layout_oracle as oracle
+
+    full = FullParams(params, 5)
+    rnd = random.Random(repr(params))
+    for _ in range(8):
+        states = memory_to_states(BitWord(full.N1, 0), full)
+        for j in range(1, params.t + 1):
+            stream = random_stream(full.round_capacity(j), rnd)
+            try:
+                states = full_encode_round(states, pack_messages(stream, j, full))
+            except NoEncoding:
+                break
+            header = BitWord(params.t, (1 << j) - 1)
+            for state in states:
+                assert state == BlockState(params, header, list(state.data), list(state.sides))
+                assert type(state.data) is tuple and type(state.sides) is tuple
+            memory = states_to_memory(states)
+            assert memory_to_states(memory, full) == oracle.memory_to_states(memory, full) == states
+    # random blocks, with unary headers in every other memory and any t bits in the rest:
+    # the same states or the same error as the checked path
+    kinds = set()
+    for trial in range(30):
+        bits = 0
+        for _ in range(full.n1):
+            header = rnd.randrange(1 << params.t) if trial % 2 else (1 << rnd.randint(0, params.t)) - 1
+            bits = bits << params.n0 | rnd.getrandbits(params.n0) >> params.t << params.t | header
+        memory = BitWord(full.N1, bits)
+        got = outcome(memory_to_states, memory, full)
+        assert got == outcome(oracle.memory_to_states, memory, full)
+        kinds.add(got[0])
+    assert kinds == {"ok", "raised"}
+
+
+def test_round1_blocks_share_one_header_word():
+    full = full_t2(1000)
+    states = full_encode_round([BlockState.fresh(full.block)] * 1000,
+                               pack_messages(random_stream(full.round_capacity(1), random.Random(62)), 1, full))
+    assert len({id(state.header) for state in states}) == 1
+    assert states[0].header == BitWord(2, 0b01)
+    after = full_encode_round(states[:3], pack_messages(random_stream(full.round_capacity(2), random.Random(63)), 2,
+                                                        FullParams(full.block, 3)))
+    assert len({id(state.header) for state in after}) == 1
+    assert after[0].header == BitWord(2, 0b11)
+
+
+def test_states_to_memory_compares_params_by_value():
+    params = params_t2()
+    twin = dataclasses.replace(params)
+    assert twin == params and twin is not params
+    states = [BlockState.fresh(params), BlockState.fresh(twin)]
+    assert states_to_memory(states) == BitWord(2 * params.n0, 0)
+    with pytest.raises(ValueError, match="^blocks disagree on parameters$"):
+        states_to_memory([BlockState.fresh(params), BlockState.fresh(dataclasses.replace(params, c=7))])

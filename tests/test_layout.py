@@ -78,6 +78,14 @@ def random_memory(rnd: random.Random, full: FullParams) -> BitWord:
     return BitWord(full.N1, bits)
 
 
+def with_headers(memory: BitWord, full: FullParams, round_: int) -> BitWord:
+    """The memory with every block's header set to the unary counter of round_ rounds."""
+    p = full.block
+    mask = _join_fields([(1 << p.t) - 1] * full.n1, p.n0)
+    headers = _join_fields([(1 << round_) - 1] * full.n1, p.n0)
+    return BitWord(full.N1, memory.bits & ~mask | headers)
+
+
 def test_split_and_join_fields_match_field_by_field_shifts():
     rnd = random.Random(41)
     for width in (0, 1, 5, 62, 64, 65):
@@ -97,8 +105,11 @@ def test_layers_match_oracles(params, n1):
     memory = random_memory(rnd, full)
     _, states = same("memory_to_states", memory, full)
     assert same("states_to_memory", states) == ("ok", memory)
-    dev = Device(memory)
     for round_ in range(params.t + 1):
+        # headers of mixed rounds: the first one off the round line raises
+        _, image = same("save_image", Device(memory), params, round_)
+        same("load_image", image)
+        dev = Device(with_headers(memory, full, round_))
         _, image = same("save_image", dev, params, round_)
         assert (b"\nblock=" in image) == (n1 > 1)
         assert same("load_image", image) == ("ok", (dev, params, round_))
@@ -198,8 +209,10 @@ def image_mutations(image: bytes):
 def test_load_image_error_paths_match(t, n1):
     rnd = random.Random(46 + 10 * t + n1)
     params = random_params(rnd, t)
-    memory = random_memory(rnd, FullParams(params, n1))
-    image = wom_device.save_image(Device(memory), params, rnd.randint(0, t))
+    full = FullParams(params, n1)
+    round_ = rnd.randint(0, t)
+    memory = with_headers(random_memory(rnd, full), full, round_)
+    image = wom_device.save_image(Device(memory), params, round_)
     kinds = set()
     for altered in image_mutations(image):
         got = same("load_image", altered)

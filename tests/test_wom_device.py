@@ -7,11 +7,12 @@ import pytest
 from womkit.bitwords import BitWord
 from womkit.block_codec import BlockState, RoundMessage, encode_round, encode_round1
 from womkit.capacity import WeightVector, WomParams
-from womkit.full_codec import states_to_memory
+from womkit.full_codec import FullParams, full_encode_round, memory_to_states, pack_messages, states_to_memory
 from womkit.wom_device import (
     BadMagic,
     ChecksumMismatch,
     Device,
+    ImageFormatError,
     MalformedImage,
     TruncatedImage,
     WriteOnceViolation,
@@ -223,9 +224,11 @@ def test_image_round_trip_fuzzed_shapes():
             continue
         shapes += 1
         n1 = rnd.randint(1, 3)
-        cells = BitWord(n1 * params.n0, rnd.getrandbits(n1 * params.n0))
-        dev = Device(cells)
+        bits = rnd.getrandbits(n1 * params.n0)
         round_ = rnd.randint(0, t)
+        for block in range(n1):  # every header holds the round line's counter
+            bits = bits & ~(((1 << t) - 1) << (block * params.n0)) | ((1 << round_) - 1) << (block * params.n0)
+        dev = Device(BitWord(n1 * params.n0, bits))
         image = save_image(dev, params, round_)
         loaded = load_image(image)
         assert loaded == (dev, params, round_)
@@ -238,3 +241,45 @@ def test_save_image_validates_geometry():
         save_image(Device.fresh(params.n0 + 1), params, 0)
     with pytest.raises(ValueError):
         save_image(Device.fresh(params.n0), params, 3)
+
+
+def params_t3():
+    return WomParams(
+        t=3, n=12, m=3, l=2, k=(7, 5),
+        p=WeightVector([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
+    )
+
+
+def multi_block_image(params, n1, rounds, seed):
+    """The image of n1 blocks after `rounds` rounds of random messages."""
+    rnd = random.Random(seed)
+    full = FullParams(params, n1)
+    states = memory_to_states(BitWord(full.N1, 0), full)
+    for j in range(1, rounds + 1):
+        needed = full.round_capacity(j)
+        states = full_encode_round(states, pack_messages(BitWord(needed, rnd.getrandbits(needed)), j, full))
+    return save_image(Device(states_to_memory(states)), params, rounds)
+
+
+@pytest.mark.parametrize("block", [0, 1, 2])
+@pytest.mark.parametrize("header", ["00", "03", "02"])
+def test_load_image_names_the_block_whose_header_disagrees_with_the_round(block, header):
+    image = multi_block_image(params_t2(), 3, 1, seed=60)
+    assert image.count(b"\nheader=01\n") == 3  # one header line text, parsed once
+    body = image[: image.rfind(b"crc32=")]
+    start = body.index(f"\nblock={block}\nheader=".encode()) + len(f"\nblock={block}\nheader=")
+    body = body[:start] + header.encode() + body[start + 2 :]
+    with pytest.raises(MalformedImage) as err:
+        load_image(body + f"crc32={crc32(body):08x}\n".encode())
+    assert str(err.value) == f"block {block} header 0b{int(header, 16):b} disagrees with round=1"
+
+
+def test_every_bit_flip_and_truncation_is_rejected():
+    image = multi_block_image(params_t3(), 3, 2, seed=61)
+    assert load_image(image)[2] == 2 and 250 <= len(image) <= 350
+    for pos in range(len(image)):
+        with pytest.raises(ImageFormatError):
+            load_image(image[:pos])
+        for bit in range(8):
+            with pytest.raises(ImageFormatError):
+                load_image(image[:pos] + bytes([image[pos] ^ 1 << bit]) + image[pos + 1 :])
