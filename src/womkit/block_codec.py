@@ -21,7 +21,10 @@ The codec builds its own states through `_built_state`, which skips that
 check: every word it passes was cut or built to its slot's length, and
 every header is the shared unary counter `_header(t, j)`, one word per
 (t, j), so a write over many blocks makes neither the check nor the
-header once per block.
+header once per block. Likewise `decode_round` builds its message through
+`_built_message`, which skips `RoundMessage`'s check of the round and the
+payload tuple: the round was range-checked and the tuple built here. The
+checks of the block itself all stay.
 """
 
 from __future__ import annotations
@@ -65,6 +68,17 @@ class RoundMessage:
             object.__setattr__(self, "payload", tuple(self.payload))
         if self.round < 1:
             raise ValueError("rounds are numbered from 1")
+
+
+_set_round, _set_payload = (RoundMessage.__dict__[name].__set__ for name in ("round", "payload"))
+
+
+def _built_message(j: int, payload: tuple) -> RoundMessage:
+    """RoundMessage(j, payload) without __post_init__, for a tuple the codec built and j >= 1."""
+    msg = object.__new__(RoundMessage)
+    _set_round(msg, j)
+    _set_payload(msg, payload)
+    return msg
 
 
 def _shape_is(words: tuple[BitWord, ...], count: int, length: int) -> bool:
@@ -297,9 +311,9 @@ def decode_round(state: BlockState, j: int) -> RoundMessage:
         elif side.bits:
             raise ValueError(f"side word {s} is set, but round {s + 2} is not written")
     if j == 1:
-        return RoundMessage(1, tuple([colex_rank(d.bits) for d in state.data]))
+        return _built_message(1, tuple([colex_rank(d.bits) for d in state.data]))
     side = state.sides[j - 2].bits
     out_len = p.k[j - 2] - p.l
     rows = truncated_rows(canonical_spec(n), side & ((1 << n) - 1), out_len)
     hashes = hash_words(rows, [d.bits for d in state.data], side >> n)
-    return RoundMessage(j, tuple([BitWord(out_len, h) for h in hashes]))
+    return _built_message(j, tuple([BitWord(out_len, h) for h in hashes]))

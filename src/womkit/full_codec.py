@@ -15,20 +15,28 @@ which `bitwords` ranks and unranks through a cache), so `memory_to_states`
 builds one state per distinct block and one word per distinct word. States
 and words are immutable, so sharing them is invisible to callers.
 
-`memory_to_states` builds its states through `block_codec._built_state`,
-which skips `BlockState`'s shape check: it cuts every word to its slot's
-length itself. Only the header comes from outside in a shape the cut cannot
-fix, so it keeps the unary-header check, once per distinct block.
+`memory_to_states` keeps one word table per slot kind (header, data, side)
+and cuts each slot as one column over the distinct blocks, so a read of a
+round-1 image makes each of its at most C(n, B_1) data words once. A table
+builds a word on a miss without `BitWord`'s range check, because it masks
+every key to the slot's length, and it builds its states through
+`block_codec._built_state`, which skips `BlockState`'s shape check for the
+same reason. Only the header comes from outside in a shape the cut cannot
+fix, so the header table checks that it is unary, once per distinct value.
+`pack_messages` builds its messages through `block_codec._built_message`,
+which skips `RoundMessage`'s check: the round was checked by
+`payload_bits`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WomParams
-from .block_codec import BlockState, RoundMessage, _built_state, encode_round
+from .block_codec import BlockState, RoundMessage, _built_message, _built_state, encode_round
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,28 +91,51 @@ def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMess
     values = _split_fields(stream.bits, width, params.n1 * params.block.m)
     if j != 1:
         values = [BitWord(width, value) for value in values]
-    return [RoundMessage(j, payload) for payload in zip(*[iter(values)] * params.block.m)]
+    return [_built_message(j, payload) for payload in zip(*[iter(values)] * params.block.m)]
 
 
 def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord:
-    """Join per-block messages back into the bitstream pack_messages split."""
+    """Join per-block messages back into the bitstream pack_messages split.
+
+    The payloads are flattened into one list and their width is checked
+    once, through max and min. Only a failed check, or an entry that is no
+    int, sends the entries through `_payload_values`, which checks them one
+    by one and names the first offending block and word.
+    """
     if len(msgs) != params.n1:
         raise ValueError(f"{len(msgs)} messages for {params.n1} blocks")
     rounds = {m.round for m in msgs}
     if len(rounds) != 1:
         raise ValueError(f"messages disagree on the round: {sorted(rounds)}")
     j = rounds.pop()
+    m = params.block.m
     width = params.block.payload_bits(j)
-    values = []
+    entries = []
     for msg in msgs:
-        if len(msg.payload) != params.block.m:
-            raise ValueError(f"payload has {len(msg.payload)} entries, expected {params.block.m}")
-        for entry in msg.payload:
-            value = int(entry) if j == 1 else entry.bits
-            if value >> width:
-                raise ValueError(f"payload value {value} does not fit in {width} bits")
-            values.append(value)
+        payload = msg.payload
+        if len(payload) != m:
+            _payload_values(entries, j, width, m)  # an earlier block's error comes first
+            raise ValueError(f"payload has {len(payload)} entries, expected {m}")
+        entries.extend(payload)
+    values = entries if j == 1 else [entry.bits for entry in entries]
+    try:
+        if not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
+            return BitWord(len(values) * width, _join_fields(values, width))
+    except TypeError:  # an entry that is no int
+        pass
+    values = _payload_values(entries, j, width, m)
     return BitWord(len(values) * width, _join_fields(values, width))
+
+
+def _payload_values(entries: list, j: int, width: int, m: int) -> list[int]:
+    """The ints round j packs for these entries, m per block, each checked to fit in width bits."""
+    values = []
+    for k, entry in enumerate(entries):
+        value = int(entry) if j == 1 else entry.bits
+        if value >> width:
+            raise ValueError(f"block {k // m} word {k % m}: payload value {value} does not fit in {width} bits")
+        values.append(value)
+    return values
 
 
 def states_to_memory(states: Sequence[BlockState]) -> BitWord:
@@ -127,42 +158,59 @@ def states_to_memory(states: Sequence[BlockState]) -> BitWord:
     return BitWord(len(states) * p.n0, _join_fields(blocks, p.n0))
 
 
+_set_length, _set_bits = (BitWord.__dict__[name].__set__ for name in ("length", "bits"))
+
+
+class _Words(dict):
+    """Bits -> BitWord(length, bits) of one slot kind, built on first use."""
+
+    __slots__ = ("length",)
+
+    def __init__(self, length: int):
+        self.length = length
+
+    def __missing__(self, bits: int) -> BitWord:
+        # BitWord(self.length, bits) without __post_init__: every key is cut
+        # to the table's length, so it is in range.
+        word = object.__new__(BitWord)
+        _set_length(word, self.length)
+        _set_bits(word, bits)
+        self[bits] = word
+        return word
+
+
+class _Headers(_Words):
+    """The header table: each distinct header value is checked to be unary once."""
+
+    __slots__ = ()
+
+    def __missing__(self, bits: int) -> BitWord:
+        if bits & (bits + 1):
+            raise ValueError(f"header 0b{bits:b} is not a unary round counter")
+        return super().__missing__(bits)
+
+
 def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     """Slice flat device memory back into per-block states.
 
     Equal blocks share one BlockState and equal words one BitWord: an image
     holds few distinct words (every round-1 data word has weight B_1,
     unwritten side words are zero) and a fresh device one distinct block, so
-    sharing saves most of the objects and the time to build them.
+    sharing saves most of the objects and the time to build them. Each slot
+    is cut as one column over the distinct blocks, through its kind's word
+    table, and zip joins the columns into each block's words.
     """
     if memory.length != params.N1:
         raise ValueError(f"memory has {memory.length} bits, expected {params.N1}")
     p = params.block
-    m = p.m
-    # (words seen, length, offset, mask) of each slot, header first; the
-    # data slots share one dict of words, and so do the side slots.
-    datas: dict[int, BitWord] = {}
-    sides: dict[int, BitWord] = {}
-    slots = (
-        [({}, p.t, 0, (1 << p.t) - 1)]
-        + [(datas, p.n, p.data_offset(d), (1 << p.n) - 1) for d in range(m)]
-        + [(sides, 2 * p.n, p.side_offset(s), (1 << 2 * p.n) - 1) for s in range(p.t - 1)]
-    )
-    states: dict[int, BlockState] = {}
-    out = []
-    for bits in _split_fields(memory.bits, p.n0, params.n1):
-        state = states.get(bits)
-        if state is None:
-            words = []
-            for seen, length, offset, mask in slots:
-                value = bits >> offset & mask
-                word = seen.get(value)
-                if word is None:
-                    word = seen[value] = BitWord(length, value)
-                words.append(word)
-            header = words[0].bits
-            if header & (header + 1):
-                raise ValueError(f"header 0b{header:b} is not a unary round counter")
-            state = states[bits] = _built_state(p, words[0], tuple(words[1 : m + 1]), tuple(words[m + 1 :]))
-        out.append(state)
-    return out
+    blocks = list(_split_fields(memory.bits, p.n0, params.n1))
+    distinct = list(dict.fromkeys(blocks))
+    headers, datas, sides = _Headers(p.t), _Words(p.n), _Words(2 * p.n)
+    header_mask, data_mask, side_mask = (1 << p.t) - 1, (1 << p.n) - 1, (1 << 2 * p.n) - 1
+    block_headers = [headers[bits & header_mask] for bits in distinct]
+    block_data = zip(*[[datas[bits >> offset & data_mask] for bits in distinct]
+                       for offset in map(p.data_offset, range(p.m))])
+    block_sides = zip(*[[sides[bits >> offset & side_mask] for bits in distinct]
+                        for offset in map(p.side_offset, range(p.t - 1))]) if p.t > 1 else repeat(())
+    states = dict(zip(distinct, map(_built_state, repeat(p), block_headers, block_data, block_sides)))
+    return [states[bits] for bits in blocks]

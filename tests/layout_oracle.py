@@ -150,13 +150,13 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
     width = params.block.payload_bits(j)
     bits = 0
     offset = 0
-    for msg in msgs:
+    for block, msg in enumerate(msgs):
         if len(msg.payload) != params.block.m:
             raise ValueError(f"payload has {len(msg.payload)} entries, expected {params.block.m}")
-        for entry in msg.payload:
+        for word, entry in enumerate(msg.payload):
             value = int(entry) if j == 1 else entry.bits
             if value >> width:
-                raise ValueError(f"payload value {value} does not fit in {width} bits")
+                raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")
             bits |= value << offset
             offset += width
     return BitWord(offset, bits)

@@ -355,6 +355,24 @@ def test_tampered_header_is_rejected_when_the_image_loads(tmp_path, capsys):
     assert (out, err) == ("", "error: block 1 header 0b11 disagrees with round=1\n")
 
 
+def test_tampered_round1_rank_above_packed_width_names_the_block_and_word(tmp_path, capsys):
+    img = tmp_path / "rank.wom"
+    init_image(capsys, img, blocks=2)
+    msg = write_hex(tmp_path / "r1.hex", "a1b2c3" * 2)
+    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
+    assert run(capsys, "read", "--img", str(img))[0] == 0
+    # block 1's data0 set to the weight-3 word of colex rank 100 with a fixed CRC:
+    # C(10, 3) = 120 words exist, but a packed rank has 6 bits, so the packer stops at 63
+    image = img.read_bytes()
+    body = image[: image.rfind(b"crc32=")]
+    start = body.index(b"\nblock=1\nheader=01\ndata0=") + len(b"\nblock=1\nheader=01\ndata0=")
+    body = body[:start] + b"4202" + body[start + 4 :]
+    img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
+    code, out, err = run(capsys, "read", "--img", str(img))
+    assert code == 2
+    assert (out, err) == ("", "error: block 1 word 0: payload value 100 does not fit in 6 bits\n")
+
+
 def test_tampered_round3_earlier_side_word_is_rejected(tmp_path, capsys):
     img = tmp_path / "side.wom"
     code, _, err = run(capsys, "init", "--out", str(img), "--t", "3", "--n", "12", "--m", "3",
