@@ -6,6 +6,7 @@ from .block_codec import (
     NoEncoding,
     RoundMessage,
     SequencingError,
+    check_block,
     decode_round,
     encode_round,
     encode_round1,

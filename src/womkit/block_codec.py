@@ -9,22 +9,19 @@ equals the i-th message, then stores a | b << n in side word j-2;
 `encode_round` writes any round. The search is a loop over ints:
 candidate words are masks, and per multiplier one `hashfam.hash_words`
 pass over each word's candidates yields both the targets and their
-witnesses. Decoding the current round checks once per block that every
-word is one the encoder can write, then re-applies the map with one
+witnesses. Decoding re-applies the current round's map with one
 `hash_words` call over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
 ranks the subsets.
 
 All states are immutable; encoders return new states that dominate their
-inputs coordinatewise. The public `BlockState(...)` checks every field.
-The codec builds its own states through `_built_state`, which skips that
-check: every word it passes was cut or built to its slot's length, and
-every header is the shared unary counter `_header(t, j)`, one word per
-(t, j), so a write over many blocks makes neither the check nor the
-header once per block. Likewise `decode_round` builds its message through
-`_built_message`, which skips `RoundMessage`'s check of the round and the
-payload tuple: the round was range-checked and the tuple built here. The
-checks of the block itself all stay.
+inputs coordinatewise. `check_block` is the one rule for which blocks the
+codec could have written. The public `BlockState(...)` runs it, so a
+`BlockState` is such a block by its type. The codec builds the states it
+writes through `_built_state`, which skips the check, and shares each
+header `_header(t, j)`. Likewise `decode_round` builds its message through
+`_built_message`, which skips `RoundMessage`'s check: the round was
+range-checked and the tuple built here.
 """
 
 from __future__ import annotations
@@ -93,7 +90,7 @@ def _shape_is(words: tuple[BitWord, ...], count: int, length: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class BlockState:
-    """Immutable contents of one block; the round is derived from the header."""
+    """Immutable contents of one block, checked by `check_block`; the round is derived from the header."""
 
     params: WomParams
     header: BitWord
@@ -101,25 +98,11 @@ class BlockState:
     sides: tuple[BitWord, ...]
 
     def __post_init__(self):
-        # Tuples are kept as they are, and a header h is unary iff h & (h + 1) == 0.
-        data, sides = self.data, self.sides
-        if type(data) is not tuple:
-            data = tuple(data)
-            object.__setattr__(self, "data", data)
-        if type(sides) is not tuple:
-            sides = tuple(sides)
-            object.__setattr__(self, "sides", sides)
-        p = self.params
-        n = p.n
-        header = self.header
-        if header.length != p.t:
-            raise ValueError(f"header has {header.length} bits, expected {p.t}")
-        if header.bits & (header.bits + 1):
-            raise ValueError(f"header 0b{header.bits:b} is not a unary round counter")
-        if not _shape_is(data, p.m, n):
-            raise ValueError(f"expected {p.m} data words of {n} bits")
-        if not _shape_is(sides, p.t - 1, 2 * n):
-            raise ValueError(f"expected {p.t - 1} side words of {2 * n} bits")
+        if type(self.data) is not tuple:
+            object.__setattr__(self, "data", tuple(self.data))
+        if type(self.sides) is not tuple:
+            object.__setattr__(self, "sides", tuple(self.sides))
+        check_block(self)
 
     @classmethod
     def fresh(cls, params: WomParams) -> "BlockState":
@@ -145,10 +128,10 @@ _set_params, _set_header, _set_data, _set_sides = (
 def _built_state(
     params: WomParams, header: BitWord, data: tuple[BitWord, ...], sides: tuple[BitWord, ...]
 ) -> BlockState:
-    """BlockState(params, header, data, sides) without __post_init__'s checks.
+    """BlockState(params, header, data, sides) without __post_init__, so without `check_block`.
 
-    Only for a unary header of t bits, m data words of n bits and t - 1 side
-    words of 2n bits, passed as tuples: words the codec cut or built itself.
+    Only for tuples that form a block the codec wrote, or for a state the
+    caller then passes to `check_block`.
     """
     state = object.__new__(BlockState)
     _set_params(state, params)
@@ -156,6 +139,42 @@ def _built_state(
     _set_data(state, data)
     _set_sides(state, sides)
     return state
+
+
+def check_block(state: BlockState) -> None:
+    """Raise ValueError unless some sequence of rounds could have written this block.
+
+    The header has t bits and is a unary round counter r; there are m data
+    words of n bits and t - 1 side words of 2n bits. After round r every data
+    word has weight at most B_r (no cell at r = 0), and exactly B_1 at r = 1.
+    Each written side word a | b << n has b < 2^(k_j - l), and each unwritten
+    one is zero.
+    """
+    p = state.params
+    n, header = p.n, state.header
+    if header.length != p.t:
+        raise ValueError(f"header has {header.length} bits, expected {p.t}")
+    r = header.bits.bit_length()
+    if header.bits != (1 << r) - 1:
+        raise ValueError(f"header 0b{header.bits:b} is not a unary round counter")
+    if not _shape_is(state.data, p.m, n):
+        raise ValueError(f"expected {p.m} data words of {n} bits")
+    if not _shape_is(state.sides, p.t - 1, 2 * n):
+        raise ValueError(f"expected {p.t - 1} side words of {2 * n} bits")
+    budget = p.budgets[r - 1] if r else 0
+    for i, d in enumerate(state.data):
+        weight = d.bits.bit_count()
+        if r == 1 and weight != budget:
+            raise ValueError(f"data word {i} has weight {weight}, expected round-1 weight {budget}")
+        if weight > budget:
+            raise ValueError(f"data word {i} has weight {weight}, above round-{r} budget {budget}")
+    for s, side in enumerate(state.sides):
+        if s < r - 1:
+            b, width = side.bits >> n, p.k[s] - p.l
+            if b >> width:
+                raise ValueError(f"side word {s} holds b = {b}, wider than {width} bits")
+        elif side.bits:
+            raise ValueError(f"side word {s} is set, but round {s + 2} is not written")
 
 
 @lru_cache(maxsize=64)
@@ -284,36 +303,18 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
 def decode_round(state: BlockState, j: int) -> RoundMessage:
     """Read back round j's messages; only the most recent round is decodable.
 
-    A block the encoder cannot have written raises: a data word off its
-    round's budget (round 1 writes weight B_1 exactly), a side word whose b
-    is wider than its round's hash output, or a nonzero side word of a round
-    not yet written. Round j >= 2 then builds the rows a*z^i once and
-    hashes the data words with shift b.
+    Round j >= 2 builds the rows a*z^i once and hashes the data words with
+    shift b.
     """
     p = state.params
     if not 1 <= j <= p.t:
         raise ValueError(f"round {j} out of range 1..{p.t}")
     if state.round != j:
         raise ValueError(f"block holds {state.round} round(s), round {j} is not current")
-    n = p.n
-    budget = p.budgets[j - 1]
-    for i, d in enumerate(state.data):
-        weight = d.bits.bit_count()
-        if j == 1 and weight != budget:
-            raise ValueError(f"data word {i} has weight {weight}, expected round-1 weight {budget}")
-        if weight > budget:
-            raise ValueError(f"data word {i} has weight {weight}, above round-{j} budget {budget}")
-    for s, side in enumerate(state.sides):
-        if s < j - 1:
-            b, width = side.bits >> n, p.k[s] - p.l
-            if b >> width:
-                raise ValueError(f"side word {s} holds b = {b}, wider than {width} bits")
-        elif side.bits:
-            raise ValueError(f"side word {s} is set, but round {s + 2} is not written")
     if j == 1:
         return _built_message(1, tuple([colex_rank(d.bits) for d in state.data]))
     side = state.sides[j - 2].bits
     out_len = p.k[j - 2] - p.l
-    rows = truncated_rows(canonical_spec(n), side & ((1 << n) - 1), out_len)
-    hashes = hash_words(rows, [d.bits for d in state.data], side >> n)
+    rows = truncated_rows(canonical_spec(p.n), side & ((1 << p.n) - 1), out_len)
+    hashes = hash_words(rows, [d.bits for d in state.data], side >> p.n)
     return _built_message(j, tuple([BitWord(out_len, h) for h in hashes]))

@@ -19,13 +19,12 @@ and words are immutable, so sharing them is invisible to callers.
 and cuts each slot as one column over the distinct blocks, so a read of a
 round-1 image makes each of its at most C(n, B_1) data words once. A table
 builds a word on a miss without `BitWord`'s range check, because it masks
-every key to the slot's length, and it builds its states through
-`block_codec._built_state`, which skips `BlockState`'s shape check for the
-same reason. Only the header comes from outside in a shape the cut cannot
-fix, so the header table checks that it is unary, once per distinct value.
-`pack_messages` builds its messages through `block_codec._built_message`,
-which skips `RoundMessage`'s check: the round was checked by
-`payload_bits`.
+every key to the slot's length. The states are built through
+`block_codec._built_state` and each distinct one goes through
+`block_codec.check_block` once, so a memory loads only if the codec could
+have written every block. `pack_messages` builds its messages through
+`block_codec._built_message`, which skips `RoundMessage`'s check: the round
+was checked by `payload_bits`.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WomParams
-from .block_codec import BlockState, RoundMessage, _built_message, _built_state, encode_round
+from .block_codec import BlockState, RoundMessage, _built_message, _built_state, check_block, encode_round
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,17 +178,6 @@ class _Words(dict):
         return word
 
 
-class _Headers(_Words):
-    """The header table: each distinct header value is checked to be unary once."""
-
-    __slots__ = ()
-
-    def __missing__(self, bits: int) -> BitWord:
-        if bits & (bits + 1):
-            raise ValueError(f"header 0b{bits:b} is not a unary round counter")
-        return super().__missing__(bits)
-
-
 def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     """Slice flat device memory back into per-block states.
 
@@ -198,14 +186,16 @@ def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     unwritten side words are zero) and a fresh device one distinct block, so
     sharing saves most of the objects and the time to build them. Each slot
     is cut as one column over the distinct blocks, through its kind's word
-    table, and zip joins the columns into each block's words.
+    table, and zip joins the columns into each block's words. A block the
+    codec could not have written raises `check_block`'s error, prefixed with
+    `block <i>: ` for the first block i that holds it.
     """
     if memory.length != params.N1:
         raise ValueError(f"memory has {memory.length} bits, expected {params.N1}")
     p = params.block
     blocks = list(_split_fields(memory.bits, p.n0, params.n1))
     distinct = list(dict.fromkeys(blocks))
-    headers, datas, sides = _Headers(p.t), _Words(p.n), _Words(2 * p.n)
+    headers, datas, sides = _Words(p.t), _Words(p.n), _Words(2 * p.n)
     header_mask, data_mask, side_mask = (1 << p.t) - 1, (1 << p.n) - 1, (1 << 2 * p.n) - 1
     block_headers = [headers[bits & header_mask] for bits in distinct]
     block_data = zip(*[[datas[bits >> offset & data_mask] for bits in distinct]
@@ -213,4 +203,9 @@ def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     block_sides = zip(*[[sides[bits >> offset & side_mask] for bits in distinct]
                         for offset in map(p.side_offset, range(p.t - 1))]) if p.t > 1 else repeat(())
     states = dict(zip(distinct, map(_built_state, repeat(p), block_headers, block_data, block_sides)))
+    for bits, state in states.items():
+        try:
+            check_block(state)
+        except ValueError as exc:
+            raise ValueError(f"block {blocks.index(bits)}: {exc}") from None
     return [states[bits] for bits in blocks]

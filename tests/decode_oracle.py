@@ -3,11 +3,13 @@
 This is the per-word body of `block_codec.decode_round`: it checks the data
 words against the round budget and the current side word's b, then sends
 every data word through `hashfam.hash_apply`, which looks up the field and
-runs a full multiply per word. The library validates the block once and
-hashes each word through one table of rows a*z^i per block instead. It also
+runs a full multiply per word. The library checks a block once, in
+`block_codec.check_block` when the block is built, and its decoder hashes
+each word through one table of rows a*z^i per block. `check_block` also
 checks the side words of earlier and of unwritten rounds, which this body
-never read, so tests compare the two only on blocks whose other side words
-are ones the encoder writes.
+never reads, so tests compare the two only on blocks whose other side words
+are ones the encoder writes, and hand this body states built without the
+check.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ and each builds, formats or parses every block and line anew. The library
 versions split and join fields through one byte string and share equal
 words, blocks and lines instead. The image helpers (`_LineReader`,
 `_hex_to_bits`, `_bits_to_hex`, `_parse_int`), `subset_rank`,
-`subset_unrank` and the checks of `BlockState.__post_init__` are kept here
-as they were, so the oracles do not follow the library's internals. Tests
+`subset_unrank` and the checks of `BlockState.__post_init__` (the rule of
+`block_codec.check_block`) are kept here in their own words, so the oracles
+do not follow the library's internals. `memory_to_states` builds its states
+through the public constructor and names the first block it rejects. Tests
 require bit-identical results, byte-identical images and the same
 exceptions from both.
 """
@@ -73,6 +75,21 @@ def check_block_state(params: WomParams, header: BitWord, data, sides) -> tuple[
         raise ValueError(f"expected {p.m} data words of {p.n} bits")
     if len(sides) != p.t - 1 or any(s.length != 2 * p.n for s in sides):
         raise ValueError(f"expected {p.t - 1} side words of {2 * p.n} bits")
+    # after round r: weight B_1 exactly at r = 1, at most B_r later, none at r = 0
+    limit = (0,) + p.budgets
+    for i, d in enumerate(data):
+        if r == 1 and d.weight != limit[1]:
+            raise ValueError(f"data word {i} has weight {d.weight}, expected round-1 weight {limit[1]}")
+        if d.weight > limit[r]:
+            raise ValueError(f"data word {i} has weight {d.weight}, above round-{r} budget {limit[r]}")
+    # side word s holds round s + 2's map a | b << n
+    for s, side in enumerate(sides):
+        written = s + 2 <= r
+        b = side.bits >> p.n
+        if written and b >= 1 << p.payload_bits(s + 2):
+            raise ValueError(f"side word {s} holds b = {b}, wider than {p.payload_bits(s + 2)} bits")
+        if not written and side.bits != 0:
+            raise ValueError(f"side word {s} is set, but round {s + 2} is not written")
     return data, sides
 
 
@@ -187,14 +204,16 @@ def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     for i in range(params.n1):
         base = i * p.n0
         grab = lambda off, length: BitWord(length, (memory.bits >> (base + off)) & ((1 << length) - 1))
-        out.append(
-            BlockState(
+        try:
+            state = BlockState(
                 params=p,
                 header=grab(0, p.t),
                 data=tuple(grab(p.data_offset(d), p.n) for d in range(p.m)),
                 sides=tuple(grab(p.side_offset(s), 2 * p.n) for s in range(p.t - 1)),
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"block {i}: {exc}") from None
+        out.append(state)
     return out
 
 

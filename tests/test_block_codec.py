@@ -268,10 +268,15 @@ def test_decode_round_requires_current_round():
         decode_round(state, 3)
 
 
-def test_decode_round_rejects_words_the_encoder_cannot_write():
+def test_block_state_rejects_words_the_encoder_cannot_write():
     params = params_t3()
     rnd = random.Random(60)
     state = BlockState.fresh(params)
+    # round 0 has no cells to spend; round 1 spends exactly B_1 per word
+    for i, bit in ((0, 0), (2, params.n - 1)):
+        data = state.data[:i] + (BitWord(params.n, 1 << bit),) + state.data[i + 1 :]
+        with pytest.raises(ValueError, match=f"^data word {i} has weight 1, above round-0 budget 0$"):
+            dataclasses.replace(state, data=data)
     for j in (1, 2, 3):
         state = encode_round(state, random_message(params, j, rnd))
         budget, out_len = params.budgets[j - 1], params.payload_bits(j)
@@ -282,7 +287,7 @@ def test_decode_round_rejects_words_the_encoder_cannot_write():
             for bit in (0, params.n, 2 * params.n - 1):
                 sides = state.sides[:s] + (BitWord(2 * params.n, 1 << bit),) + state.sides[s + 1 :]
                 with pytest.raises(ValueError, match=f"^side word {s} is set, but round {s + 2} is not written$"):
-                    decode_round(dataclasses.replace(state, sides=sides), j)
+                    dataclasses.replace(state, sides=sides)
         # an earlier round's side word: b must fit that round's hash output
         for s in range(j - 2):
             earlier = params.payload_bits(s + 2)
@@ -290,35 +295,39 @@ def test_decode_round_rejects_words_the_encoder_cannot_write():
             for wide, ok in ((side | 1 << (params.n + earlier - 1), True),
                              (side | 1 << (params.n + earlier), False),
                              ((1 << 2 * params.n) - 1, False)):
-                tampered = dataclasses.replace(
-                    state, sides=state.sides[:s] + (BitWord(2 * params.n, wide),) + state.sides[s + 1 :])
+                sides = state.sides[:s] + (BitWord(2 * params.n, wide),) + state.sides[s + 1 :]
                 if ok:
-                    decode_round(tampered, j)
+                    decode_round(dataclasses.replace(state, sides=sides), j)
                 else:
                     with pytest.raises(ValueError, match=f"^side word {s} holds b = {wide >> params.n}, "
                                                          f"wider than {earlier} bits$"):
-                        decode_round(tampered, j)
+                        dataclasses.replace(state, sides=sides)
         if j == 1:
+            # one cell fewer or one more than B_1
+            word = state.data[1].bits
+            for off in (word & (word - 1), word | ~word & (word + 1)):
+                data = (state.data[0], BitWord(params.n, off)) + state.data[2:]
+                with pytest.raises(ValueError, match=f"^data word 1 has weight {off.bit_count()}, "
+                                                     f"expected round-1 weight {budget}$"):
+                    dataclasses.replace(state, data=data)
             continue
         # a data word one cell over the budget, still above the stored word
         over = state.data[1].bits
         while over.bit_count() <= budget:
             over |= ~over & (over + 1)  # the lowest clear cell
-        heavy = dataclasses.replace(state, data=(state.data[0], BitWord(params.n, over)) + state.data[2:])
         with pytest.raises(ValueError, match=f"^data word 1 has weight {budget + 1}, above round-{j} budget {budget}$"):
-            decode_round(heavy, j)
+            dataclasses.replace(state, data=(state.data[0], BitWord(params.n, over)) + state.data[2:])
         # the top bit b may use is fine; one bit above it is not
         side = state.sides[j - 2].bits
         for bit, ok in ((out_len - 1, True), (out_len, False), (params.n - 1, False)):
             wide = side | 1 << (params.n + bit)
             sides = state.sides[: j - 2] + (BitWord(2 * params.n, wide),) + state.sides[j - 1 :]
-            tampered = dataclasses.replace(state, sides=sides)
             if ok:
-                decode_round(tampered, j)
+                decode_round(dataclasses.replace(state, sides=sides), j)
             else:
                 with pytest.raises(ValueError, match=f"^side word {j - 2} holds b = {wide >> params.n}, "
                                                      f"wider than {out_len} bits$"):
-                    decode_round(tampered, j)
+                    dataclasses.replace(state, sides=sides)
 
 
 def test_single_round_code():
@@ -339,37 +348,61 @@ def test_determinism_bit_identical_states():
     assert first[-1].sides == second[-1].sides  # includes the chosen coefficients
 
 
+def brute_force_first_map(params, j, ws, xs):
+    """The least (a, b) for which every word has a y >= w_i within B_j hashing to x_i, or None.
+
+    Scans every multiplier a, every shift b and every candidate y explicitly.
+    """
+    n, out_len = params.n, params.payload_bits(j)
+    modulus = canonical_spec(n)
+    candidates = [list(enumerate_above(w, params.budgets[j - 1])) for w in ws]
+    for a in range(1 << n):
+        hashes = [{mul_bits(modulus, a, y) & ((1 << out_len) - 1) for y in cand} for cand in candidates]
+        for b in range(1 << out_len):
+            if all(x.bits ^ b in hashed for hashed, x in zip(hashes, xs)):
+                return a, b
+    return None
+
+
 def test_search_agrees_with_brute_force_existence_oracle():
-    # oracle: explicit scan over every (a, b) pair and every candidate tuple;
-    # the search must succeed exactly when a solution exists
+    # the search must succeed exactly when a solution exists, with the least
+    # multiplier that has one and that multiplier's least shift
+    def code(t, n, m, l, k, p1):
+        densities = [Fraction(*p1)] * (t - 1) + [Fraction(1, 2)]
+        return WomParams(t=t, n=n, m=m, l=l, k=k, p=WeightVector(densities))
+
+    cases = [  # (params, round, lightest current word, instances)
+        (code(2, 4, 2, 2, (3,), (1, 4)), 2, 0, 60),
+        (code(2, 5, 2, 0, (5,), (1, 2)), 2, 1, 20),
+        (code(2, 5, 3, 0, (5,), (1, 2)), 2, 2, 40),
+        (code(2, 5, 3, 1, (5,), (1, 2)), 2, 1, 40),
+        (code(2, 6, 1, 0, (6,), (1, 2)), 2, 2, 10),
+        (code(2, 6, 3, 0, (6,), (1, 2)), 2, 2, 40),
+        (code(3, 6, 3, 0, (4, 6), (1, 3)), 3, 2, 40),
+    ]
     rnd = random.Random(13)
-    params = WomParams(t=2, n=4, m=2, l=2, k=(3,), p=WeightVector([Fraction(1, 4), Fraction(1, 2)]))
-    assert params.budgets == (1, 2)
-    modulus = canonical_spec(4)
-    found = missing = 0
-    for _ in range(60):
-        ws = [BitWord.from_support(rnd.sample(range(4), rnd.randint(0, 1)), 4) for _ in range(2)]
-        xs = [BitWord(1, rnd.getrandbits(1)) for _ in range(2)]
-        candidates = [list(enumerate_above(w, 2)) for w in ws]
-        exists = any(
-            all(
-                any((mul_bits(modulus, a, y) ^ b) & 1 == x.bits for y in cand)
-                for cand, x in zip(candidates, xs)
-            )
-            for a in range(16)
-            for b in range(16)
-        )
-        try:
-            a, b, ys = search_block_encoding(params, 2, ws, xs)
-            assert exists
+    outcomes = {}
+    for params, j, lightest, count in cases:
+        n, out_len = params.n, params.payload_bits(j)
+        budget, prev = params.budgets[j - 1], params.budgets[j - 2]
+        for _ in range(count):
+            ws = [BitWord.from_support(rnd.sample(range(n), rnd.randint(lightest, prev)), n)
+                  for _ in range(params.m)]
+            xs = [BitWord(out_len, rnd.getrandbits(out_len)) for _ in range(params.m)]
+            first = brute_force_first_map(params, j, ws, xs)
+            try:
+                a, b, ys = search_block_encoding(params, j, ws, xs)
+            except NoEncoding:
+                assert first is None, (params, j, ws, xs)
+                outcomes[n, "none"] = outcomes.get((n, "none"), 0) + 1
+                continue
+            assert (a, b) == first, (params, j, ws, xs)
             for w, x, y in zip(ws, xs, ys):
-                assert dominates(y, w) and y.weight <= 2
-                assert hash_apply(a, b, 1, y) == x
-            found += 1
-        except NoEncoding:
-            assert not exists
-            missing += 1
-    assert found > 0  # the oracle saw both outcomes or at least successes
+                assert dominates(y, w) and y.weight <= budget
+                assert hash_apply(a, b, out_len, y) == x
+            outcomes[n, "found"] = outcomes.get((n, "found"), 0) + 1
+    assert all(outcomes.get((n, "found"), 0) >= 20 for n in (4, 5, 6)), outcomes
+    assert all(outcomes.get((n, "none"), 0) >= 1 for n in (5, 6)), outcomes
 
 
 def test_fuzzed_configurations_round_trip_or_fail_honestly():

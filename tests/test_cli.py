@@ -318,7 +318,7 @@ def test_tampered_round2_data_word_over_budget_is_rejected(tmp_path, capsys):
     img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
     code, out, err = run(capsys, "read", "--img", str(img))
     assert code == 2
-    assert (out, err) == ("", "error: data word 0 has weight 10, above round-2 budget 6\n")
+    assert (out, err) == ("", "error: block 0: data word 0 has weight 10, above round-2 budget 6\n")
 
 
 def test_tampered_round1_data_word_off_weight_is_rejected(tmp_path, capsys):
@@ -335,7 +335,7 @@ def test_tampered_round1_data_word_off_weight_is_rejected(tmp_path, capsys):
     img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
     code, out, err = run(capsys, "read", "--img", str(img))
     assert code == 2
-    assert (out, err) == ("", "error: data word 1 has weight 4, expected round-1 weight 3\n")
+    assert (out, err) == ("", "error: block 0: data word 1 has weight 4, expected round-1 weight 3\n")
 
 
 def test_tampered_header_is_rejected_when_the_image_loads(tmp_path, capsys):
@@ -390,7 +390,63 @@ def test_tampered_round3_earlier_side_word_is_rejected(tmp_path, capsys):
     img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
     code, out, err = run(capsys, "read", "--img", str(img))
     assert code == 2
-    assert (out, err) == ("", "error: side word 0 holds b = 4095, wider than 5 bits\n")
+    assert (out, err) == ("", "error: block 0: side word 0 holds b = 4095, wider than 5 bits\n")
+
+
+def set_line(img, key, value, block=None):
+    """Replace the hex of the first `key=` line (of block=<block>, if given) and fix the CRC."""
+    image = img.read_bytes()
+    body = image[: image.rfind(b"crc32=")]
+    start = body.index(f"\nblock={block}\n".encode()) if block is not None else 0
+    start = body.index(f"\n{key}=".encode(), start) + len(key) + 2
+    body = body[:start] + value.encode() + body[body.index(b"\n", start) :]
+    img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
+
+
+# Blocks the codec cannot have written: write refuses them with the text read
+# prints, exit 2, before it searches or touches the device.
+UNWRITABLE = [
+    # round 1 writes weight B_1 = 3 exactly; round 2 would have built on weight 2
+    ("round-1 data0 of weight 2", "a1b2c3", "data0", "0300",
+     "error: block 0: data word 0 has weight 2, expected round-1 weight 3\n"),
+    # side0 holds round 2's map, so it is zero until round 2 (the write exited 6)
+    ("round-1 side0 set", "a1b2c3", "side0", "010000",
+     "error: block 0: side word 0 is set, but round 2 is not written\n"),
+    # nothing is written in round 0 (the write exited 6 and the read 3)
+    ("round-0 data0 set", None, "data0", "0200",
+     "error: block 0: data word 0 has weight 1, above round-0 budget 0\n"),
+]
+
+
+@pytest.mark.parametrize("what,round1,key,value,message", UNWRITABLE, ids=[case[0] for case in UNWRITABLE])
+def test_write_and_read_refuse_a_block_the_codec_cannot_write(tmp_path, capsys, what, round1, key, value, message):
+    img = tmp_path / "tampered.wom"
+    init_image(capsys, img)
+    current = 0
+    if round1 is not None:
+        assert run(capsys, "write", "--img", str(img), "--round", "1",
+                   "--in", write_hex(tmp_path / "r1.hex", round1))[0] == 0
+        current = 1
+    set_line(img, key, value)
+    before = img.read_bytes()
+    msg = write_hex(tmp_path / "next.hex", "0d0e0f")
+    write = run(capsys, "write", "--img", str(img), "--round", str(current + 1), "--in", msg)
+    assert write == (2, "", message)
+    assert img.read_bytes() == before
+    assert run(capsys, "read", "--img", str(img)) == write
+
+
+def test_a_fault_in_a_later_block_names_that_block(tmp_path, capsys):
+    img = tmp_path / "blocks.wom"
+    init_image(capsys, img, blocks=4)
+    assert run(capsys, "write", "--img", str(img), "--round", "1",
+               "--in", write_hex(tmp_path / "r1.hex", "a1b2c3" * 4))[0] == 0
+    set_line(img, "data1", "0f00", block=2)
+    message = "error: block 2: data word 1 has weight 4, expected round-1 weight 3\n"
+    write = run(capsys, "write", "--img", str(img), "--round", "2",
+                "--in", write_hex(tmp_path / "r2.hex", "0d0e0f" * 4))
+    assert write == (2, "", message)
+    assert run(capsys, "read", "--img", str(img)) == write
 
 
 def test_corrupted_image_is_usage_error(tmp_path, capsys):

@@ -5,10 +5,12 @@ plus n = 1 and n = 25, which no field covers, in every round. Each holds
 what the encoder writes: data words within the round's budget (exactly B_1
 in round 1), earlier side words whose b fits their round's hash output, and
 zero side words for rounds not yet written. Variants put one data word off
-its budget, a too-wide b in the current side word, or both. The library and
-the oracle must return equal messages, or raise the same exception type
-with the same message, except that round 1 names the data word whose
-weight is not B_1 where the oracle's `subset_rank` names no word.
+its budget, a too-wide b in the current side word, or both. The library
+builds each variant through `BlockState(...)`, which rejects the block
+before any decode, and the oracle decodes the same fields unchecked. Both
+must return equal messages, or raise the same exception type with the same
+message, except that round 1 names the data word whose weight is not B_1
+where the oracle's `subset_rank` names no word.
 """
 
 import random
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import decode_oracle as oracle
 from womkit.bitwords import BitWord
-from womkit.block_codec import BlockState, decode_round
+from womkit.block_codec import BlockState, _built_state, decode_round
 from womkit.capacity import WeightVector, WomParams
 
 
@@ -39,37 +41,42 @@ def random_word(rnd, n, weight):
 
 
 def random_block(rnd, params, j):
-    """A round-j block the encoder could have written."""
+    """The fields of a round-j block the encoder could have written."""
     n, budget = params.n, params.budgets[j - 1]
     data = [random_word(rnd, n, budget if j == 1 else rnd.randint(0, budget)) for _ in range(params.m)]
     sides = [BitWord(2 * n, 0)] * (params.t - 1)
     for s in range(j - 1):
         b = rnd.getrandbits(params.k[s] - params.l)
         sides[s] = BitWord(2 * n, rnd.getrandbits(n) | b << n)
-    return BlockState(params, BitWord(params.t, (1 << j) - 1), tuple(data), tuple(sides))
+    return BitWord(params.t, (1 << j) - 1), tuple(data), tuple(sides)
 
 
-def variants(rnd, state, j):
-    """The block, then each way the oracle can reject it."""
-    p = state.params
-    yield state
-    over = state
+def variants(rnd, params, block, j):
+    """The block's fields, then each way the oracle can reject them."""
+    p = params
+    header, data, sides = block
+    yield block
+    over = data
     weights = [w for w in range(p.n + 1) if (w != p.budgets[0] if j == 1 else w > p.budgets[j - 1])]
     if weights:
         i = rnd.randrange(p.m)
-        data = state.data[:i] + (random_word(rnd, p.n, rnd.choice(weights)),) + state.data[i + 1 :]
-        over = BlockState(p, state.header, data, state.sides)
-        yield over
+        over = data[:i] + (random_word(rnd, p.n, rnd.choice(weights)),) + data[i + 1 :]
+        yield header, over, sides
     out_len = p.k[j - 2] - p.l if j > 1 else p.n
     if out_len < p.n:
-        for base in (state, over):
-            wide = base.sides[j - 2].bits | 1 << (p.n + rnd.randint(out_len, p.n - 1))
-            sides = base.sides[: j - 2] + (BitWord(2 * p.n, wide),) + base.sides[j - 1 :]
-            yield BlockState(p, base.header, base.data, sides)
+        for base in (data, over):
+            wide = sides[j - 2].bits | 1 << (p.n + rnd.randint(out_len, p.n - 1))
+            yield header, base, sides[: j - 2] + (BitWord(2 * p.n, wide),) + sides[j - 1 :]
 
 
-def oracle_outcome(state, j):
-    """The oracle's outcome, with its round-1 weight error naming the word."""
+def library_outcome(params, fields, j):
+    """Build the block through the public constructor, then decode it."""
+    return outcome(lambda fields, j: decode_round(BlockState(params, *fields), j), fields, j)
+
+
+def oracle_outcome(params, fields, j):
+    """The oracle's outcome on the unchecked fields, with its round-1 weight error naming the word."""
+    state = _built_state(params, *fields)
     want = outcome(oracle.decode_round, state, j)
     if want[0] == "raised" and want[2].startswith("word has weight"):
         b1 = state.params.budgets[0]
@@ -88,9 +95,9 @@ def test_decode_matches_per_word_oracle():
             for j in range(1, t + 1):
                 for _ in range(6):
                     params = random_params(rnd, t, n)
-                    for state in variants(rnd, random_block(rnd, params, j), j):
-                        got = outcome(decode_round, state, j)
-                        assert got == oracle_outcome(state, j), (state, j)
+                    for fields in variants(rnd, params, random_block(rnd, params, j), j):
+                        got = library_outcome(params, fields, j)
+                        assert got == oracle_outcome(params, fields, j), (params, fields, j)
                         kind = got[0] if got[0] == "ok" else got[2].split(" ")[0]
                         if kind == "data" and j == 1:
                             kind = "round-1 weight"

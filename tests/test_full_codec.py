@@ -163,11 +163,10 @@ def test_block_independence_under_targeted_corruption():
     assert decode_round(new_states[0], 2) == decode_round(states[0], 2)  # block 0 untouched
     assert decode_round(new_states[1], 2) != decode_round(states[1], 2)  # block 1 took the damage
 
-    # all ten bits set dominates anything but is over the round-2 budget
-    new_states = with_block1_data0(0x3FF)
-    assert decode_round(new_states[0], 2) == decode_round(states[0], 2)
-    with pytest.raises(ValueError, match=f"data word 0 has weight 10, above round-2 budget {budget}"):
-        decode_round(new_states[1], 2)
+    # all ten bits set dominates anything but is over the round-2 budget: the
+    # whole memory is refused, naming the block
+    with pytest.raises(ValueError, match=f"^block 1: data word 0 has weight 10, above round-2 budget {budget}$"):
+        with_block1_data0(0x3FF)
 
 
 def outcome(fn, *args):
@@ -177,13 +176,25 @@ def outcome(fn, *args):
         return ("raised", str(exc))
 
 
-@pytest.mark.parametrize("params", [params_t2(), params_t3()], ids=["t2", "t3"])
+def params_t1():
+    return WomParams(t=1, n=8, m=3, l=0, k=(), p=WeightVector([Fraction(1, 2)]))
+
+
+def params_zero_b1():
+    # p_1 = 0: round 1 writes the empty word, and round 2 starts from it
+    return WomParams(t=2, n=6, m=2, l=1, k=(4,), p=WeightVector([Fraction(0), Fraction(1, 2)]))
+
+
+@pytest.mark.parametrize("params", [params_t1(), params_t2(), params_t3(), params_zero_b1()],
+                         ids=["t1", "t2", "t3", "b1-zero"])
 def test_codec_built_states_equal_checked_ones(params):
     """The codecs build states without BlockState's check; each equals the checked state it stands for."""
     import layout_oracle as oracle
+    from test_layout import writable_block
 
     full = FullParams(params, 5)
     rnd = random.Random(repr(params))
+    rounds = 0
     for _ in range(8):
         states = memory_to_states(BitWord(full.N1, 0), full)
         for j in range(1, params.t + 1):
@@ -198,14 +209,17 @@ def test_codec_built_states_equal_checked_ones(params):
                 assert type(state.data) is tuple and type(state.sides) is tuple
             memory = states_to_memory(states)
             assert memory_to_states(memory, full) == oracle.memory_to_states(memory, full) == states
-    # random blocks, with unary headers in every other memory and any t bits in the rest:
-    # the same states or the same error as the checked path
+            rounds += 1
+    assert rounds >= 8
+    # random blocks the codec could have written, with one cell flipped in every
+    # other memory: the same states or the same error as the checked path
     kinds = set()
     for trial in range(30):
         bits = 0
         for _ in range(full.n1):
-            header = rnd.randrange(1 << params.t) if trial % 2 else (1 << rnd.randint(0, params.t)) - 1
-            bits = bits << params.n0 | rnd.getrandbits(params.n0) >> params.t << params.t | header
+            bits = bits << params.n0 | writable_block(rnd, params, rnd.randint(0, params.t))
+        if trial % 2:
+            bits ^= 1 << rnd.randrange(full.N1)
         memory = BitWord(full.N1, bits)
         got = outcome(memory_to_states, memory, full)
         assert got == outcome(oracle.memory_to_states, memory, full)

@@ -68,13 +68,25 @@ def shapes():
     return out
 
 
+def writable_block(rnd: random.Random, params: WomParams, round_: int) -> int:
+    """A block the codec could have written in round_ rounds, random in every cell it may set."""
+    budget = params.budgets[round_ - 1] if round_ else 0
+    bits = (1 << round_) - 1
+    for i in range(params.m):
+        weight = budget if round_ == 1 else rnd.randint(0, budget)
+        bits |= sum(1 << c for c in rnd.sample(range(params.n), weight)) << params.data_offset(i)
+    for s in range(round_ - 1):
+        side = rnd.getrandbits(params.n) | rnd.getrandbits(params.payload_bits(s + 2)) << params.n
+        bits |= side << params.side_offset(s)
+    return bits
+
+
 def random_memory(rnd: random.Random, full: FullParams) -> BitWord:
-    """Random device contents whose every block has a unary header."""
+    """Random device contents whose every block the codec could have written, each after its own round."""
     p = full.block
     bits = 0
     for _ in range(full.n1):
-        block = rnd.getrandbits(p.n0) & ~((1 << p.t) - 1) | (1 << rnd.randint(0, p.t)) - 1
-        bits = bits << p.n0 | block
+        bits = bits << p.n0 | writable_block(rnd, p, rnd.randint(0, p.t))
     return BitWord(full.N1, bits)
 
 

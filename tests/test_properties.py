@@ -5,14 +5,16 @@ through the whole public pipeline: pack -> encode -> states_to_memory ->
 save_image -> load_image -> memory_to_states -> decode -> unpack. Every
 round that is written must read back its stream. Outside the guaranteed
 regime the search may prove that no encoding exists; the round then fails
-atomically and the session ends. Inside it, it must not fail.
+atomically and the session ends. Inside it, it must not fail. Every state
+the encoder builds without `BlockState`'s check must equal the state the
+checked constructor builds from its fields.
 """
 
 import random
 from fractions import Fraction
 
 from womkit.bitwords import BitWord
-from womkit.block_codec import NoEncoding, decode_round, in_guaranteed_regime
+from womkit.block_codec import BlockState, NoEncoding, decode_round, in_guaranteed_regime
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import (
     FullParams,
@@ -55,6 +57,8 @@ def test_random_params_read_back_every_round_through_the_whole_pipeline():
                 assert memory_to_states(dev.cells, full) == states  # nothing was written
                 refused += 1
                 break
+            for state in new_states:
+                assert state == BlockState(params, state.header, list(state.data), list(state.sides))
             image = save_image(apply_write(dev, states_to_memory(new_states)), params, j)
             dev, _, current = load_image(image)
             got = [decode_round(state, current) for state in memory_to_states(dev.cells, full)]

@@ -141,18 +141,24 @@ def test_read_steps_match_oracles_on_all_distinct_images(params, n1):
 
 
 def test_memory_to_states_matches_oracle_on_random_memory_for_t1_and_m1():
+    from test_layout import writable_block
+
     rnd = random.Random(71)
+    kinds = set()
     for params in (params_of(1, 5, 1, l=0, k=()), params_of(1, 7, 3, l=0, k=()), params_of(2, 5, 1)):
-        unary = lambda block: block & ~((1 << params.t) - 1) | (1 << rnd.randint(0, params.t)) - 1
+        writable = lambda: writable_block(rnd, params, rnd.randint(0, params.t))
         for n1 in (1, 2, 9, 64):
             full = FullParams(params, n1)
-            kinds = [unary(rnd.getrandbits(params.n0)) for _ in range(3)]
-            repeats = [rnd.choice(kinds) for _ in range(n1)]
-            distinct = [unary(rnd.getrandbits(params.n0)) for _ in range(n1)]
-            any_header = [rnd.getrandbits(params.n0) for _ in range(n1)]  # t = 1: every header is unary
-            for blocks in (repeats, distinct, any_header):
+            pool = [writable() for _ in range(3)]
+            repeats = [rnd.choice(pool) for _ in range(n1)]
+            distinct = [writable() for _ in range(n1)]
+            any_bits = [rnd.getrandbits(params.n0) for _ in range(n1)]  # t = 1: every header is unary
+            for blocks in (repeats, distinct, any_bits):
                 memory = BitWord(full.N1, sum(b << (i * params.n0) for i, b in enumerate(blocks)))
-                assert outcome(memory_to_states, memory, full) == outcome(layout_oracle.memory_to_states, memory, full)
+                got = outcome(memory_to_states, memory, full)
+                assert got == outcome(layout_oracle.memory_to_states, memory, full)
+                kinds.add(got[0])
+    assert kinds == {"ok", "raised"}
 
 
 # B_1 = 3: C(10, 3) = 120 words, so ranks have 6 bits; round-2 words have 5
