@@ -148,7 +148,9 @@ def check_block(state: BlockState) -> None:
     words of n bits and t - 1 side words of 2n bits. After round r every data
     word has weight at most B_r (no cell at r = 0), and exactly B_1 at r = 1.
     Each written side word a | b << n has b < 2^(k_j - l), and each unwritten
-    one is zero.
+    one is zero. Past the header and the shape, each test reads one word and
+    the round r, so a block passes exactly when each of its words passes in
+    a valid block with the same header; `memory_to_states` relies on this.
     """
     p = state.params
     n, header = p.n, state.header
@@ -253,8 +255,6 @@ def search_block_encoding(
     candidates = []
     for i, w in enumerate(ws):
         masks = list(enumerate_above(w, budget))
-        if not masks:
-            raise NoEncoding(f"no words above data word {i} within budget {budget}", i)
         masks.reverse()
         candidates.append(masks)
 

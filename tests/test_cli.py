@@ -449,6 +449,22 @@ def test_a_fault_in_a_later_block_names_that_block(tmp_path, capsys):
     assert run(capsys, "read", "--img", str(img)) == write
 
 
+def test_a_side_word_set_in_block_1_is_refused_by_write_and_read(tmp_path, capsys):
+    # the CI session's image: block 1's side0 set in round 1, while block 0 stays valid
+    img = tmp_path / "ci.wom"
+    init_image(capsys, img, blocks=2)
+    assert run(capsys, "write", "--img", str(img), "--round", "1",
+               "--in", write_hex(tmp_path / "r1.hex", "a1b2c3d4e5f6"))[0] == 0
+    set_line(img, "side0", "010000", block=1)
+    before = img.read_bytes()
+    message = "error: block 1: side word 0 is set, but round 2 is not written\n"
+    write = run(capsys, "write", "--img", str(img), "--round", "2",
+                "--in", write_hex(tmp_path / "r2.hex", "0d0e0f1011"))
+    assert write == (2, "", message)
+    assert img.read_bytes() == before
+    assert run(capsys, "read", "--img", str(img)) == write
+
+
 def test_corrupted_image_is_usage_error(tmp_path, capsys):
     img = tmp_path / "c.wom"
     init_image(capsys, img)

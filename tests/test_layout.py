@@ -18,7 +18,7 @@ import pytest
 import layout_oracle as oracle
 from womkit import bitwords, full_codec, wom_device
 from womkit.bitwords import BitWord, _join_fields, _split_fields, subset_unrank
-from womkit.block_codec import BlockState, RoundMessage, decode_round, encode_round1
+from womkit.block_codec import BlockState, RoundMessage, _built_state, check_block, decode_round, encode_round1
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import FullParams, full_encode_round
 from womkit.wom_device import Device, apply_write
@@ -334,6 +334,103 @@ def test_memory_to_states_matches_oracle_after_every_round(params, n1):
         memory = full_codec.states_to_memory(full_encode_round(states, msgs))
         _, states = same("memory_to_states", memory, full)
         assert [decode_round(state, j) for state in states] == msgs
+
+
+# When every block has one header, `memory_to_states` checks probe states that
+# hold each distinct word instead of the blocks, if that takes fewer states.
+# That rests on `check_block` being the conjunction of its word tests, and it
+# must still name the first faulty block with the per-block text.
+
+def block_words(params: WomParams, bits: int) -> tuple[BitWord, tuple, tuple]:
+    """The header, data words and side words of one block's bits."""
+    cut = lambda offset, length: BitWord(length, bits >> offset & ((1 << length) - 1))
+    return (cut(0, params.t), tuple(cut(params.data_offset(i), params.n) for i in range(params.m)),
+            tuple(cut(params.side_offset(s), 2 * params.n) for s in range(params.t - 1)))
+
+
+def passes(params: WomParams, header: BitWord, data: tuple, sides: tuple) -> bool:
+    try:
+        check_block(_built_state(params, header, data, sides))
+    except ValueError:
+        return False
+    return True
+
+
+def test_check_block_is_the_conjunction_of_its_word_tests():
+    rnd = random.Random(52)
+    verdicts = set()
+    for _ in range(150):
+        params = random_params(rnd, rnd.randint(1, 3))
+        r = rnd.randint(0, params.t)
+        header, valid_data, valid_sides = block_words(params, writable_block(rnd, params, r))
+        assert passes(params, header, valid_data, valid_sides)
+        # each word from another writable block or from random bits
+        _, good_data, good_sides = block_words(params, writable_block(rnd, params, r))
+        _, any_data, any_sides = block_words(params, rnd.getrandbits(params.n0))
+        data = tuple(rnd.choice(pair) for pair in zip(good_data, any_data))
+        sides = tuple(rnd.choice(pair) for pair in zip(good_sides, any_sides))
+        alone = [passes(params, header, valid_data[:i] + (d,) + valid_data[i + 1 :], valid_sides)
+                 for i, d in enumerate(data)]
+        alone += [passes(params, header, valid_data, valid_sides[:s] + (w,) + valid_sides[s + 1 :])
+                  for s, w in enumerate(sides)]
+        verdict = passes(params, header, data, sides)
+        assert verdict == all(alone), (params, header, data, sides)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def with_word(bits: int, offset: int, length: int, value: int) -> int:
+    """The block with its `length`-bit word at `offset` replaced by value."""
+    return bits & ~(((1 << length) - 1) << offset) | value << offset
+
+
+def faulty_blocks(rnd: random.Random, params: WomParams, r: int, blocks: list[int]):
+    """(what, blocks, first) triples: the round-r blocks with one change each, and the first faulty block or None."""
+    p, last = params, len(blocks) - 1
+    # a data word no round-r block holds: above B_r, so also not of weight B_1 at r = 1
+    bad = sum(1 << c for c in rnd.sample(range(p.n), p.budgets[r - 1] + 1 if r else 1))
+    mixed = list(blocks)
+    mixed[rnd.randrange(last)] = writable_block(rnd, p, rnd.choice([j for j in range(p.t + 1) if j != r]))
+    yield "mixed headers", mixed, None
+    faulty_last = with_word(blocks[last], p.data_offset(rnd.randrange(p.m)), p.n, bad)
+    yield "mixed headers, fault in the last block", mixed[:last] + [faulty_last], last
+    yield "fault in the last block", blocks[:last] + [faulty_last], last
+    shared = list(blocks)
+    indices = rnd.sample(range(len(blocks)), min(3, len(blocks)))
+    for index in indices:
+        shared[index] = with_word(shared[index], p.data_offset(rnd.randrange(p.m)), p.n, bad)
+    yield "shared faulty data word", shared, min(indices)
+    index = rnd.randrange(len(blocks))
+    unwritten = range(max(r - 1, 0), p.t - 1)
+    if unwritten:
+        side = with_word(blocks[index], p.side_offset(rnd.choice(unwritten)), 2 * p.n, 1 << rnd.randrange(2 * p.n))
+        yield "side word of an unwritten round set", blocks[:index] + [side] + blocks[index + 1 :], index
+    narrow = [s for s in range(r - 1) if p.payload_bits(s + 2) < p.n]
+    if narrow:
+        s = rnd.choice(narrow)
+        b = rnd.randrange(1 << p.payload_bits(s + 2), 1 << p.n)
+        side = blocks[index] | b << (p.side_offset(s) + p.n)
+        yield "b too wide", blocks[:index] + [side] + blocks[index + 1 :], index
+
+
+def test_memory_to_states_matches_oracle_on_shared_and_faulty_words():
+    rnd = random.Random(53)
+    kinds = {}
+    for _ in range(60):
+        params = random_params(rnd, rnd.randint(1, 3))
+        r = rnd.randint(0, params.t)
+        pool = [writable_block(rnd, params, r) for _ in range(rnd.randint(1, 4))]
+        blocks = [rnd.choice(pool) for _ in range(rnd.randint(2, 12))]
+        full = FullParams(params, len(blocks))
+        assert same("memory_to_states", BitWord(full.N1, _join_fields(blocks, params.n0)), full)[0] == "ok"
+        for what, changed, first in faulty_blocks(rnd, params, r, blocks):
+            got = same("memory_to_states", BitWord(full.N1, _join_fields(changed, params.n0)), full)
+            if first is None:
+                assert got[0] == "ok", (what, got)
+            else:
+                assert got[:2] == ("raised", ValueError) and got[2].startswith(f"block {first}: "), (what, got)
+            kinds[what] = kinds.get(what, 0) + 1
+    assert len(kinds) == 6 and min(kinds.values()) >= 10, kinds
 
 
 def per_block_round1(states, msgs):

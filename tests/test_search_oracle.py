@@ -1,11 +1,14 @@
 """The one-pass search against the two-pass oracle in `search_oracle`.
 
-Instances are random t = 3 blocks at every width n = 2..14, searched for
+Instances are random t = 3 blocks at every width n = 2..18, searched for
 round 2 and round 3. Wide blocks get hash outputs no longer than their
 smallest candidate set supports, so each search ends within a few
 multipliers; narrow blocks (n <= 7) get outputs at least that long, up
 to eight words and words at the previous round's full budget, so many of
-their searches scan every multiplier and raise NoEncoding.
+their searches scan every multiplier and raise NoEncoding. The widest
+blocks (n >= 15), the widths a packed search table must cover, hold words
+at the previous round's full budget, which keeps their candidate sets to at
+most a few thousand words, and outputs at least half as long as supported.
 """
 
 import random
@@ -34,11 +37,14 @@ def random_instance(rnd, n, j):
     budgets = WomParams(t=3, n=n, m=m, l=l, k=(n, n), p=p).budgets
     ws = []
     for _ in range(m):
-        weight = budgets[j - 2] if n <= 7 else rnd.randint(0, budgets[j - 2])
+        weight = budgets[j - 2] if n <= 7 or n >= 15 else rnd.randint(0, budgets[j - 2])
         ws.append(BitWord.from_support(rnd.sample(range(n), weight), n))
     smallest = min(count_above(w, budgets[j - 1]) for w in ws)
     supported = min(n - l, smallest.bit_length() - 1)
-    out_len = rnd.randint(supported, n - l) if n <= 7 else rnd.randint(0, supported)
+    if n <= 7:
+        out_len = rnd.randint(supported, n - l)
+    else:
+        out_len = rnd.randint(supported // 2 if n >= 15 else 0, supported)
     k = [rnd.randint(l, n), rnd.randint(l, n)]
     k[j - 2] = l + out_len
     params = WomParams(t=3, n=n, m=m, l=l, k=tuple(k), p=p)
@@ -49,12 +55,13 @@ def random_instance(rnd, n, j):
 def test_search_matches_two_pass_oracle():
     rnd = random.Random(0x5EA2C4)
     kinds = {"ok": 0, "no encoding": 0}
-    for n in range(2, 15):
-        for _ in range(40 if n <= 7 else 12):
+    for n in range(2, 19):
+        for _ in range(40 if n <= 7 else 12 if n <= 14 else 3):
             for j in (2, 3):
                 params, ws, xs = random_instance(rnd, n, j)
                 got = outcome(search_block_encoding, params, j, ws, xs)
                 assert got == outcome(oracle.search_block_encoding, params, j, ws, xs), (params, j, ws, xs)
+                assert n < 15 or got[0] == "ok", got
                 kinds[got[0]] += 1
     assert kinds["ok"] >= 150 and kinds["no encoding"] >= 40, kinds
 
