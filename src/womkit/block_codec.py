@@ -1,11 +1,13 @@
 """Round-based encoder/decoder for one coded memory block.
 
-A block is t header bits (round counter, unary), m data words of n bits,
-and t-1 side words of 2n bits. Round 1 writes each message as the
-characteristic word of a fixed-weight subset. Every later round j finds a
-single truncated affine map H, the int pair (a, b), and per-word
-replacements y_i >= w_i within the round's weight budget such that H(y_i)
-equals the i-th message, then stores a | b << n in side word j-2;
+A block state is its round r (the rounds written so far), m data words of
+n bits, and t-1 side words of 2n bits. Memory lays the round out as a
+t-bit unary header (`full_codec`), which the image format checks too
+(`wom_device`). Round 1 writes each message as the characteristic word of
+a fixed-weight subset. Every later round j finds a single truncated affine
+map H, the int pair (a, b), and per-word replacements y_i >= w_i within
+the round's weight budget such that H(y_i) equals the i-th message, then
+stores a | b << n in side word j-2;
 `encode_round` writes any round. The search is a loop over ints:
 candidate words are masks, and per multiplier one `hashfam.hash_words`
 pass over each word's candidates yields both the targets and their
@@ -16,10 +18,10 @@ ranks the subsets.
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise. `check_block` is the one rule for which blocks the
-codec could have written. The public `BlockState(...)` runs it, so a
-`BlockState` is such a block by its type. The codec builds the states it
-writes through `_built_state`, which skips the check, and shares each
-header `_header(t, j)`. Likewise `decode_round` builds its message through
+codec could have written, and `_check_words` holds its per-word tests. The
+public `BlockState(...)` runs it, so a `BlockState` is such a block by its
+type. The codec builds the states it writes through `_built_state`, which
+skips the check. Likewise `decode_round` builds its message through
 `_built_message`, which skips `RoundMessage`'s check: the round was
 range-checked and the tuple built here.
 """
@@ -27,8 +29,7 @@ range-checked and the tuple built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bitwords import BitWord, colex_rank, count_above, enumerate_above, subset_unrank
 from .capacity import WomParams
@@ -78,22 +79,12 @@ def _built_message(j: int, payload: tuple) -> RoundMessage:
     return msg
 
 
-def _shape_is(words: tuple[BitWord, ...], count: int, length: int) -> bool:
-    """Whether there are `count` words, each of `length` bits."""
-    if len(words) != count:
-        return False
-    for word in words:
-        if word.length != length:
-            return False
-    return True
-
-
 @dataclass(frozen=True, slots=True)
 class BlockState:
-    """Immutable contents of one block, checked by `check_block`; the round is derived from the header."""
+    """Immutable contents of one block after `round` rounds, checked by `check_block`."""
 
     params: WomParams
-    header: BitWord
+    round: int
     data: tuple[BitWord, ...]
     sides: tuple[BitWord, ...]
 
@@ -108,34 +99,27 @@ class BlockState:
     def fresh(cls, params: WomParams) -> "BlockState":
         return cls(
             params=params,
-            header=BitWord.zeros(params.t),
+            round=0,
             data=tuple(BitWord.zeros(params.n) for _ in range(params.m)),
             sides=tuple(BitWord.zeros(2 * params.n) for _ in range(params.t - 1)),
         )
 
-    @property
-    def round(self) -> int:
-        """Rounds written so far: index of the highest header bit + 1."""
-        return self.header.bits.bit_length()
-
 
 # The slots' own setters: the frozen dataclass's __setattr__ refuses to assign.
-_set_params, _set_header, _set_data, _set_sides = (
-    BlockState.__dict__[name].__set__ for name in ("params", "header", "data", "sides")
+_set_params, _set_block_round, _set_data, _set_sides = (
+    BlockState.__dict__[name].__set__ for name in ("params", "round", "data", "sides")
 )
 
 
-def _built_state(
-    params: WomParams, header: BitWord, data: tuple[BitWord, ...], sides: tuple[BitWord, ...]
-) -> BlockState:
-    """BlockState(params, header, data, sides) without __post_init__, so without `check_block`.
+def _built_state(params: WomParams, round_: int, data: tuple, sides: tuple) -> BlockState:
+    """BlockState(params, round_, data, sides) without __post_init__, so without `check_block`.
 
     Only for tuples that form a block the codec wrote, or for a state the
     caller then passes to `check_block`.
     """
     state = object.__new__(BlockState)
     _set_params(state, params)
-    _set_header(state, header)
+    _set_block_round(state, round_)
     _set_data(state, data)
     _set_sides(state, sides)
     return state
@@ -144,45 +128,45 @@ def _built_state(
 def check_block(state: BlockState) -> None:
     """Raise ValueError unless some sequence of rounds could have written this block.
 
-    The header has t bits and is a unary round counter r; there are m data
-    words of n bits and t - 1 side words of 2n bits. After round r every data
-    word has weight at most B_r (no cell at r = 0), and exactly B_1 at r = 1.
-    Each written side word a | b << n has b < 2^(k_j - l), and each unwritten
-    one is zero. Past the header and the shape, each test reads one word and
-    the round r, so a block passes exactly when each of its words passes in
-    a valid block with the same header; `memory_to_states` relies on this.
+    The round is an int r in 0..t; there are m data words of n bits and
+    t - 1 side words of 2n bits, which `_check_words` then tests.
     """
     p = state.params
-    n, header = p.n, state.header
-    if header.length != p.t:
-        raise ValueError(f"header has {header.length} bits, expected {p.t}")
-    r = header.bits.bit_length()
-    if header.bits != (1 << r) - 1:
-        raise ValueError(f"header 0b{header.bits:b} is not a unary round counter")
-    if not _shape_is(state.data, p.m, n):
-        raise ValueError(f"expected {p.m} data words of {n} bits")
-    if not _shape_is(state.sides, p.t - 1, 2 * n):
-        raise ValueError(f"expected {p.t - 1} side words of {2 * n} bits")
+    r = state.round
+    if type(r) is not int or not 0 <= r <= p.t:
+        raise ValueError(f"round {r!r} is not an int in 0..{p.t}")
+    if len(state.data) != p.m or any(d.length != p.n for d in state.data):
+        raise ValueError(f"expected {p.m} data words of {p.n} bits")
+    if len(state.sides) != p.t - 1 or any(side.length != 2 * p.n for side in state.sides):
+        raise ValueError(f"expected {p.t - 1} side words of {2 * p.n} bits")
+    _check_words(p, r, [d.bits for d in state.data], [[side.bits] for side in state.sides])
+
+
+def _check_words(p: WomParams, r: int, data: Iterable[int], sides: Iterable[Iterable[int]]) -> None:
+    """Raise ValueError unless every data word, and every word of side slot s in sides[s], fits round r.
+
+    After round r every data word has weight at most B_r (no cell at r = 0),
+    and exactly B_1 at r = 1. Each written side word a | b << n has
+    b < 2^(k_j - l), and each unwritten one is zero. Each test reads one word
+    and r, so a block passes `check_block` exactly when each of its words
+    passes here; `memory_to_states` relies on this.
+    """
+    n = p.n
     budget = p.budgets[r - 1] if r else 0
-    for i, d in enumerate(state.data):
-        weight = d.bits.bit_count()
+    for i, bits in enumerate(data):
+        weight = bits.bit_count()
         if r == 1 and weight != budget:
             raise ValueError(f"data word {i} has weight {weight}, expected round-1 weight {budget}")
         if weight > budget:
             raise ValueError(f"data word {i} has weight {weight}, above round-{r} budget {budget}")
-    for s, side in enumerate(state.sides):
-        if s < r - 1:
-            b, width = side.bits >> n, p.k[s] - p.l
-            if b >> width:
-                raise ValueError(f"side word {s} holds b = {b}, wider than {width} bits")
-        elif side.bits:
-            raise ValueError(f"side word {s} is set, but round {s + 2} is not written")
-
-
-@lru_cache(maxsize=64)
-def _header(t: int, j: int) -> BitWord:
-    """The t-bit header of a block that holds j rounds."""
-    return BitWord(t, (1 << j) - 1)
+    for s, words in enumerate(sides):
+        for bits in words:
+            if s < r - 1:
+                b, width = bits >> n, p.k[s] - p.l
+                if b >> width:
+                    raise ValueError(f"side word {s} holds b = {b}, wider than {width} bits")
+            elif bits:
+                raise ValueError(f"side word {s} is set, but round {s + 2} is not written")
 
 
 def _check_payload(state: BlockState, msg: RoundMessage) -> None:
@@ -200,7 +184,7 @@ def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
     p = state.params
     b1 = p.budgets[0]
     data = tuple([subset_unrank(int(rank), p.n, b1) for rank in msg.payload])
-    return _built_state(p, _header(p.t, 1), data, state.sides)
+    return _built_state(p, 1, data, state.sides)
 
 
 def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bool:
@@ -297,7 +281,7 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
     a, b, ys = search_block_encoding(p, j, state.data, msg.payload)
     side = BitWord(2 * p.n, a | (b << p.n))
     sides = state.sides[: j - 2] + (side,) + state.sides[j - 1 :]
-    return _built_state(p, _header(p.t, j), tuple(ys), sides)
+    return _built_state(p, j, tuple(ys), sides)
 
 
 def decode_round(state: BlockState, j: int) -> RoundMessage:

@@ -5,7 +5,7 @@ and decode independently (each may pick its own hash coefficients), so
 concatenation preserves the rate while the per-block search cost becomes
 polynomial in the total length. This module splits a flat bitstream into
 per-block round messages, joins them back, and bridges block states to
-the flat device memory.
+the flat device memory, where a block's round is its t-bit unary header.
 
 Splitting and joining never shift the whole stream or memory once per
 field: they convert it to bytes once and cut or glue fields eight at a time,
@@ -14,19 +14,18 @@ blocks and words: round 1 draws every data word from C(n, B_1) subsets,
 which `bitwords` ranks and unranks through a cache. So `memory_to_states`
 builds one state per distinct block, through `block_codec._built_state`,
 and one word per distinct word. It cuts each slot as one column over the
-distinct blocks, through one word table for the headers, one for the data
-words and one per side slot. A table masks every key to its slot's length,
-so it skips `BitWord`'s range check.
+distinct blocks, through one word table for the data words and one per
+side slot. A table masks every key to its slot's length, so it skips
+`BitWord`'s range check.
 States and words are immutable, so sharing them is invisible to callers.
 
-A memory loads only if `block_codec.check_block` passes every block. Its
-verdict is the conjunction of per-word tests under the block's header, so
-when all blocks share one header `memory_to_states` checks probe states
-that hold each distinct data word, and each distinct word of each side
-slot, at least once: about distinct / m of them, 16 for an 8,000-block
-round-1 image at n = 10, m = 4. When there are no fewer probes than
-distinct blocks, when headers differ or when a probe fails, it checks the
-distinct blocks in order, which names the first faulty one.
+A memory loads only if every block has a unary header and passes
+`block_codec.check_block`. Past the header, its verdict is the conjunction
+of per-word tests under the block's round, so when all blocks share one
+unary header `memory_to_states` runs those tests once over each distinct
+data word and each distinct word of each side slot. When headers differ
+or a word fails, it checks the distinct blocks in order, which names the
+first faulty one.
 `pack_messages` builds its messages through `block_codec._built_message`,
 which skips `RoundMessage`'s check: the round was checked by `payload_bits`.
 """
@@ -34,12 +33,14 @@ which skips `RoundMessage`'s check: the round was checked by `payload_bits`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, islice, repeat
+from itertools import repeat
 from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WomParams
-from .block_codec import BlockState, RoundMessage, _built_message, _built_state, check_block, encode_round
+from .block_codec import (
+    BlockState, RoundMessage, _built_message, _built_state, _check_words, check_block, encode_round,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,9 +151,10 @@ def states_to_memory(states: Sequence[BlockState]) -> BitWord:
         raise ValueError("blocks disagree on parameters")
     data_offsets = [p.data_offset(d) for d in range(p.m)]
     side_offsets = [p.side_offset(s) for s in range(p.t - 1)]
+    headers = [(1 << r) - 1 for r in range(p.t + 1)]  # round r as a unary header
     blocks = []
     for state in states:
-        bits = state.header.bits
+        bits = headers[state.round]
         for offset, word in zip(data_offsets, state.data):
             bits |= word.bits << offset
         for offset, word in zip(side_offsets, state.sides):
@@ -185,34 +187,37 @@ class _Words(dict):
 def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     """Slice flat device memory back into per-block states, sharing equal blocks and equal words.
 
-    A block the codec could not have written raises `check_block`'s error,
-    prefixed with `block <i>: ` for the first block i that holds it.
+    A block whose header is no unary round counter, or that the codec could
+    not have written, raises ValueError prefixed with `block <i>: ` for the
+    first block i that holds it.
     """
     if memory.length != params.N1:
         raise ValueError(f"memory has {memory.length} bits, expected {params.N1}")
     p = params.block
     blocks = list(_split_fields(memory.bits, p.n0, params.n1))
     distinct = list(dict.fromkeys(blocks))
-    headers, datas = _Words(p.t), _Words(p.n)
+    datas = _Words(p.n)
     sides = {p.side_offset(s): _Words(2 * p.n) for s in range(p.t - 1)}  # a word table per side slot
     header_mask, data_mask, side_mask = (1 << p.t) - 1, (1 << p.n) - 1, (1 << 2 * p.n) - 1
-    block_headers = [headers[bits & header_mask] for bits in distinct]
     block_data = zip(*[[datas[bits >> offset & data_mask] for bits in distinct]
                        for offset in map(p.data_offset, range(p.m))])
     block_sides = zip(*[[slot[bits >> offset & side_mask] for bits in distinct]
                         for offset, slot in sides.items()]) if sides else repeat(())
-    states = dict(zip(distinct, map(_built_state, repeat(p), block_headers, block_data, block_sides)))
-    data, slots = list(datas.values()), [list(slot.values()) for slot in sides.values()]
-    probes = max([-(-len(data) // p.m), *map(len, slots)])  # states enough to hold every word
-    probe_sides = zip(*[islice(cycle(slot), probes) for slot in slots]) if slots else repeat(())
+    headers = {bits & header_mask for bits in distinct}
+    r = max(headers).bit_length()
+    shared = headers == {(1 << r) - 1}  # one unary header
+    rounds = repeat(r) if shared else [(bits & header_mask).bit_length() for bits in distinct]
+    states = dict(zip(distinct, map(_built_state, repeat(p), rounds, block_data, block_sides)))
     try:
-        if len(headers) > 1 or probes >= len(states):
-            raise ValueError("headers differ, or probes would not save checks")
-        for words in zip(*[islice(cycle(data), probes * p.m)] * p.m):
-            check_block(_built_state(p, block_headers[0], words, next(probe_sides)))
+        if not shared:
+            raise ValueError("headers differ or are not unary")
+        _check_words(p, r, datas, sides.values())
     except ValueError:  # check block by block, which names the first faulty one
         for bits, state in states.items():
+            header = bits & header_mask
             try:
+                if header != (1 << state.round) - 1:
+                    raise ValueError(f"header 0b{header:b} is not a unary round counter")
                 check_block(state)
             except ValueError as exc:
                 raise ValueError(f"block {blocks.index(bits)}: {exc}") from None

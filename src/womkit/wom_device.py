@@ -17,7 +17,10 @@ Images are text files with LF newlines:
 Multi-block images repeat the header/data/side group once per block, each
 group preceded by a `block=<i>` line (single-block images omit the
 delimiter). Hex packs bits little-endian within bytes: bit index 0 is the
-least significant bit of the first byte.
+least significant bit of the first byte. The header is the block's round r
+as a t-bit unary counter, (1 << r) - 1. An image loads only in the text
+`save_image` writes (the lines of `_preamble`, exact block labels, lower
+case hex), so a loaded image saves back to the same bytes.
 
 Saving and loading split the memory into blocks, or join blocks back,
 through one byte string rather than shifting the whole memory once per
@@ -101,11 +104,9 @@ def _hex_to_bits(text: str, length: int) -> int:
     nbytes = (length + 7) // 8
     if len(text) != 2 * nbytes:
         raise MalformedImage(f"expected {2 * nbytes} hex digits for {length} bits, got {len(text)}")
-    try:
-        raw = bytes.fromhex(text)
-    except ValueError as exc:
-        raise MalformedImage(f"bad hex payload: {text!r}") from exc
-    bits = int.from_bytes(raw, "little")
+    if text.strip("0123456789abcdef"):  # lower case hex only, as save_image writes it
+        raise MalformedImage(f"bad hex payload: {text!r}")
+    bits = int.from_bytes(bytes.fromhex(text), "little")
     if bits >> length:
         raise MalformedImage("padding bits beyond the region length are set")
     return bits
@@ -120,6 +121,16 @@ def _slots(params: WomParams) -> list[tuple[str, int, int]]:
     )
 
 
+def _preamble(params: WomParams, round_: int) -> list[str]:
+    """The parameter and round lines of an image, as save_image writes them and load_image requires."""
+    return [
+        f"t={params.t} n={params.n} m={params.m} l={params.l}",
+        "k=" + ",".join(str(kj) for kj in params.k),
+        "p=" + ",".join(f"{x.numerator}/{x.denominator}" for x in params.p.p),
+        f"round={round_}",
+    ]
+
+
 def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
     """Serialize the device; the block count is the device size / block size."""
     n1, rem = divmod(dev.cells.length, params.n0)
@@ -129,13 +140,7 @@ def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
         )
     if not 0 <= round_ <= params.t:
         raise ValueError(f"round {round_} out of range 0..{params.t}")
-    lines = [
-        MAGIC.decode(),
-        f"t={params.t} n={params.n} m={params.m} l={params.l}",
-        "k=" + ",".join(str(kj) for kj in params.k),
-        "p=" + ",".join(f"{x.numerator}/{x.denominator}" for x in params.p.p),
-        f"round={round_}",
-    ]
+    lines = [MAGIC.decode(), *_preamble(params, round_)]
     # Each slot formats each distinct value once: slot -> {value: line}.
     slots = [(key, length, offset, (1 << length) - 1, {}) for key, length, offset in _slots(params)]
     for block, bits in enumerate(_split_fields(dev.cells.bits, params.n0, n1)):
@@ -216,11 +221,14 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
     round_ = _parse_int(_take(lines, 4, "round="), "round")
     if not 0 <= round_ <= params.t:
         raise MalformedImage(f"round {round_} out of range 0..{params.t}")
+    for line, canonical in zip(lines[1:5], _preamble(params, round_)):
+        if line != canonical:
+            raise MalformedImage(f"expected {canonical!r}, found {line!r}")
 
     # Each slot parses each distinct line once: slot -> {line: value << offset}.
     # Only a line text that already parsed in this slot is taken from the
-    # memo; any other line, a canonical block label aside, gets every check,
-    # and a header must be the unary counter of the round line.
+    # memo; any other line gets every check, and a header must be the unary
+    # counter of the round line.
     header = (1 << round_) - 1
     slots = [(key + "=", length, offset, {}) for key, length, offset in _slots(params)]
     pos, end = 5, len(lines)
@@ -231,9 +239,7 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
             if pos == end:
                 break
             if lines[pos] != f"block={len(blocks)}":
-                label = _parse_int(_take(lines, pos, "block="), "block index")
-                if label != len(blocks):
-                    raise MalformedImage(f"expected block={len(blocks)}, found block={label}")
+                raise MalformedImage(f"expected block={len(blocks)}, found {lines[pos]!r}")
             pos += 1
         bits = 0
         for prefix, length, offset, seen in slots:

@@ -10,10 +10,12 @@ words, blocks and lines instead. The image helpers (`_LineReader`,
 `_hex_to_bits`, `_bits_to_hex`, `_parse_int`), `subset_rank`,
 `subset_unrank` and the checks of `BlockState.__post_init__` (the rule of
 `block_codec.check_block`) are kept here in their own words, so the oracles
-do not follow the library's internals. `memory_to_states` builds its states
-through the public constructor and names the first block it rejects. Tests
-require bit-identical results, byte-identical images and the same
-exceptions from both.
+do not follow the library's internals. `memory_to_states` checks each
+unary header, builds its states through the public constructor and names
+the first block it rejects. `load_image` takes only the text `save_image`
+writes: the same parameter and round lines, exact block labels and lower
+case hex. Tests require bit-identical results, byte-identical images and
+the same exceptions from both.
 """
 
 from __future__ import annotations
@@ -61,16 +63,13 @@ def subset_unrank(rank: int, length: int, weight: int) -> BitWord:
     return BitWord(length, bits)
 
 
-def check_block_state(params: WomParams, header: BitWord, data, sides) -> tuple[tuple, tuple]:
+def check_block_state(params: WomParams, r, data, sides) -> tuple[tuple, tuple]:
     """The checks of BlockState.__post_init__; returns data and sides as tuples."""
     data = tuple(data)
     sides = tuple(sides)
     p = params
-    if header.length != p.t:
-        raise ValueError(f"header has {header.length} bits, expected {p.t}")
-    r = header.bits.bit_length()
-    if header.bits != (1 << r) - 1:
-        raise ValueError(f"header 0b{header.bits:b} is not a unary round counter")
+    if not isinstance(r, int) or isinstance(r, bool) or r < 0 or r > p.t:
+        raise ValueError(f"round {r!r} is not an int in 0..{p.t}")
     if len(data) != p.m or any(d.length != p.n for d in data):
         raise ValueError(f"expected {p.m} data words of {p.n} bits")
     if len(sides) != p.t - 1 or any(s.length != 2 * p.n for s in sides):
@@ -101,11 +100,9 @@ def _hex_to_bits(text: str, length: int) -> int:
     nbytes = (length + 7) // 8
     if len(text) != 2 * nbytes:
         raise MalformedImage(f"expected {2 * nbytes} hex digits for {length} bits, got {len(text)}")
-    try:
-        raw = bytes.fromhex(text)
-    except ValueError as exc:
-        raise MalformedImage(f"bad hex payload: {text!r}") from exc
-    bits = int.from_bytes(raw, "little")
+    if any(c not in "0123456789abcdef" for c in text):  # lower case only, as saved
+        raise MalformedImage(f"bad hex payload: {text!r}")
+    bits = int.from_bytes(bytes.fromhex(text), "little")
     if bits >> length:
         raise MalformedImage("padding bits beyond the region length are set")
     return bits
@@ -188,7 +185,7 @@ def states_to_memory(states: Sequence[BlockState]) -> BitWord:
     memory = 0
     for i, state in enumerate(states):
         base = i * p.n0
-        memory |= state.header.bits << base
+        memory |= ((1 << state.round) - 1) << base  # the round as a unary header
         for d, word in enumerate(state.data):
             memory |= word.bits << (base + p.data_offset(d))
         for s, word in enumerate(state.sides):
@@ -205,9 +202,12 @@ def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
         base = i * p.n0
         grab = lambda off, length: BitWord(length, (memory.bits >> (base + off)) & ((1 << length) - 1))
         try:
+            header = grab(0, p.t).bits
+            if header != (1 << header.bit_length()) - 1:
+                raise ValueError(f"header 0b{header:b} is not a unary round counter")
             state = BlockState(
                 params=p,
-                header=grab(0, p.t),
+                round=header.bit_length(),
                 data=tuple(grab(p.data_offset(d), p.n) for d in range(p.m)),
                 sides=tuple(grab(p.side_offset(s), 2 * p.n) for s in range(p.t - 1)),
             )
@@ -299,6 +299,16 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
     round_ = _parse_int(reader.take("round"), "round")
     if not 0 <= round_ <= params.t:
         raise MalformedImage(f"round {round_} out of range 0..{params.t}")
+    # only the text save_image writes for these values: one image, one text
+    written = [
+        f"t={t} n={values['n']} m={values['m']} l={values['l']}",
+        "k=" + ",".join(str(kj) for kj in k),
+        "p=" + ",".join(f"{x.numerator}/{x.denominator}" for x in p_entries),
+        f"round={round_}",
+    ]
+    for line, want in zip(reader.lines[1:5], written):
+        if line != want:
+            raise MalformedImage(f"expected {want!r}, found {line!r}")
 
     delimited = reader.peek() is not None and reader.peek().startswith("block=")
     memory = 0
@@ -307,9 +317,9 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
         if delimited:
             if reader.peek() is None:
                 break
-            label = _parse_int(reader.take("block"), "block index")
-            if label != block:
-                raise MalformedImage(f"expected block={block}, found block={label}")
+            if reader.peek() != f"block={block}":  # the exact label only
+                raise MalformedImage(f"expected block={block}, found {reader.peek()!r}")
+            reader.pos += 1
         base = block * params.n0
         header = _hex_to_bits(reader.take("header"), params.t)
         if header != (1 << round_) - 1:

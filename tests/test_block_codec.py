@@ -48,10 +48,18 @@ def test_fresh_state():
 
 
 def test_header_must_be_unary():
+    """A state holds its round as an int in 0..t; in memory a block's header must be unary."""
+    from womkit.full_codec import FullParams, memory_to_states
+
     params = params_t2()
     state = BlockState.fresh(params)
-    with pytest.raises(ValueError):
-        BlockState(params, BitWord(2, 0b10), state.data, state.sides)
+    for r in (-1, params.t + 1, True, 1.0):
+        with pytest.raises(ValueError, match=rf"^round {r!r} is not an int in 0\.\.2$"):
+            BlockState(params, r, state.data, state.sides)
+    full = FullParams(params, 3)
+    memory = BitWord(full.N1, 0b10 << params.n0)  # block 1's header 0b10, round 0 words
+    with pytest.raises(ValueError, match=r"^block 1: header 0b10 is not a unary round counter$"):
+        memory_to_states(memory, full)
 
 
 def test_block_state_checks_match_oracle():
@@ -76,15 +84,15 @@ def test_block_state_checks_match_oracle():
     for params in (params_t2(), params_t3()):
         t, n, m = params.t, params.n, params.m
         data, sides = [BitWord(n, 1)] * m, [BitWord(2 * n, 3)] * (t - 1)
-        headers = [BitWord(t, h) for h in range(1 << t)] + [BitWord(t + 1, 1), BitWord(t - 1, 0)]
+        rounds = list(range(-1, t + 2)) + [True, False, 1.0, BitWord(t, 1)]
         datas = [data, data[:-1], data + data[:1], data[:-1] + [BitWord(n + 1, 0)], [BitWord(n - 1, 0)] + data[1:], []]
         sideses = [sides, sides + [BitWord(2 * n, 0)], [BitWord(n, 0)] * (t - 1), sides[:-1] + [BitWord(2 * n + 1, 0)]]
-        for header in headers:
+        for r in rounds:
             for d in datas:
                 for s in sideses:
                     for box in containers:
-                        got = outcome(library, params, header, box(d), box(s))
-                        assert got == outcome(oracle.check_block_state, params, header, box(d), box(s))
+                        got = outcome(library, params, r, box(d), box(s))
+                        assert got == outcome(oracle.check_block_state, params, r, box(d), box(s))
 
 
 def test_encode_round1_colex_first():
@@ -230,7 +238,7 @@ def test_side_blocks_written_per_round():
     history, _ = full_session(params, 99)
     assert history[1].sides == (BitWord.zeros(24), BitWord.zeros(24))
     assert history[2].sides[1].bits == 0
-    assert history[3].header.bits == 0b111
+    assert history[3].round == 3
 
 
 def test_sequencing_errors():

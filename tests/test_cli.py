@@ -465,6 +465,32 @@ def test_a_side_word_set_in_block_1_is_refused_by_write_and_read(tmp_path, capsy
     assert run(capsys, "read", "--img", str(img)) == write
 
 
+# Text that parses to a saved image's values but is not the text save_image
+# writes: write and read refuse it alike, so a loaded image re-saves unchanged.
+NON_CANONICAL = [
+    ("round=0", "round=+0"), ("t=2 n=10 m=4 l=2", "t=2 n=1_0 m=4 l=2"), ("k=7", "k= 7"),
+    ("p=1/3,1/2", "p=+1/3,1/2"), ("p=1/3,1/2", "p=2/6,1/2"), ("block=1", "block=01"),
+    ("block=1", "block=+1"), ("t=2 n=10 m=4 l=2", "t=2  n=10 m=4 l=2"),
+]
+
+
+@pytest.mark.parametrize("line,altered", NON_CANONICAL, ids=[case[1] for case in NON_CANONICAL])
+def test_write_and_read_refuse_image_text_save_image_never_writes(tmp_path, capsys, line, altered):
+    img = tmp_path / "text.wom"
+    init_image(capsys, img, blocks=2)
+    image = img.read_bytes()
+    body = image[: image.rfind(b"crc32=")].replace(f"\n{line}\n".encode(), f"\n{altered}\n".encode(), 1)
+    assert body != image[: image.rfind(b"crc32=")]
+    img.write_bytes(body + f"crc32={crc32(body):08x}\n".encode())
+    before = img.read_bytes()
+    expected = line if line.startswith("block=") else repr(line)
+    msg = write_hex(tmp_path / "r1.hex", "a1b2c3d4e5f6")
+    write = run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)
+    assert write == (2, "", f"error: expected {expected}, found {altered!r}\n")
+    assert img.read_bytes() == before
+    assert run(capsys, "read", "--img", str(img)) == write
+
+
 def test_corrupted_image_is_usage_error(tmp_path, capsys):
     img = tmp_path / "c.wom"
     init_image(capsys, img)

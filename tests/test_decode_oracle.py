@@ -48,25 +48,25 @@ def random_block(rnd, params, j):
     for s in range(j - 1):
         b = rnd.getrandbits(params.k[s] - params.l)
         sides[s] = BitWord(2 * n, rnd.getrandbits(n) | b << n)
-    return BitWord(params.t, (1 << j) - 1), tuple(data), tuple(sides)
+    return j, tuple(data), tuple(sides)
 
 
 def variants(rnd, params, block, j):
     """The block's fields, then each way the oracle can reject them."""
     p = params
-    header, data, sides = block
+    r, data, sides = block
     yield block
     over = data
     weights = [w for w in range(p.n + 1) if (w != p.budgets[0] if j == 1 else w > p.budgets[j - 1])]
     if weights:
         i = rnd.randrange(p.m)
         over = data[:i] + (random_word(rnd, p.n, rnd.choice(weights)),) + data[i + 1 :]
-        yield header, over, sides
+        yield r, over, sides
     out_len = p.k[j - 2] - p.l if j > 1 else p.n
     if out_len < p.n:
         for base in (data, over):
             wide = sides[j - 2].bits | 1 << (p.n + rnd.randint(out_len, p.n - 1))
-            yield header, base, sides[: j - 2] + (BitWord(2 * p.n, wide),) + sides[j - 1 :]
+            yield r, base, sides[: j - 2] + (BitWord(2 * p.n, wide),) + sides[j - 1 :]
 
 
 def library_outcome(params, fields, j):

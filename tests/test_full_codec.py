@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from womkit.bitwords import BitWord
+from womkit.bitwords import BitWord, _split_fields
 from womkit.block_codec import BlockState, NoEncoding, RoundMessage, decode_round, encode_round, encode_round1
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import (
@@ -203,9 +203,8 @@ def test_codec_built_states_equal_checked_ones(params):
                 states = full_encode_round(states, pack_messages(stream, j, full))
             except NoEncoding:
                 break
-            header = BitWord(params.t, (1 << j) - 1)
             for state in states:
-                assert state == BlockState(params, header, list(state.data), list(state.sides))
+                assert state == BlockState(params, j, list(state.data), list(state.sides))
                 assert type(state.data) is tuple and type(state.sides) is tuple
             memory = states_to_memory(states)
             assert memory_to_states(memory, full) == oracle.memory_to_states(memory, full) == states
@@ -227,16 +226,18 @@ def test_codec_built_states_equal_checked_ones(params):
     assert kinds == {"ok", "raised"}
 
 
-def test_round1_blocks_share_one_header_word():
+def test_blocks_hold_their_round_and_memory_writes_it_unary():
     full = full_t2(1000)
     states = full_encode_round([BlockState.fresh(full.block)] * 1000,
                                pack_messages(random_stream(full.round_capacity(1), random.Random(62)), 1, full))
-    assert len({id(state.header) for state in states}) == 1
-    assert states[0].header == BitWord(2, 0b01)
-    after = full_encode_round(states[:3], pack_messages(random_stream(full.round_capacity(2), random.Random(63)), 2,
-                                                        FullParams(full.block, 3)))
-    assert len({id(state.header) for state in after}) == 1
-    assert after[0].header == BitWord(2, 0b11)
+    assert {state.round for state in states} == {1}
+    headers = {bits & 0b11 for bits in _split_fields(states_to_memory(states).bits, full.block.n0, full.n1)}
+    assert headers == {0b01}
+    few = FullParams(full.block, 3)
+    msgs = pack_messages(random_stream(few.round_capacity(2), random.Random(63)), 2, few)
+    after = full_encode_round(states[:3], msgs)
+    assert {state.round for state in after} == {2}
+    assert {bits & 0b11 for bits in _split_fields(states_to_memory(after).bits, few.block.n0, few.n1)} == {0b11}
 
 
 def test_states_to_memory_compares_params_by_value():

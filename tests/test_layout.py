@@ -8,6 +8,7 @@ exception type and message on every error path.
 
 import dataclasses
 import random
+import re
 import tracemalloc
 from binascii import crc32
 from fractions import Fraction
@@ -205,6 +206,14 @@ def image_mutations(image: bytes):
         lambda line: line.replace(b"n=", b"x=", 1),
         lambda line: line.split(b"=")[0] + b"=",
         lambda line: b"block=" + line,
+        # text that parses to the saved values, as `round=+0`, `block=01`,
+        # `k= 7`, `n=1_0`, `p=2/6,1/2` and upper case hex
+        lambda line: line.replace(b"=", b"=+", 1),
+        lambda line: line.replace(b"=", b"=0", 1),
+        lambda line: line.replace(b"=", b"= ", 1),
+        lambda line: re.sub(rb"=(\d)(\d)", rb"=\1_\2", line, count=1),
+        lambda line: re.sub(rb"=(\d+)/(\d+)", lambda m: b"=%d/%d" % (2 * int(m[1]), 2 * int(m[2])), line, count=1),
+        lambda line: line.partition(b"=")[0] + b"=" + line.partition(b"=")[2].upper(),
     ]
     for i in range(1, len(lines)):
         yield with_crc(b"\n".join(lines[:i] + lines[i + 1 :]) + b"\n")  # line dropped
@@ -229,6 +238,8 @@ def test_load_image_error_paths_match(t, n1):
     for altered in image_mutations(image):
         got = same("load_image", altered)
         kinds.add(got[1] if got[0] == "raised" else "ok")
+        if got[0] == "ok":  # only the text save_image writes loads
+            assert wom_device.save_image(*got[1]) == altered
     assert {wom_device.BadMagic, wom_device.TruncatedImage, wom_device.ChecksumMismatch,
             wom_device.MalformedImage} <= kinds
 
@@ -336,21 +347,21 @@ def test_memory_to_states_matches_oracle_after_every_round(params, n1):
         assert [decode_round(state, j) for state in states] == msgs
 
 
-# When every block has one header, `memory_to_states` checks probe states that
-# hold each distinct word instead of the blocks, if that takes fewer states.
-# That rests on `check_block` being the conjunction of its word tests, and it
-# must still name the first faulty block with the per-block text.
+# When every block has one unary header, `memory_to_states` tests each
+# distinct word once instead of checking the blocks. That rests on
+# `check_block` being the conjunction of its word tests, and it must still
+# name the first faulty block with the per-block text.
 
-def block_words(params: WomParams, bits: int) -> tuple[BitWord, tuple, tuple]:
-    """The header, data words and side words of one block's bits."""
+def block_words(params: WomParams, bits: int) -> tuple[tuple, tuple]:
+    """The data words and side words of one block's bits."""
     cut = lambda offset, length: BitWord(length, bits >> offset & ((1 << length) - 1))
-    return (cut(0, params.t), tuple(cut(params.data_offset(i), params.n) for i in range(params.m)),
+    return (tuple(cut(params.data_offset(i), params.n) for i in range(params.m)),
             tuple(cut(params.side_offset(s), 2 * params.n) for s in range(params.t - 1)))
 
 
-def passes(params: WomParams, header: BitWord, data: tuple, sides: tuple) -> bool:
+def passes(params: WomParams, r: int, data: tuple, sides: tuple) -> bool:
     try:
-        check_block(_built_state(params, header, data, sides))
+        check_block(_built_state(params, r, data, sides))
     except ValueError:
         return False
     return True
@@ -362,19 +373,19 @@ def test_check_block_is_the_conjunction_of_its_word_tests():
     for _ in range(150):
         params = random_params(rnd, rnd.randint(1, 3))
         r = rnd.randint(0, params.t)
-        header, valid_data, valid_sides = block_words(params, writable_block(rnd, params, r))
-        assert passes(params, header, valid_data, valid_sides)
+        valid_data, valid_sides = block_words(params, writable_block(rnd, params, r))
+        assert passes(params, r, valid_data, valid_sides)
         # each word from another writable block or from random bits
-        _, good_data, good_sides = block_words(params, writable_block(rnd, params, r))
-        _, any_data, any_sides = block_words(params, rnd.getrandbits(params.n0))
+        good_data, good_sides = block_words(params, writable_block(rnd, params, r))
+        any_data, any_sides = block_words(params, rnd.getrandbits(params.n0))
         data = tuple(rnd.choice(pair) for pair in zip(good_data, any_data))
         sides = tuple(rnd.choice(pair) for pair in zip(good_sides, any_sides))
-        alone = [passes(params, header, valid_data[:i] + (d,) + valid_data[i + 1 :], valid_sides)
+        alone = [passes(params, r, valid_data[:i] + (d,) + valid_data[i + 1 :], valid_sides)
                  for i, d in enumerate(data)]
-        alone += [passes(params, header, valid_data, valid_sides[:s] + (w,) + valid_sides[s + 1 :])
+        alone += [passes(params, r, valid_data, valid_sides[:s] + (w,) + valid_sides[s + 1 :])
                   for s, w in enumerate(sides)]
-        verdict = passes(params, header, data, sides)
-        assert verdict == all(alone), (params, header, data, sides)
+        verdict = passes(params, r, data, sides)
+        assert verdict == all(alone), (params, r, data, sides)
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -411,16 +422,22 @@ def faulty_blocks(rnd: random.Random, params: WomParams, r: int, blocks: list[in
         b = rnd.randrange(1 << p.payload_bits(s + 2), 1 << p.n)
         side = blocks[index] | b << (p.side_offset(s) + p.n)
         yield "b too wide", blocks[:index] + [side] + blocks[index + 1 :], index
+    if p.t > 1:  # a header that is no 2^r - 1
+        header = with_word(blocks[index], 0, p.t, rnd.choice([h for h in range(1 << p.t) if h & (h + 1)]))
+        yield "header not unary", blocks[:index] + [header] + blocks[index + 1 :], index
 
 
 def test_memory_to_states_matches_oracle_on_shared_and_faulty_words():
     rnd = random.Random(53)
-    kinds = {}
+    kinds, all_distinct = {}, 0
     for _ in range(60):
         params = random_params(rnd, rnd.randint(1, 3))
         r = rnd.randint(0, params.t)
-        pool = [writable_block(rnd, params, r) for _ in range(rnd.randint(1, 4))]
-        blocks = [rnd.choice(pool) for _ in range(rnd.randint(2, 12))]
+        count = rnd.randint(2, 12)
+        # a small pool repeats words; a pool of `count` blocks is the whole image
+        pool = [writable_block(rnd, params, r) for _ in range(rnd.choice((rnd.randint(1, 4), count)))]
+        blocks = pool if len(pool) == count else [rnd.choice(pool) for _ in range(count)]
+        all_distinct += len(set(blocks)) == count
         full = FullParams(params, len(blocks))
         assert same("memory_to_states", BitWord(full.N1, _join_fields(blocks, params.n0)), full)[0] == "ok"
         for what, changed, first in faulty_blocks(rnd, params, r, blocks):
@@ -430,7 +447,7 @@ def test_memory_to_states_matches_oracle_on_shared_and_faulty_words():
             else:
                 assert got[:2] == ("raised", ValueError) and got[2].startswith(f"block {first}: "), (what, got)
             kinds[what] = kinds.get(what, 0) + 1
-    assert len(kinds) == 6 and min(kinds.values()) >= 10, kinds
+    assert len(kinds) == 7 and min(kinds.values()) >= 10 and all_distinct >= 10, (kinds, all_distinct)
 
 
 def per_block_round1(states, msgs):
@@ -440,7 +457,7 @@ def per_block_round1(states, msgs):
 def oracle_round1(states, msgs):
     """Round-1 states with every word unranked by the oracle."""
     return [
-        BlockState(s.params, BitWord(s.params.t, 1),
+        BlockState(s.params, 1,
                    tuple(oracle.subset_unrank(r, s.params.n, s.params.budgets[0]) for r in msg.payload), s.sides)
         for s, msg in zip(states, msgs)
     ]
@@ -519,8 +536,8 @@ def test_load_image_with_repeated_lines_matches_oracle():
     for source in data0:
         for target in data1:
             assert same("load_image", replaced(image, target, lines[source]))[0] == "raised"
-    # a repeated line altered at its second occurrence only: every edit but
-    # upper case (which bytes.fromhex reads as the same value) is an error
+    # a repeated line altered at its second occurrence only: every edit is an
+    # error, upper case too, which bytes.fromhex reads as the same value
     edits = {
         "extra digit": lambda line: line + b"0",
         "bad digit": lambda line: line[:-1] + b"g",
@@ -535,7 +552,7 @@ def test_load_image_with_repeated_lines_matches_oracle():
             if edit(line) != line:
                 kinds.setdefault(kind, set()).add(same("load_image", replaced(image, i, edit(line)))[0])
     assert kinds == {"extra digit": {"raised"}, "bad digit": {"raised"}, "padding bit": {"raised"},
-                     "upper case": {"ok"}}
-    # block labels: canonical, non-canonical but equal, and wrong
+                     "upper case": {"raised"}}
+    # block labels: canonical, non-canonical but equal (refused), and wrong
     for label in (b"block=1", b"block=01", b"block=+1", b"block= 1", b"block=2", b"block=x", b"blok=1"):
         same("load_image", replaced(image, lines.index(b"block=1"), label))

@@ -58,7 +58,7 @@ def test_random_params_read_back_every_round_through_the_whole_pipeline():
                 refused += 1
                 break
             for state in new_states:
-                assert state == BlockState(params, state.header, list(state.data), list(state.sides))
+                assert state == BlockState(params, state.round, list(state.data), list(state.sides))
             image = save_image(apply_write(dev, states_to_memory(new_states)), params, j)
             dev, _, current = load_image(image)
             got = [decode_round(state, current) for state in memory_to_states(dev.cells, full)]

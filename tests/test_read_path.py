@@ -120,7 +120,7 @@ def distinct_image(params, n1, j, rnd):
         written = tuple(fresh(sides, lambda s=s: rnd.getrandbits(n) | rnd.getrandbits(params.k[s] - params.l) << n)
                         for s in range(j - 1))
         zeros = (BitWord(2 * n, 0),) * (params.t - j)
-        states.append(BlockState(params, BitWord(params.t, (1 << j) - 1), words, written + zeros))
+        states.append(BlockState(params, j, words, written + zeros))
     return states
 
 
