@@ -14,18 +14,20 @@ from math import comb
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BitWord:
     """length coordinates stored as an integer mask (bit i = coordinate i)."""
 
     length: int
     bits: int
 
-    def __post_init__(self):
-        if self.length < 0:
+    def __init__(self, length: int, bits: int):
+        if length < 0:
             raise ValueError("length must be nonnegative")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for length {self.length}")
+        if not 0 <= bits < (1 << length):
+            raise ValueError(f"bits 0x{bits:x} out of range for length {length}")
+        _set_length(self, length)
+        _set_bits(self, bits)
 
     @property
     def weight(self) -> int:
@@ -51,6 +53,10 @@ class BitWord:
     @classmethod
     def zeros(cls, length: int) -> "BitWord":
         return cls(length, 0)
+
+
+# The slots' own setters: the frozen dataclass's __setattr__ refuses to assign.
+_set_length, _set_bits = (BitWord.__dict__[name].__set__ for name in ("length", "bits"))
 
 
 def dominates(y: BitWord, w: BitWord) -> bool:

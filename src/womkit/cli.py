@@ -169,21 +169,9 @@ def cmd_init(args) -> int:
         raise ValueError(f"--blocks must be at least 1, got {args.blocks}")
     if os.path.exists(args.out) and not args.force:
         raise ValueError(f"{args.out} already exists (use --force to overwrite)")
-    manual = [name for name in ("n", "m", "l", "k", "p") if getattr(args, name) is not None]
-    if args.epsilon is not None and manual:
-        raise ValueError(f"--epsilon and manual parameters (--{manual[0]}) are exclusive")
-    if args.epsilon is not None:
-        rates, densities = optimal_point(args.t)
-        params = derive_parameters(args.epsilon, args.t, rates, densities)
-        if not params.desk_executable:
-            raise ValueError(
-                f"derived n={params.n} exceeds the searchable field width; "
-                "pass manual desk-scale parameters instead"
-            )
-    else:
-        params = _manual_params(args)
-        if not params.desk_executable:
-            raise ValueError(f"n={params.n} is outside the searchable field width 2..24")
+    params = _manual_params(args)
+    if not params.desk_executable:
+        raise ValueError(f"n={params.n} is outside the searchable field width 2..24")
     dev = Device.fresh(args.blocks * params.n0)
     # Overwriting takes the image's lock: a writer that holds it would later
     # rename its own image over this one.
@@ -311,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("init", help="create a fresh all-zero image")
     p.add_argument("--out", required=True, help="image path to create")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--epsilon", type=float, help="derive parameters instead of giving them")
     p.add_argument("--n", type=int, help="data word bits")
     p.add_argument("--m", type=int, help="data words per block")
     p.add_argument("--l", type=int, help="hash output slack")

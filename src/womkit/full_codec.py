@@ -15,9 +15,8 @@ which `bitwords` ranks and unranks through a cache. So `memory_to_states`
 builds one state per distinct block, through `block_codec._built_state`,
 and one word per distinct word. It cuts each slot as one column over the
 distinct blocks, through one word table for the data words and one per
-side slot. A table masks every key to its slot's length, so it skips
-`BitWord`'s range check.
-States and words are immutable, so sharing them is invisible to callers.
+side slot. States and words are immutable, so sharing them is invisible to
+callers.
 
 A memory loads only if every block has a unary header and passes
 `block_codec.check_block`. Past the header, its verdict is the conjunction
@@ -26,8 +25,6 @@ unary header `memory_to_states` runs those tests once over each distinct
 data word and each distinct word of each side slot. When headers differ
 or a word fails, it checks the distinct blocks in order, which names the
 first faulty one.
-`pack_messages` builds its messages through `block_codec._built_message`,
-which skips `RoundMessage`'s check: the round was checked by `payload_bits`.
 """
 
 from __future__ import annotations
@@ -38,9 +35,7 @@ from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WomParams
-from .block_codec import (
-    BlockState, RoundMessage, _built_message, _built_state, _check_words, check_block, encode_round,
-)
+from .block_codec import BlockState, RoundMessage, _built_state, _check_words, check_block, encode_round
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +90,7 @@ def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMess
     values = _split_fields(stream.bits, width, params.n1 * params.block.m)
     if j != 1:
         values = [BitWord(width, value) for value in values]
-    return [_built_message(j, payload) for payload in zip(*[iter(values)] * params.block.m)]
+    return [RoundMessage(j, payload) for payload in zip(*[iter(values)] * params.block.m)]
 
 
 def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord:
@@ -163,9 +158,6 @@ def states_to_memory(states: Sequence[BlockState]) -> BitWord:
     return BitWord(len(states) * p.n0, _join_fields(blocks, p.n0))
 
 
-_set_length, _set_bits = (BitWord.__dict__[name].__set__ for name in ("length", "bits"))
-
-
 class _Words(dict):
     """Bits -> BitWord(length, bits) of one slot kind, built on first use."""
 
@@ -175,12 +167,7 @@ class _Words(dict):
         self.length = length
 
     def __missing__(self, bits: int) -> BitWord:
-        # BitWord(self.length, bits) without __post_init__: every key is cut
-        # to the table's length, so it is in range.
-        word = object.__new__(BitWord)
-        _set_length(word, self.length)
-        _set_bits(word, bits)
-        self[bits] = word
+        word = self[bits] = BitWord(self.length, bits)
         return word
 
 

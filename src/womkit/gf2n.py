@@ -44,42 +44,23 @@ def _mulmod(a: int, b: int, modulus: int, n: int) -> int:
     return acc
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(modulus: int) -> bool:
     """Whether a binary polynomial of degree >= 1 is irreducible over GF(2).
 
-    Uses the Frobenius criterion: f of degree n is irreducible iff
-    z^(2^n) = z mod f and gcd(z^(2^(n/p)) - z, f) = 1 for every prime p
-    dividing n.
+    Uses Ben-Or's test (Ben-Or 1981; Gao & Panario 1997): f of degree n is
+    irreducible iff gcd(z^(2^i) - z, f) = 1 for every i = 1..n/2, since a
+    reducible f has an irreducible factor of some degree i <= n/2, which
+    divides z^(2^i) - z.
     """
     n = modulus.bit_length() - 1
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if n == 1:
-        return True
-    if not modulus & 1:
-        return False  # divisible by z
-    checkpoints = {n // p for p in _prime_divisors(n)}
-    z = 0b10
-    power = z
-    for i in range(1, n + 1):
+    z = power = 0b10
+    for _ in range(n // 2):
         power = _mulmod(power, power, modulus, n)
-        if i in checkpoints and _poly_gcd(power ^ z, modulus) != 1:
+        if _poly_gcd(power ^ z, modulus) != 1:
             return False
-    return power == z
+    return True
 
 
 @lru_cache(maxsize=None)

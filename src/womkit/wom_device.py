@@ -15,10 +15,11 @@ Images are text files with LF newlines:
     crc32=<8 hex digits>       over every byte before this line
 
 Multi-block images repeat the header/data/side group once per block, each
-group preceded by a `block=<i>` line (single-block images omit the
-delimiter). Hex packs bits little-endian within bytes: bit index 0 is the
+group preceded by a `block=<i>` line (a single-block image has no such
+line). Hex packs bits little-endian within bytes: bit index 0 is the
 least significant bit of the first byte. The header is the block's round r
-as a t-bit unary counter, (1 << r) - 1. An image loads only in the text
+as a t-bit unary counter, (1 << r) - 1; `save_image` refuses any other
+header, so every image it writes loads. An image loads only in the text
 `save_image` writes (the lines of `_preamble`, exact block labels, lower
 case hex), so a loaded image saves back to the same bytes.
 
@@ -138,10 +139,14 @@ def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
         raise ValueError(
             f"device size {dev.cells.length} is not a positive multiple of block size {params.n0}"
         )
+    if type(round_) is not int:
+        raise ValueError(f"round {round_!r} is not an int")
     if not 0 <= round_ <= params.t:
         raise ValueError(f"round {round_} out of range 0..{params.t}")
     lines = [MAGIC.decode(), *_preamble(params, round_)]
-    # Each slot formats each distinct value once: slot -> {value: line}.
+    # Each slot formats each distinct value once: slot -> {value: line}. A
+    # header must be the unary counter of the round, as load_image requires.
+    header = (1 << round_) - 1
     slots = [(key, length, offset, (1 << length) - 1, {}) for key, length, offset in _slots(params)]
     for block, bits in enumerate(_split_fields(dev.cells.bits, params.n0, n1)):
         if n1 > 1:
@@ -150,6 +155,8 @@ def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
             value = bits >> offset & mask
             line = seen.get(value)
             if line is None:
+                if key == "header" and value != header:
+                    raise ValueError(f"block {block} header 0b{value:b} disagrees with round={round_}")
                 line = seen[value] = f"{key}=" + _bits_to_hex(value, length)
             lines.append(line)
     body = "\n".join(lines).encode() + b"\n"
@@ -232,7 +239,8 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
     header = (1 << round_) - 1
     slots = [(key + "=", length, offset, {}) for key, length, offset in _slots(params)]
     pos, end = 5, len(lines)
-    delimited = pos < end and lines[pos].startswith("block=")
+    # block= lines delimit two or more block groups; a one-block image has none.
+    delimited = end - pos > len(slots) + 1 and lines[pos].startswith("block=")
     blocks = []
     while True:
         if delimited:

@@ -8,14 +8,16 @@ and each builds, formats or parses every block and line anew. The library
 versions split and join fields through one byte string and share equal
 words, blocks and lines instead. The image helpers (`_LineReader`,
 `_hex_to_bits`, `_bits_to_hex`, `_parse_int`), `subset_rank`,
-`subset_unrank` and the checks of `BlockState.__post_init__` (the rule of
+`subset_unrank` and the checks of `BlockState(...)` (the rule of
 `block_codec.check_block`) are kept here in their own words, so the oracles
 do not follow the library's internals. `memory_to_states` checks each
 unary header, builds its states through the public constructor and names
-the first block it rejects. `load_image` takes only the text `save_image`
-writes: the same parameter and round lines, exact block labels and lower
-case hex. Tests require bit-identical results, byte-identical images and
-the same exceptions from both.
+the first block it rejects. `save_image` refuses a round that is no int and
+a block header that is not the round's unary counter. `load_image` takes
+only the text `save_image` writes: the same parameter and round lines,
+exact block labels (none in a one-block image) and lower case hex. Tests
+require bit-identical results, byte-identical images and the same
+exceptions from both.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def subset_unrank(rank: int, length: int, weight: int) -> BitWord:
 
 
 def check_block_state(params: WomParams, r, data, sides) -> tuple[tuple, tuple]:
-    """The checks of BlockState.__post_init__; returns data and sides as tuples."""
+    """The checks of BlockState(...); returns data and sides as tuples."""
     data = tuple(data)
     sides = tuple(sides)
     p = params
@@ -223,6 +225,8 @@ def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
         raise ValueError(
             f"device size {dev.cells.length} is not a positive multiple of block size {params.n0}"
         )
+    if not isinstance(round_, int) or isinstance(round_, bool):
+        raise ValueError(f"round {round_!r} is not an int")
     if not 0 <= round_ <= params.t:
         raise ValueError(f"round {round_} out of range 0..{params.t}")
     lines = [
@@ -237,6 +241,9 @@ def save_image(dev: Device, params: WomParams, round_: int) -> bytes:
         if n1 > 1:
             lines.append(f"block={block}")
         base = block * params.n0
+        header = (memory >> base) & ((1 << params.t) - 1)
+        if header != (1 << round_) - 1:  # only images load_image takes
+            raise ValueError(f"block {block} header 0b{header:b} disagrees with round={round_}")
         region = lambda off, length: _bits_to_hex((memory >> (base + off)) & ((1 << length) - 1), length)
         lines.append("header=" + region(0, params.t))
         for i in range(params.m):
@@ -310,7 +317,9 @@ def load_image(data: bytes) -> tuple[Device, WomParams, int]:
         if line != want:
             raise MalformedImage(f"expected {want!r}, found {line!r}")
 
-    delimited = reader.peek() is not None and reader.peek().startswith("block=")
+    # a one-block image has no block= line: one labelled group is refused
+    group = params.m + params.t  # header, data and side lines
+    delimited = len(reader.lines) - reader.pos > group + 1 and reader.peek().startswith("block=")
     memory = 0
     block = 0
     while True:

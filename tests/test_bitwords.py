@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import comb
 
@@ -21,6 +22,17 @@ def test_bitword_validation():
     with pytest.raises(ValueError):
         BitWord(3, -1)
     assert BitWord(0, 0).weight == 0
+    # frozen, and a copy with a changed field is checked again
+    word = BitWord(3, 5)
+    for field, value in (("length", 4), ("bits", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(word, field, value)
+    assert word == BitWord(3, 5)
+    with pytest.raises(ValueError, match="^bits 0x8 out of range for length 3$"):
+        dataclasses.replace(word, bits=8)
+    with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        dataclasses.replace(word, length=-1)
+    assert dataclasses.replace(word, length=4) == BitWord(4, 5)
 
 
 def test_weight_and_support():

@@ -45,6 +45,15 @@ def test_fresh_state():
     assert state.round == 0
     assert all(d.bits == 0 for d in state.data)
     assert all(s.bits == 0 for s in state.sides)
+    # frozen, and a copy with a changed field is checked again
+    for field in ("params", "round", "data", "sides"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, field, getattr(state, field))
+    with pytest.raises(ValueError, match=f"^data word 0 has weight 0, expected round-1 weight {params.budgets[0]}$"):
+        dataclasses.replace(state, round=1)
+    with pytest.raises(ValueError, match=f"^expected {params.m} data words of {params.n} bits$"):
+        dataclasses.replace(state, data=state.data[1:])
+    assert dataclasses.replace(state, sides=list(state.sides)) == state
 
 
 def test_header_must_be_unary():

@@ -119,9 +119,8 @@ def test_layers_match_oracles(params, n1):
     _, states = same("memory_to_states", memory, full)
     assert same("states_to_memory", states) == ("ok", memory)
     for round_ in range(params.t + 1):
-        # headers of mixed rounds: the first one off the round line raises
-        _, image = same("save_image", Device(memory), params, round_)
-        same("load_image", image)
+        # headers of mixed rounds: save_image names the first block off the round line
+        same("save_image", Device(memory), params, round_)
         dev = Device(with_headers(memory, full, round_))
         _, image = same("save_image", dev, params, round_)
         assert (b"\nblock=" in image) == (n1 > 1)
@@ -176,6 +175,9 @@ def test_state_memory_error_paths_match():
     same("save_image", Device.fresh(0), params, 0)
     same("save_image", dev, params, params.t + 1)
     same("save_image", dev, params, -1)
+    same("save_image", dev, params, True)
+    same("save_image", dev, params, 1.0)
+    same("save_image", Device.fresh(full.N1), params, params.t)  # headers 0 under round t
 
 
 def with_crc(body: bytes) -> bytes:
@@ -222,6 +224,7 @@ def image_mutations(image: bytes):
             changed = edit(lines[i])
             if changed != lines[i]:
                 yield with_crc(b"\n".join(lines[:i] + [changed] + lines[i + 1 :]) + b"\n")
+    yield with_crc(b"\n".join(lines[:5] + [b"block=0"] + lines[5:]) + b"\n")  # a label in any image
     yield with_crc(body + b"block=9\n")
     yield with_crc(body + b"extra\n")
 

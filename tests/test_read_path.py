@@ -7,11 +7,12 @@ rounds 2 and 3 hold no two equal data words and no two equal written side
 words, so every such lookup misses. States are compared with
 `layout_oracle`, messages with `decode_oracle` and streams with
 `layout_oracle`, over shapes with t = 1 (no side slot) and m = 1. The
-messages the codec builds without `RoundMessage.__post_init__` must equal
-the ones the public constructor builds, and `unpack_messages` must raise
-what the oracle raises on every error path.
+messages the codec builds must equal, with the same hash and entry types,
+the ones the public constructor builds from a list, and `unpack_messages`
+must raise what the oracle raises on every error path.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -100,6 +101,13 @@ def test_codec_built_messages_equal_constructed_ones(params, n1):
             assert msg.round == j and len(msg.payload) == params.m
             entry = int if j == 1 else BitWord
             assert all(type(value) is entry for value in msg.payload)
+        # frozen, and a copy with a changed field is checked again
+        for field in ("round", "payload"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(msg, field, getattr(msg, field))
+        with pytest.raises(ValueError, match="^rounds are numbered from 1$"):
+            dataclasses.replace(msg, round=0)
+        assert type(dataclasses.replace(msg, payload=list(msg.payload)).payload) is tuple
 
 
 def distinct_image(params, n1, j, rnd):

@@ -239,8 +239,18 @@ def test_save_image_validates_geometry():
     params = params_t2()
     with pytest.raises(ValueError):
         save_image(Device.fresh(params.n0 + 1), params, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^round 3 out of range 0\.\.2$"):
         save_image(Device.fresh(params.n0), params, 3)
+    # what load_image would refuse is not saved: a round that is no int, or a
+    # header that is not the round's unary counter
+    for round_ in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^round {round_} is not an int$"):
+            save_image(Device.fresh(params.n0), params, round_)
+    with pytest.raises(ValueError, match=r"^block 0 header 0b0 disagrees with round=2$"):
+        save_image(Device.fresh(params.n0), params, 2)
+    headers = BitWord(3 * params.n0, 1 | 0b11 << params.n0 | 1 << 2 * params.n0)
+    with pytest.raises(ValueError, match=r"^block 1 header 0b11 disagrees with round=1$"):
+        save_image(Device(headers), params, 1)
 
 
 def params_t3():
