@@ -227,6 +227,17 @@ def image_mutations(image: bytes):
     yield with_crc(b"\n".join(lines[:5] + [b"block=0"] + lines[5:]) + b"\n")  # a label in any image
     yield with_crc(body + b"block=9\n")
     yield with_crc(body + b"extra\n")
+    # stream boundaries: the image cut after each line of its last block group
+    # (from its label on), an empty line before the trailer, a label with no
+    # group after it, and a one-block image one line longer than its group
+    labels = [i for i, line in enumerate(lines) if line.startswith(b"block=")]
+    n1 = max(len(labels), 1)
+    for i in range(labels[-1] if labels else 5, len(lines)):
+        yield with_crc(b"\n".join(lines[: i + 1]) + b"\n")
+    yield with_crc(body + b"\n")
+    yield with_crc(body + b"block=%d\n" % n1)
+    if n1 == 1:
+        yield with_crc(body + lines[-1] + b"\n")
 
 
 @pytest.mark.parametrize("t,n1", [(1, 1), (2, 1), (2, 3), (3, 2)])
@@ -559,3 +570,23 @@ def test_load_image_with_repeated_lines_matches_oracle():
     # block labels: canonical, non-canonical but equal (refused), and wrong
     for label in (b"block=1", b"block=01", b"block=+1", b"block= 1", b"block=2", b"block=x", b"blok=1"):
         same("load_image", replaced(image, lines.index(b"block=1"), label))
+
+
+def test_load_image_transient_is_within_one_and_a_half_images():
+    # Loading streams the lines of the caller's bytes: it keeps a memo entry per
+    # distinct line and slot and an int per block, and no text copy of the image.
+    full = FullParams(BULK, 2000)
+    needed = full.round_capacity(1)
+    msgs = full_codec.pack_messages(BitWord(needed, random.Random(54).getrandbits(needed)), 1, full)
+    states = full_encode_round(full_codec.memory_to_states(BitWord(full.N1, 0), full), msgs)
+    image = wom_device.save_image(Device(full_codec.states_to_memory(states)), BULK, 1)
+    wom_device.load_image(image)  # warm lazy caches before measuring
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = wom_device.load_image(image)
+        transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert wom_device.save_image(*loaded) == image
+    assert transient <= 1.5 * len(image), (transient, len(image))
