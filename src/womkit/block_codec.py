@@ -17,9 +17,9 @@ witnesses. Decoding re-applies the current round's map with one
 ranks the subsets.
 
 All states are immutable; encoders return new states that dominate their
-inputs coordinatewise. `check_block` is the one rule for which blocks the
-codec could have written, and `_check_words` holds its per-word tests. The
-public `BlockState(...)` runs it, so a `BlockState` is such a block by its
+inputs coordinatewise. `check_block` is the one budget rule a block must
+keep, and `_check_words` holds its per-word tests. The public
+`BlockState(...)` runs it, so a `BlockState` keeps the rule by its
 type. The codec builds the states it writes through `_built_state`, which
 skips the check: `check_block` costs about four times the rest of a
 construction. Every message and word goes through its checked constructor.
@@ -116,10 +116,12 @@ def _built_state(params: WomParams, round_: int, data: tuple, sides: tuple) -> B
 
 
 def check_block(state: BlockState) -> None:
-    """Raise ValueError unless some sequence of rounds could have written this block.
+    """Raise ValueError unless the block keeps the budget rule of its round.
 
     The round is an int r in 0..t; there are m data words of n bits and
-    t - 1 side words of 2n bits, which `_check_words` then tests.
+    t - 1 side words of 2n bits. After round r >= 1 each data word weighs
+    B_1 to B_r, exactly B_1 at r = 1. This is a budget rule, not the set
+    of blocks this codec reaches. `_check_words` holds the word tests.
     """
     p = state.params
     r = state.round
@@ -135,18 +137,20 @@ def check_block(state: BlockState) -> None:
 def _check_words(p: WomParams, r: int, data: Iterable[int], sides: Iterable[Iterable[int]]) -> None:
     """Raise ValueError unless every data word, and every word of side slot s in sides[s], fits round r.
 
-    After round r every data word has weight at most B_r (no cell at r = 0),
-    and exactly B_1 at r = 1. Each written side word a | b << n has
-    b < 2^(k_j - l), and each unwritten one is zero. Each test reads one word
-    and r, so a block passes `check_block` exactly when each of its words
-    passes here; `memory_to_states` relies on this.
+    Data words keep `check_block`'s weight rule, and at r = 0 none is set.
+    A written side word a | b << n has b < 2^(k_j - l); an unwritten one is
+    zero. Each test reads one word and r, so a block passes `check_block`
+    exactly when each of its words passes here; `memory_to_states` relies on it.
     """
     n = p.n
     budget = p.budgets[r - 1] if r else 0
+    floor = p.budgets[0] if r >= 2 else 0
     for i, bits in enumerate(data):
         weight = bits.bit_count()
         if r == 1 and weight != budget:
             raise ValueError(f"data word {i} has weight {weight}, expected round-1 weight {budget}")
+        if weight < floor:
+            raise ValueError(f"data word {i} has weight {weight}, below round-1 weight {floor}")
         if weight > budget:
             raise ValueError(f"data word {i} has weight {weight}, above round-{r} budget {budget}")
     for s, words in enumerate(sides):

@@ -17,7 +17,6 @@ from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from math import ceil
 
-from . import selftest
 from .bitwords import BitWord
 from .block_codec import BlockState, NoEncoding, SequencingError, decode_round, in_guaranteed_regime
 from .capacity import (
@@ -48,10 +47,6 @@ EXIT_NOTHING_WRITTEN = 3
 EXIT_SEQUENCING = 4
 EXIT_NO_ENCODING = 5
 EXIT_WRITE_ONCE = 6
-
-
-class NothingWritten(Exception):
-    """Read was requested on an image with no completed rounds."""
 
 
 def _fail(message: str) -> None:
@@ -234,7 +229,8 @@ def cmd_write(args) -> int:
 def cmd_read(args) -> int:
     _, full, current, states = _load_session(args.img)
     if current == 0:
-        raise NothingWritten("image holds no written rounds yet")
+        _fail("image holds no written rounds yet")
+        return EXIT_NOTHING_WRITTEN
     j = current if args.round is None else args.round
     if j != current:
         raise ValueError(f"only the most recent round ({current}) is decodable")
@@ -276,6 +272,8 @@ def cmd_audit_hash(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # only this command runs the suite, so only it compiles it
+
     numbers = _parse_ints("--only", args.only) if args.only else None
     results = selftest.run_all(numbers)
     for result in results:
@@ -343,9 +341,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NothingWritten as exc:
-        _fail(str(exc))
-        return EXIT_NOTHING_WRITTEN
     except SequencingError as exc:
         _fail(str(exc))
         return EXIT_SEQUENCING

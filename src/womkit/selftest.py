@@ -1,9 +1,13 @@
 """Built-in acceptance checks, runnable from the CLI (`womkit selftest`).
 
-Each criterion is a self-contained check with fixed seeds; together they
-exercise capacity arithmetic, both end-to-end codecs, the exhaustive hash
-audits, the guaranteed search regime, parameter derivation, the field and
-combinatorics layers, persistence, and determinism.
+`CRITERIA` maps each number to its name and check. A check has fixed seeds
+and returns its PASS detail, or fails through `_require`, which raises even
+under `python -O`. `run_criterion` makes a failed check FAIL with its detail
+and a crashed one FAIL with the exception's repr, so every requested
+criterion prints its line. Together the checks exercise capacity arithmetic,
+both end-to-end codecs, the exhaustive hash audits, the guaranteed search
+regime, parameter derivation, the field and combinatorics layers,
+persistence, and determinism.
 """
 
 from __future__ import annotations
@@ -48,6 +52,15 @@ class CriterionResult:
         return f"criterion_{self.number}={status} ({self.name}: {self.detail})"
 
 
+class CheckFailed(Exception):
+    """A criterion's property does not hold; the message is its FAIL detail."""
+
+
+def _require(ok: bool, detail: str) -> None:
+    if not ok:
+        raise CheckFailed(detail)
+
+
 def params_t2() -> WomParams:
     """Desk-scale two-round configuration used across the checks."""
     return WomParams(t=2, n=10, m=4, l=2, k=(7,), p=WeightVector([Fraction(1, 3), Fraction(1, 2)]))
@@ -72,7 +85,7 @@ def _random_message(params: WomParams, j: int, rnd: random.Random) -> RoundMessa
 def _run_sessions(params: WomParams, seed: int, count: int) -> list[bytes]:
     """Full encode/decode sessions through the write-once device.
 
-    Raises AssertionError on any decode mismatch or budget overrun; a
+    Raises CheckFailed on any decode mismatch or budget overrun; a
     WriteOnceViolation propagates from the device layer. Returns the final
     image bytes of every session (they capture the chosen coefficients).
     """
@@ -86,71 +99,63 @@ def _run_sessions(params: WomParams, seed: int, count: int) -> list[bytes]:
             previous = states_to_memory([state])
             state = encode_round(state, msg)
             flat = states_to_memory([state])
-            assert dominates(flat, previous), "encode produced a non-dominating state"
+            _require(dominates(flat, previous), "encode produced a non-dominating state")
             dev = apply_write(dev, flat)
-            budget = params.budgets[j - 1]
-            assert all(d.weight <= budget for d in state.data), f"round {j} budget exceeded"
-            assert decode_round(state, j) == msg, f"round {j} decode mismatch"
+            _require(all(d.weight <= params.budgets[j - 1] for d in state.data), f"round {j} budget exceeded")
+            _require(decode_round(state, j) == msg, f"round {j} decode mismatch")
         images.append(save_image(dev, params, params.t))
     return images
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> str:
     """Optimal rate points sum to log2(t+1) and lie in the region."""
     worst = 0.0
     for t in range(1, 11):
         rates, densities = optimal_point(t)
         worst = max(worst, abs(rates.total - log2(t + 1)))
-        if not in_capacity_region(rates, densities):
-            return CriterionResult(1, "capacity arithmetic", False, f"optimal point t={t} outside region")
-    ok = worst <= 1e-9
-    return CriterionResult(1, "capacity arithmetic", ok, f"max |sum - log2(t+1)| = {worst:.3g}")
+        _require(in_capacity_region(rates, densities), f"optimal point t={t} outside region")
+    detail = f"max |sum - log2(t+1)| = {worst:.3g}"
+    _require(worst <= 1e-9, detail)
+    return detail
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> str:
     """100 two-round sessions round-trip on the strict device."""
-    try:
-        _run_sessions(params_t2(), seed=0x2C0DE, count=100)
-    except Exception as exc:
-        return CriterionResult(2, "t=2 end-to-end", False, repr(exc))
-    return CriterionResult(2, "t=2 end-to-end", True, "100 sessions, all rounds decoded, no violations")
+    _run_sessions(params_t2(), seed=0x2C0DE, count=100)
+    return "100 sessions, all rounds decoded, no violations"
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> str:
     """50 three-round sessions round-trip on the strict device."""
-    try:
-        _run_sessions(params_t3(), seed=0x3C0DE, count=50)
-    except Exception as exc:
-        return CriterionResult(3, "t=3 end-to-end", False, repr(exc))
-    return CriterionResult(3, "t=3 end-to-end", True, "50 sessions, all rounds decoded, no violations")
+    _run_sessions(params_t3(), seed=0x3C0DE, count=50)
+    return "50 sessions, all rounds decoded, no violations"
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> str:
     """Exhaustive image audit at n=8, k=6, l=4 stays within the 2^-1 bound."""
     rnd = random.Random(0xA0D17)
     sets = [rnd.sample(range(1 << 8), 1 << 6) for _ in range(10)]
     worst = image_fraction_audit(8, 6, 4, sets)
-    ok = worst <= 0.5
-    return CriterionResult(4, "small-image fraction audit", ok, f"worst fraction {worst:.6f} vs bound 0.5")
+    detail = f"worst fraction {worst:.6f} vs bound 0.5"
+    _require(worst <= 0.5, detail)
+    return detail
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> str:
     """Exact output distance from uniform stays within 2^(-l/2)."""
     rnd = random.Random(0x11D157)
-    checks = []
-    checks.append((lhl_exact_distance(4, 4, 2, range(16)), 0.5, "n=4 full cube"))
+    checks = [(lhl_exact_distance(4, 4, 2, range(16)), 0.5, "n=4 full cube")]
     for i in range(5):
         d = lhl_exact_distance(6, 4, 2, rnd.sample(range(64), 16))
         checks.append((d, 0.5, f"n=6 sample {i}"))
     checks.append((lhl_exact_distance(4, 4, 4, range(16)), 0.0, "l=k degenerate"))
     for value, bound, label in checks:
-        if value > bound:
-            return CriterionResult(5, "exact distance audit", False, f"{label}: {value} > {bound}")
+        _require(value <= bound, f"{label}: {value} > {bound}")
     worst = max(v for v, _, _ in checks[:-1])
-    return CriterionResult(5, "exact distance audit", True, f"worst distance {worst:.6f}, degenerate = 0")
+    return f"worst distance {worst:.6f}, degenerate = 0"
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> str:
     """200 guaranteed-regime searches all succeed with valid witnesses."""
     rnd = random.Random(0x6C0DE)
     families = [
@@ -167,38 +172,28 @@ def criterion_6() -> CriterionResult:
                 weight = rnd.randint(0, params.budgets[0])
                 ws.append(BitWord.from_support(rnd.sample(range(params.n), weight), params.n))
             xs = [BitWord(out_len, rnd.getrandbits(out_len)) for _ in range(params.m)]
-            if not in_guaranteed_regime(params, 2, ws):
-                return CriterionResult(6, "guaranteed-regime search", False, "instance left the regime")
-            try:
-                a, b, ys = search_block_encoding(params, 2, ws, xs)
-            except Exception as exc:
-                return CriterionResult(6, "guaranteed-regime search", False, f"search failed: {exc!r}")
+            _require(in_guaranteed_regime(params, 2, ws), "instance left the regime")
+            a, b, ys = search_block_encoding(params, 2, ws, xs)
             budget = params.budgets[1]
             for w, x, y in zip(ws, xs, ys):
-                if not (dominates(y, w) and y.weight <= budget and hash_apply(a, b, out_len, y) == x):
-                    return CriterionResult(6, "guaranteed-regime search", False, "witness check failed")
+                _require(dominates(y, w) and y.weight <= budget and hash_apply(a, b, out_len, y) == x,
+                         "witness check failed")
             ran += 1
-    return CriterionResult(6, "guaranteed-regime search", True, f"{ran} instances, all found valid encodings")
+    return f"{ran} instances, all found valid encodings"
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> str:
     """Derived parameters at eps=0.5, t=2 match the closed forms."""
     rates, densities = optimal_point(2)
     params = derive_parameters(0.5, 2, rates, densities)
-    if (params.c, params.n) != (40, 320):
-        return CriterionResult(7, "parameter formulas", False, f"got c={params.c}, n={params.n}")
+    _require((params.c, params.n) == (40, 320), f"got c={params.c}, n={params.n}")
     rate = achieved_rate(params)
     floor_rate = log2(3) - 0.5
-    if rate < floor_rate:
-        return CriterionResult(7, "parameter formulas", False, f"rate {rate:.4f} below {floor_rate:.4f}")
+    _require(rate >= floor_rate, f"rate {rate:.4f} below {floor_rate:.4f}")
     occupancy = params.m * params.n / params.n0
     needed = 1 - 0.5 / (3 * 2)
-    if not occupancy > needed:
-        return CriterionResult(7, "parameter formulas", False, f"occupancy {occupancy:.6f} <= {needed:.6f}")
-    return CriterionResult(
-        7, "parameter formulas", True,
-        f"c=40 n=320 rate={rate:.4f} >= {floor_rate:.4f}, occupancy {occupancy:.4f} > {needed:.4f}",
-    )
+    _require(occupancy > needed, f"occupancy {occupancy:.6f} <= {needed:.6f}")
+    return f"c=40 n=320 rate={rate:.4f} >= {floor_rate:.4f}, occupancy {occupancy:.4f} > {needed:.4f}"
 
 
 def _check_field_axioms(n: int, samples: int, rnd: random.Random) -> None:
@@ -212,48 +207,44 @@ def _check_field_axioms(n: int, samples: int, rnd: random.Random) -> None:
         x = rnd.randrange(order)
         y = rnd.randrange(order)
         z = rnd.randrange(order)
-        assert mul(x, y) == mul(y, x)
-        assert mul(mul(x, y), z) == mul(x, mul(y, z))
-        assert mul(x, y ^ z) == mul(x, y) ^ mul(x, z)
+        _require(
+            mul(x, y) == mul(y, x) and mul(mul(x, y), z) == mul(x, mul(y, z))
+            and mul(x, y ^ z) == mul(x, y) ^ mul(x, z),
+            f"field axioms failed for 0x{x:x}, 0x{y:x}, 0x{z:x} at n={n}",
+        )
         if x:
             # x^(2^n - 1) by square-and-multiply over the all-ones exponent
             acc = x
             for _ in range(n - 1):
                 acc = mul(mul(acc, acc), x)
-            assert acc == 1, f"Fermat failed for 0x{x:x} at n={n}"
+            _require(acc == 1, f"Fermat failed for 0x{x:x} at n={n}")
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> str:
     """Field axioms, Fermat, combinadics, and superset enumeration."""
     rnd = random.Random(0x8C0DE)
-    try:
-        for n in (3, 8, 12, 16):
-            _check_field_axioms(n, 10_000, rnd)
-        for weight in range(5):
-            for rank in range(comb(16, weight)):
-                word = subset_unrank(rank, 16, weight)
-                assert word.weight == weight and subset_rank(word, weight) == rank
-        for length in (4, 6, 8, 14):
-            words = (
-                [BitWord(length, v) for v in range(1 << length)]
-                if length <= 8
-                else [BitWord(length, rnd.getrandbits(length)) for _ in range(6)]
-            )
-            for w in words:
-                for max_weight in (w.weight, (w.weight + length) // 2, length):
-                    got = list(enumerate_above(w, max_weight))
-                    expect = [
-                        v for v in range(1 << length)
-                        if v & w.bits == w.bits and v.bit_count() <= max_weight
-                    ]
-                    assert got == expect, f"enumerate_above mismatch at len={length}"
-    except AssertionError as exc:
-        return CriterionResult(8, "field and combinatorics suites", False, str(exc))
-    return CriterionResult(8, "field and combinatorics suites", True,
-                           "axioms+Fermat at n=3,8,12,16; colex bijection len 16; enumeration vs filter")
+    for n in (3, 8, 12, 16):
+        _check_field_axioms(n, 10_000, rnd)
+    for weight in range(5):
+        for rank in range(comb(16, weight)):
+            word = subset_unrank(rank, 16, weight)
+            _require(word.weight == weight and subset_rank(word, weight) == rank,
+                     f"colex bijection failed at weight {weight}, rank {rank}")
+    for length in (4, 6, 8, 14):
+        words = (
+            [BitWord(length, v) for v in range(1 << length)]
+            if length <= 8
+            else [BitWord(length, rnd.getrandbits(length)) for _ in range(6)]
+        )
+        for w in words:
+            for max_weight in (w.weight, (w.weight + length) // 2, length):
+                got = list(enumerate_above(w, max_weight))
+                expect = [v for v in range(1 << length) if v & w.bits == w.bits and v.bit_count() <= max_weight]
+                _require(got == expect, f"enumerate_above mismatch at len={length}")
+    return "axioms+Fermat at n=3,8,12,16; colex bijection len 16; enumeration vs filter"
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> str:
     """Images round-trip bit-exactly, reject corruption, and resume cleanly."""
     params = params_t2()
     rnd = random.Random(0x9C0DE)
@@ -263,17 +254,16 @@ def criterion_9() -> CriterionResult:
     image = save_image(dev, params, 1)
 
     loaded_dev, loaded_params, loaded_round = load_image(image)
-    if (loaded_dev.cells, loaded_params, loaded_round) != (dev.cells, params, 1):
-        return CriterionResult(9, "persistence", False, "save/load round trip is not bit-exact")
-    if save_image(loaded_dev, loaded_params, loaded_round) != image:
-        return CriterionResult(9, "persistence", False, "re-serialized image differs")
+    _require((loaded_dev.cells, loaded_params, loaded_round) == (dev.cells, params, 1),
+             "save/load round trip is not bit-exact")
+    _require(save_image(loaded_dev, loaded_params, loaded_round) == image, "re-serialized image differs")
 
     corrupt = bytearray(image)
     pos = image.index(b"data0=") + len(b"data0=")
     corrupt[pos] = ord("f") if corrupt[pos] != ord("f") else ord("0")
     try:
         load_image(bytes(corrupt))
-        return CriterionResult(9, "persistence", False, "corrupted image was accepted")
+        raise CheckFailed("corrupted image was accepted")
     except ChecksumMismatch:
         pass
 
@@ -281,43 +271,50 @@ def criterion_9() -> CriterionResult:
     direct = apply_write(dev, states_to_memory([encode_round(state, msg2)]))
     resumed_state = memory_to_states(loaded_dev.cells, FullParams(loaded_params, 1))[0]
     resumed = apply_write(loaded_dev, states_to_memory([encode_round(resumed_state, msg2)]))
-    if save_image(direct, params, 2) != save_image(resumed, loaded_params, 2):
-        return CriterionResult(9, "persistence", False, "resumed session diverged")
-    return CriterionResult(9, "persistence", True, "round trip, corruption detection, resume identical")
+    _require(save_image(direct, params, 2) == save_image(resumed, loaded_params, 2), "resumed session diverged")
+    return "round trip, corruption detection, resume identical"
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> str:
     """Re-running the end-to-end sessions reproduces byte-identical images."""
     first = _run_sessions(params_t2(), seed=0x2C0DE, count=100)
     second = _run_sessions(params_t2(), seed=0x2C0DE, count=100)
-    if first != second:
-        return CriterionResult(10, "determinism", False, "t=2 images differ between runs")
+    _require(first == second, "t=2 images differ between runs")
     first = _run_sessions(params_t3(), seed=0x3C0DE, count=50)
     second = _run_sessions(params_t3(), seed=0x3C0DE, count=50)
-    if first != second:
-        return CriterionResult(10, "determinism", False, "t=3 images differ between runs")
-    return CriterionResult(10, "determinism", True, "byte-identical images, coefficients included")
+    _require(first == second, "t=3 images differ between runs")
+    return "byte-identical images, coefficients included"
 
 
 CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
+    1: ("capacity arithmetic", criterion_1),
+    2: ("t=2 end-to-end", criterion_2),
+    3: ("t=3 end-to-end", criterion_3),
+    4: ("small-image fraction audit", criterion_4),
+    5: ("exact distance audit", criterion_5),
+    6: ("guaranteed-regime search", criterion_6),
+    7: ("parameter formulas", criterion_7),
+    8: ("field and combinatorics suites", criterion_8),
+    9: ("persistence", criterion_9),
+    10: ("determinism", criterion_10),
 }
 
 
+def run_criterion(number: int) -> CriterionResult:
+    """Run one criterion's check; whatever it raises becomes its FAIL line."""
+    name, check = CRITERIA[number]
+    try:
+        passed, detail = True, check()
+    except CheckFailed as exc:
+        passed, detail = False, str(exc)
+    except Exception as exc:  # a crash fails this criterion, not the rest of the suite
+        passed, detail = False, repr(exc)
+    return CriterionResult(number, name, passed, detail)
+
+
 def run_all(numbers=None) -> list[CriterionResult]:
-    chosen = sorted(CRITERIA) if numbers is None else sorted(numbers)
-    out = []
+    chosen = sorted(CRITERIA if numbers is None else numbers)
     for number in chosen:
         if number not in CRITERIA:
             raise ValueError(f"unknown criterion {number}")
-        out.append(CRITERIA[number]())
-    return out
+    return [run_criterion(number) for number in chosen]

@@ -30,6 +30,8 @@ def decode_round(state: BlockState, j: int) -> RoundMessage:
         return RoundMessage(1, tuple([subset_rank(d, b1) for d in state.data]))
     budget = p.budgets[j - 1]
     for i, d in enumerate(state.data):
+        if d.weight < p.budgets[0]:  # round 1 wrote B_1 cells, and later rounds only add
+            raise ValueError(f"data word {i} has weight {d.weight}, below round-1 weight {p.budgets[0]}")
         if d.weight > budget:
             raise ValueError(f"data word {i} has weight {d.weight}, above round-{j} budget {budget}")
     side = state.sides[j - 2].bits

@@ -76,11 +76,14 @@ def check_block_state(params: WomParams, r, data, sides) -> tuple[tuple, tuple]:
         raise ValueError(f"expected {p.m} data words of {p.n} bits")
     if len(sides) != p.t - 1 or any(s.length != 2 * p.n for s in sides):
         raise ValueError(f"expected {p.t - 1} side words of {2 * p.n} bits")
-    # after round r: weight B_1 exactly at r = 1, at most B_r later, none at r = 0
+    # after round r: weight B_1 exactly at r = 1, none at r = 0; later rounds only
+    # set cells, so from r = 2 on a word keeps at least B_1 and spends at most B_r
     limit = (0,) + p.budgets
     for i, d in enumerate(data):
         if r == 1 and d.weight != limit[1]:
             raise ValueError(f"data word {i} has weight {d.weight}, expected round-1 weight {limit[1]}")
+        if r >= 2 and d.weight < limit[1]:
+            raise ValueError(f"data word {i} has weight {d.weight}, below round-1 weight {limit[1]}")
         if d.weight > limit[r]:
             raise ValueError(f"data word {i} has weight {d.weight}, above round-{r} budget {limit[r]}")
     # side word s holds round s + 2's map a | b << n

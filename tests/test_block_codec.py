@@ -71,6 +71,13 @@ def test_header_must_be_unary():
         memory_to_states(memory, full)
 
 
+def test_round_two_block_with_an_empty_data_word_is_refused():
+    """Round 1 writes every data word at weight B_1 and later rounds only set cells."""
+    params = params_t2()
+    with pytest.raises(ValueError, match="^data word 0 has weight 0, below round-1 weight 3$"):
+        BlockState(params, 2, [BitWord(10, 0)] * 4, [BitWord(20, 5)])
+
+
 def test_block_state_checks_match_oracle():
     """Every check and message of BlockState, and tuple-typed fields, for any container."""
     import layout_oracle as oracle
@@ -334,6 +341,11 @@ def test_block_state_rejects_words_the_encoder_cannot_write():
             over |= ~over & (over + 1)  # the lowest clear cell
         with pytest.raises(ValueError, match=f"^data word 1 has weight {budget + 1}, above round-{j} budget {budget}$"):
             dataclasses.replace(state, data=(state.data[0], BitWord(params.n, over)) + state.data[2:])
+        # a data word one cell under B_1: round 1 wrote B_1 cells, and later rounds only set cells
+        b1 = params.budgets[0]
+        under = BitWord.from_support(range(b1 - 1), params.n)
+        with pytest.raises(ValueError, match=f"^data word 1 has weight {b1 - 1}, below round-1 weight {b1}$"):
+            dataclasses.replace(state, data=(state.data[0], under) + state.data[2:])
         # the top bit b may use is fine; one bit above it is not
         side = state.sides[j - 2].bits
         for bit, ok in ((out_len - 1, True), (out_len, False), (params.n - 1, False)):

@@ -1,10 +1,14 @@
 import fcntl
 import os
 import random
+import subprocess
+import sys
 from binascii import crc32
+from pathlib import Path
 
 import pytest
 
+from womkit import selftest
 from womkit.cli import main
 
 
@@ -438,6 +442,21 @@ def test_write_and_read_refuse_a_block_the_codec_cannot_write(tmp_path, capsys, 
     assert run(capsys, "read", "--img", str(img)) == write
 
 
+def test_write_and_read_refuse_a_round2_data_word_below_round1_weight(tmp_path, capsys):
+    # round 1 writes weight B_1 = 3 and round 2 only sets cells, so data0 cannot be empty after round 2
+    img = tmp_path / "floor.wom"
+    init_image(capsys, img)
+    for j, payload in ((1, "a1b2c3"), (2, "0d0e0f")):
+        msg = write_hex(tmp_path / f"r{j}.hex", payload)
+        assert run(capsys, "write", "--img", str(img), "--round", str(j), "--in", msg)[0] == 0
+    set_line(img, "data0", "0000")
+    before = img.read_bytes()
+    write = run(capsys, "write", "--img", str(img), "--round", "2", "--in", str(tmp_path / "r2.hex"))
+    assert write == (2, "", "error: block 0: data word 0 has weight 0, below round-1 weight 3\n")
+    assert img.read_bytes() == before
+    assert run(capsys, "read", "--img", str(img)) == write
+
+
 def test_a_fault_in_a_later_block_names_that_block(tmp_path, capsys):
     img = tmp_path / "blocks.wom"
     init_image(capsys, img, blocks=4)
@@ -563,3 +582,52 @@ def test_selftest_names_a_bad_criterion_list(capsys):
     code, out, err = run(capsys, "selftest", "--only", "x")
     assert code == 2
     assert (out, err) == ("", "error: --only must be comma-separated integers, got 'x'\n")
+
+
+def test_selftest_a_crashing_criterion_fails_alone(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("session crashed")
+
+    monkeypatch.setattr(selftest, "_run_sessions", crash)
+    code, out, err = run(capsys, "selftest", "--only", "1,7,10")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line.partition("=")[0] for line in lines] == ["criterion_1", "criterion_7", "criterion_10"]
+    assert lines[0].startswith("criterion_1=PASS (") and lines[1].startswith("criterion_7=PASS (")
+    assert lines[2] == "criterion_10=FAIL (determinism: RuntimeError('session crashed'))"
+
+
+def test_selftest_a_value_error_in_a_check_is_its_fail_line(capsys, monkeypatch):
+    def bad_image(data):
+        raise ValueError("bad image")
+
+    monkeypatch.setattr(selftest, "load_image", bad_image)
+    assert run(capsys, "selftest", "--only", "9") == (
+        1, "criterion_9=FAIL (persistence: ValueError('bad image'))\n", "")
+
+
+def test_selftest_refuses_an_unknown_criterion_before_any_runs(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(selftest, "_run_sessions", lambda *args, **kwargs: calls.append(args))
+    assert run(capsys, "selftest", "--only", "2,99") == (2, "", "error: unknown criterion 99\n")
+    assert calls == []
+
+
+def python(*args):
+    """Run a fresh interpreter on womkit from this checkout, writing no bytecode."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_selftest_checks_hold_under_python_O():
+    # -O strips assert statements: a field multiply that always returns 0 must still fail criterion 8
+    done = python("-O", "-c", "import sys; from womkit import cli, selftest; "
+                              "selftest.mul_bits = lambda modulus, x, y: 0; "
+                              "sys.exit(cli.main(['selftest', '--only', '8']))")
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.startswith("criterion_8=FAIL (field and combinatorics suites: Fermat failed for 0x")
+
+
+def test_importing_the_cli_leaves_the_selftest_suite_unloaded():
+    done = python("-c", "import sys, womkit.cli; print('womkit.selftest' in sys.modules)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

@@ -2,10 +2,10 @@
 
 Blocks are random t = 2 and t = 3 states at every field width n = 2..24,
 plus n = 1 and n = 25, which no field covers, in every round. Each holds
-what the encoder writes: data words within the round's budget (exactly B_1
-in round 1), earlier side words whose b fits their round's hash output, and
-zero side words for rounds not yet written. Variants put one data word off
-its budget, a too-wide b in the current side word, or both. The library
+what the encoder writes: data words of weight B_1 to B_j (exactly B_1 in
+round 1), earlier side words whose b fits their round's hash output, and
+zero side words for rounds not yet written. Variants put one data word
+outside B_1..B_j, a too-wide b in the current side word, or both. The library
 builds each variant through `BlockState(...)`, which rejects the block
 before any decode, and the oracle decodes the same fields unchecked. Both
 must return equal messages, or raise the same exception type with the same
@@ -43,7 +43,7 @@ def random_word(rnd, n, weight):
 def random_block(rnd, params, j):
     """The fields of a round-j block the encoder could have written."""
     n, budget = params.n, params.budgets[j - 1]
-    data = [random_word(rnd, n, budget if j == 1 else rnd.randint(0, budget)) for _ in range(params.m)]
+    data = [random_word(rnd, n, rnd.randint(params.budgets[0], budget)) for _ in range(params.m)]
     sides = [BitWord(2 * n, 0)] * (params.t - 1)
     for s in range(j - 1):
         b = rnd.getrandbits(params.k[s] - params.l)
@@ -57,7 +57,7 @@ def variants(rnd, params, block, j):
     r, data, sides = block
     yield block
     over = data
-    weights = [w for w in range(p.n + 1) if (w != p.budgets[0] if j == 1 else w > p.budgets[j - 1])]
+    weights = [w for w in range(p.n + 1) if not p.budgets[0] <= w <= p.budgets[j - 1]]
     if weights:
         i = rnd.randrange(p.m)
         over = data[:i] + (random_word(rnd, p.n, rnd.choice(weights)),) + data[i + 1 :]

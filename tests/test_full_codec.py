@@ -152,12 +152,12 @@ def test_block_independence_under_targeted_corruption():
         loaded_dev, loaded_params, _ = load_image(body + f"crc32={crc32(body):08x}\n".encode())
         return memory_to_states(loaded_dev.cells, FullParams(loaded_params, 2))
 
-    # the smallest in-budget word that decodes differently from the original
-    budget = full.block.budgets[1]
+    # the smallest word within B_1..B_2 that decodes differently from the original
+    floor, budget = full.block.budgets
     original = states[1].data[0]
     side = states[1].sides[0].bits
     a, b = side & 0x3FF, side >> 10
-    replacement = next(y for y in range(1 << 10) if y.bit_count() <= budget
+    replacement = next(y for y in range(1 << 10) if floor <= y.bit_count() <= budget
                        and hash_apply(a, b, 5, BitWord(10, y)) != hash_apply(a, b, 5, original))
     new_states = with_block1_data0(replacement)
     assert decode_round(new_states[0], 2) == decode_round(states[0], 2)  # block 0 untouched

@@ -72,9 +72,10 @@ def shapes():
 def writable_block(rnd: random.Random, params: WomParams, round_: int) -> int:
     """A block the codec could have written in round_ rounds, random in every cell it may set."""
     budget = params.budgets[round_ - 1] if round_ else 0
+    floor = params.budgets[0] if round_ else 0  # rounds after the first only set cells
     bits = (1 << round_) - 1
     for i in range(params.m):
-        weight = budget if round_ == 1 else rnd.randint(0, budget)
+        weight = rnd.randint(floor, budget)
         bits |= sum(1 << c for c in rnd.sample(range(params.n), weight)) << params.data_offset(i)
     for s in range(round_ - 1):
         side = rnd.getrandbits(params.n) | rnd.getrandbits(params.payload_bits(s + 2)) << params.n
@@ -436,6 +437,10 @@ def faulty_blocks(rnd: random.Random, params: WomParams, r: int, blocks: list[in
         b = rnd.randrange(1 << p.payload_bits(s + 2), 1 << p.n)
         side = blocks[index] | b << (p.side_offset(s) + p.n)
         yield "b too wide", blocks[:index] + [side] + blocks[index + 1 :], index
+    if r >= 2 and p.budgets[0]:  # a data word lighter than round 1 wrote it
+        below = sum(1 << c for c in rnd.sample(range(p.n), rnd.randrange(p.budgets[0])))
+        below_block = with_word(blocks[index], p.data_offset(rnd.randrange(p.m)), p.n, below)
+        yield "data word below B_1", blocks[:index] + [below_block] + blocks[index + 1 :], index
     if p.t > 1:  # a header that is no 2^r - 1
         header = with_word(blocks[index], 0, p.t, rnd.choice([h for h in range(1 << p.t) if h & (h + 1)]))
         yield "header not unary", blocks[:index] + [header] + blocks[index + 1 :], index
@@ -461,7 +466,7 @@ def test_memory_to_states_matches_oracle_on_shared_and_faulty_words():
             else:
                 assert got[:2] == ("raised", ValueError) and got[2].startswith(f"block {first}: "), (what, got)
             kinds[what] = kinds.get(what, 0) + 1
-    assert len(kinds) == 7 and min(kinds.values()) >= 10 and all_distinct >= 10, (kinds, all_distinct)
+    assert len(kinds) == 8 and min(kinds.values()) >= 10 and all_distinct >= 10, (kinds, all_distinct)
 
 
 def per_block_round1(states, msgs):

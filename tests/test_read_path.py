@@ -112,7 +112,7 @@ def test_codec_built_messages_equal_constructed_ones(params, n1):
 
 def distinct_image(params, n1, j, rnd):
     """Round-j block states in which no two data words and no two written side words are equal."""
-    n, budget = params.n, params.budgets[j - 1]
+    n, floor, budget = params.n, params.budgets[0], params.budgets[j - 1]
     data, sides = set(), set()
 
     def fresh(pool, draw):
@@ -123,7 +123,7 @@ def distinct_image(params, n1, j, rnd):
 
     states = []
     for _ in range(n1):
-        words = tuple(fresh(data, lambda: sum(1 << c for c in rnd.sample(range(n), rnd.randint(0, budget))))
+        words = tuple(fresh(data, lambda: sum(1 << c for c in rnd.sample(range(n), rnd.randint(floor, budget))))
                       for _ in range(params.m))
         written = tuple(fresh(sides, lambda s=s: rnd.getrandbits(n) | rnd.getrandbits(params.k[s] - params.l) << n)
                         for s in range(j - 1))
@@ -136,7 +136,7 @@ def distinct_image(params, n1, j, rnd):
                          ids=[f"t{p.t}-m{p.m}-n{p.n}" for p, _ in SHAPES if p.t > 1])
 def test_read_steps_match_oracles_on_all_distinct_images(params, n1):
     rnd = random.Random(repr((params, "distinct")))
-    n1 = min(n1, 20)  # t = 2, m = 1, n = 6 has only 42 data words within B_2 = 3
+    n1 = min(n1, 20)  # t = 2, m = 1, n = 6 has only 41 data words of weight B_1 = 1 to B_2 = 3
     full = FullParams(params, n1)
     for j in range(2, params.t + 1):
         built = distinct_image(params, n1, j, rnd)
