@@ -22,6 +22,9 @@ class BitWord:
     bits: int
 
     def __init__(self, length: int, bits: int):
+        if type(length) is not int or type(bits) is not int:
+            field, value = ("bits", bits) if type(length) is int else ("length", length)
+            raise ValueError(f"{field} {value!r} is not an int")
         if length < 0:
             raise ValueError("length must be nonnegative")
         if not 0 <= bits < (1 << length):

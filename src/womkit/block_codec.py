@@ -62,6 +62,8 @@ class RoundMessage:
 
     def __init__(self, round: int, payload: Iterable):
         payload = tuple(payload)
+        if type(round) is not int:
+            raise ValueError(f"round {round!r} is not an int")
         if round < 1:
             raise ValueError("rounds are numbered from 1")
         _set_round(self, round)

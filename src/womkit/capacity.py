@@ -176,6 +176,10 @@ class WomParams:
     _budgets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        named = [("t", self.t), ("n", self.n), ("m", self.m), ("l", self.l)]
+        for name, value in named + [(f"k_{j}", kj) for j, kj in enumerate(self.k, 2)]:
+            if type(value) is not int:
+                raise ValueError(f"{name} {value!r} is not an int")
         if self.t < 1:
             raise ValueError("need at least one round")
         if self.n < 1:

@@ -196,9 +196,16 @@ def _read_message_file(path: str) -> BitWord:
     return BitWord(8 * len(raw), int.from_bytes(raw, "little"))
 
 
+def _decode_current(full: FullParams, states: list[BlockState], j: int) -> BitWord:
+    """The stream round j holds, through the checks `read` makes."""
+    return unpack_messages([decode_round(state, j) for state in states], full)
+
+
 def cmd_write(args) -> int:
     with _image_lock(args.img):
         dev, full, current, states = _load_session(args.img)
+        if current:  # refuse what read refuses: a round-1 rank wider than the stream carries
+            _decode_current(full, states, current)
         if args.blocks is not None and args.blocks != full.n1:
             raise ValueError(f"image holds {full.n1} block(s), not {args.blocks}")
         if not 1 <= args.round <= full.block.t:
@@ -234,8 +241,7 @@ def cmd_read(args) -> int:
     j = current if args.round is None else args.round
     if j != current:
         raise ValueError(f"only the most recent round ({current}) is decodable")
-    msgs = [decode_round(state, j) for state in states]
-    stream = unpack_messages(msgs, full)
+    stream = _decode_current(full, states, j)
     payload = stream.bits.to_bytes(ceil(stream.length / 8) if stream.length else 0, "little")
     print(f"round={j}")
     print(f"bits={stream.length}")

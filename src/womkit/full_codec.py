@@ -10,27 +10,26 @@ the flat device memory, where a block's round is its t-bit unary header.
 Splitting and joining never shift the whole stream or memory once per
 field: they convert it to bytes once and cut or glue fields eight at a time,
 so they cost time linear in the block count. An image holds few distinct
-blocks and words: round 1 draws every data word from C(n, B_1) subsets,
-which `bitwords` ranks and unranks through a cache. So `memory_to_states`
-builds one state per distinct block, through `block_codec._built_state`,
-and one word per distinct word. It cuts each slot as one column over the
-distinct blocks, through one word table for the data words and one per
-side slot. States and words are immutable, so sharing them is invisible to
-callers.
+blocks and words: round 1 draws every data word from C(n, B_1) subsets.
+So `memory_to_states` cuts each slot as one column of ints over the
+distinct blocks and builds one state per distinct block, through
+`block_codec._built_state`. Its word tables are plain dicts from bits to
+`BitWord`, one for the data words and one per side slot, so equal words
+are one object. States and words are immutable, so sharing them is
+invisible to callers.
 
 A memory loads only if every block has a unary header and passes
 `block_codec.check_block`. Past the header, its verdict is the conjunction
 of per-word tests under the block's round, so when all blocks share one
-unary header `memory_to_states` runs those tests once over each distinct
-data word and each distinct word of each side slot. When headers differ
-or a word fails, it checks the distinct blocks in order, which names the
-first faulty one.
+unary header `memory_to_states` runs those tests once over the keys of
+each word table. When headers differ or a word fails, it checks the
+distinct blocks in order, which names the first faulty one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
@@ -97,9 +96,9 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
     """Join per-block messages back into the bitstream pack_messages split.
 
     The payloads are flattened into one list and their width is checked
-    once, through max and min. Only a failed check, or an entry that is no
-    int, sends the entries through `_payload_values`, which checks them one
-    by one and names the first offending block and word.
+    once, through max and min. Any other case, a payload of the wrong length
+    or an entry that is no int included, takes one walk over the blocks in
+    order, which names the block and word of the first error.
     """
     if len(msgs) != params.n1:
         raise ValueError(f"{len(msgs)} messages for {params.n1} blocks")
@@ -111,30 +110,26 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
     width = params.block.payload_bits(j)
     entries = []
     for msg in msgs:
-        payload = msg.payload
-        if len(payload) != m:
-            _payload_values(entries, j, width, m)  # an earlier block's error comes first
-            raise ValueError(f"payload has {len(payload)} entries, expected {m}")
-        entries.extend(payload)
-    values = entries if j == 1 else [entry.bits for entry in entries]
-    try:
-        if not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
-            return BitWord(len(values) * width, _join_fields(values, width))
-    except TypeError:  # an entry that is no int
-        pass
-    values = _payload_values(entries, j, width, m)
-    return BitWord(len(values) * width, _join_fields(values, width))
-
-
-def _payload_values(entries: list, j: int, width: int, m: int) -> list[int]:
-    """The ints round j packs for these entries, m per block, each checked to fit in width bits."""
+        if len(msg.payload) != m:
+            break
+        entries.extend(msg.payload)
+    else:
+        values = entries if j == 1 else [entry.bits for entry in entries]
+        try:
+            if not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
+                return BitWord(len(values) * width, _join_fields(values, width))
+        except TypeError:  # an entry that is no int
+            pass
     values = []
-    for k, entry in enumerate(entries):
-        value = int(entry) if j == 1 else entry.bits
-        if value >> width:
-            raise ValueError(f"block {k // m} word {k % m}: payload value {value} does not fit in {width} bits")
-        values.append(value)
-    return values
+    for block, msg in enumerate(msgs):
+        if len(msg.payload) != m:
+            raise ValueError(f"payload has {len(msg.payload)} entries, expected {m}")
+        for word, entry in enumerate(msg.payload):
+            value = int(entry) if j == 1 else entry.bits
+            if value >> width:
+                raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")
+            values.append(value)
+    return BitWord(len(values) * width, _join_fields(values, width))
 
 
 def states_to_memory(states: Sequence[BlockState]) -> BitWord:
@@ -158,38 +153,27 @@ def states_to_memory(states: Sequence[BlockState]) -> BitWord:
     return BitWord(len(states) * p.n0, _join_fields(blocks, p.n0))
 
 
-class _Words(dict):
-    """Bits -> BitWord(length, bits) of one slot kind, built on first use."""
-
-    __slots__ = ("length",)
-
-    def __init__(self, length: int):
-        self.length = length
-
-    def __missing__(self, bits: int) -> BitWord:
-        word = self[bits] = BitWord(self.length, bits)
-        return word
-
-
 def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     """Slice flat device memory back into per-block states, sharing equal blocks and equal words.
 
-    A block whose header is no unary round counter, or that the codec could
-    not have written, raises ValueError prefixed with `block <i>: ` for the
-    first block i that holds it.
+    Each slot is one column of ints over the distinct blocks, read through a
+    dict of `BitWord`s. A block whose header is no unary round counter, or
+    that the codec could not have written, raises ValueError prefixed with
+    `block <i>: ` for the first block i that holds it.
     """
     if memory.length != params.N1:
         raise ValueError(f"memory has {memory.length} bits, expected {params.N1}")
     p = params.block
     blocks = list(_split_fields(memory.bits, p.n0, params.n1))
     distinct = list(dict.fromkeys(blocks))
-    datas = _Words(p.n)
-    sides = {p.side_offset(s): _Words(2 * p.n) for s in range(p.t - 1)}  # a word table per side slot
     header_mask, data_mask, side_mask = (1 << p.t) - 1, (1 << p.n) - 1, (1 << 2 * p.n) - 1
-    block_data = zip(*[[datas[bits >> offset & data_mask] for bits in distinct]
-                       for offset in map(p.data_offset, range(p.m))])
-    block_sides = zip(*[[slot[bits >> offset & side_mask] for bits in distinct]
-                        for offset, slot in sides.items()]) if sides else repeat(())
+    data_cols = [[bits >> at & data_mask for bits in distinct] for at in map(p.data_offset, range(p.m))]
+    side_cols = [[bits >> at & side_mask for bits in distinct] for at in map(p.side_offset, range(p.t - 1))]
+    datas = {bits: BitWord(p.n, bits) for bits in dict.fromkeys(chain(*data_cols))}
+    sides = [{bits: BitWord(2 * p.n, bits) for bits in dict.fromkeys(col)} for col in side_cols]  # one per slot
+    block_data = zip(*[map(datas.__getitem__, col) for col in data_cols])
+    block_sides = (zip(*[map(table.__getitem__, col) for table, col in zip(sides, side_cols)])
+                   if sides else repeat(()))
     headers = {bits & header_mask for bits in distinct}
     r = max(headers).bit_length()
     shared = headers == {(1 << r) - 1}  # one unary header
@@ -198,7 +182,7 @@ def memory_to_states(memory: BitWord, params: FullParams) -> list[BlockState]:
     try:
         if not shared:
             raise ValueError("headers differ or are not unary")
-        _check_words(p, r, datas, sides.values())
+        _check_words(p, r, datas, sides)
     except ValueError:  # check block by block, which names the first faulty one
         for bits, state in states.items():
             header = bits & header_mask

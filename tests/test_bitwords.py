@@ -35,6 +35,18 @@ def test_bitword_validation():
     assert dataclasses.replace(word, length=4) == BitWord(4, 5)
 
 
+@pytest.mark.parametrize("length,bits,message", [
+    (4, 1.0, "^bits 1.0 is not an int$"),
+    (4.0, 1, "^length 4.0 is not an int$"),
+    (4, True, "^bits True is not an int$"),
+    ("4", 1, "^length '4' is not an int$"),
+])
+def test_bitword_refuses_fields_that_are_no_int(length, bits, message):
+    # an int-valued float once made a word that equals BitWord(4, 1) but has no weight
+    with pytest.raises(ValueError, match=message):
+        BitWord(length, bits)
+
+
 def test_weight_and_support():
     w = BitWord.from_support([0, 2, 5], 6)
     assert w.bits == 0b100101

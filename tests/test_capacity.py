@@ -159,6 +159,23 @@ def test_params_validation():
         WomParams(**{**good, "p": WeightVector([Fraction(1, 2)])})
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("t", 2.0, "^t 2.0 is not an int$"),
+    ("n", 10.0, "^n 10.0 is not an int$"),
+    ("m", True, "^m True is not an int$"),
+    ("l", 2.0, "^l 2.0 is not an int$"),
+    ("k", (7.0,), "^k_2 7.0 is not an int$"),
+])
+def test_params_refuse_fields_that_are_no_int(field, value, message):
+    # n = 10.0 once constructed, and Device.fresh(params.n0) then raised TypeError
+    good = dict(t=2, n=10, m=4, l=2, k=(7,), p=WeightVector([Fraction(1, 3), Fraction(1, 2)]))
+    with pytest.raises(ValueError, match=message):
+        WomParams(**{**good, field: value})
+    three = dict(t=3, n=12, m=3, l=2, k=(7, 5.0), p=WeightVector([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
+    with pytest.raises(ValueError, match=r"^k_3 5.0 is not an int$"):
+        WomParams(**three)
+
+
 def test_round1_rank_bits():
     params = WomParams(t=2, n=10, m=4, l=2, k=(7,), p=WeightVector([Fraction(1, 3), Fraction(1, 2)]))
     assert params.round1_space == comb(10, 3) == 120

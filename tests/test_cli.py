@@ -379,6 +379,22 @@ def test_tampered_round1_rank_above_packed_width_names_the_block_and_word(tmp_pa
     assert (out, err) == ("", "error: block 1 word 0: payload value 100 does not fit in 6 bits\n")
 
 
+def test_write_refuses_a_round1_rank_above_packed_width_as_read_does(tmp_path, capsys):
+    # block 1's data0 is the weight-3 word of colex rank 100: the block rule takes any
+    # weight-3 word, but the stream carries 6-bit ranks, so read refuses the image
+    img = tmp_path / "rank.wom"
+    init_image(capsys, img, blocks=2)
+    assert run(capsys, "write", "--img", str(img), "--round", "1",
+               "--in", write_hex(tmp_path / "r1.hex", "a1b2c3" * 2))[0] == 0
+    set_line(img, "data0", "4202", block=1)
+    before = img.read_bytes()
+    write = run(capsys, "write", "--img", str(img), "--round", "2",
+                "--in", write_hex(tmp_path / "r2.hex", "0d0e0f1011"))
+    assert write == (2, "", "error: block 1 word 0: payload value 100 does not fit in 6 bits\n")
+    assert img.read_bytes() == before
+    assert run(capsys, "read", "--img", str(img)) == write
+
+
 def test_tampered_round3_earlier_side_word_is_rejected(tmp_path, capsys):
     img = tmp_path / "side.wom"
     code, _, err = run(capsys, "init", "--out", str(img), "--t", "3", "--n", "12", "--m", "3",

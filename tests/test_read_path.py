@@ -148,6 +148,12 @@ def test_read_steps_match_oracles_on_all_distinct_images(params, n1):
         assert unpack_messages(got, full) == layout_oracle.unpack_messages(got, full)
 
 
+@pytest.mark.parametrize("round_", [1.0, True, "1"])
+def test_round_message_refuses_a_round_that_is_no_int(round_):
+    with pytest.raises(ValueError, match=f"^round {round_!r} is not an int$"):
+        RoundMessage(round_, (0, 0, 0))
+
+
 def test_memory_to_states_matches_oracle_on_random_memory_for_t1_and_m1():
     from test_layout import writable_block
 
