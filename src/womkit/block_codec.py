@@ -7,11 +7,17 @@ t-bit unary header (`full_codec`), which the image format checks too
 a fixed-weight subset. Every later round j finds a single truncated affine
 map H, the int pair (a, b), and per-word replacements y_i >= w_i within
 the round's weight budget such that H(y_i) equals the i-th message, then
-stores a | b << n in side word j-2;
-`encode_round` writes any round. The search is a loop over ints:
-candidate words are masks, and per multiplier one `hashfam.hash_words`
-pass over each word's candidates yields both the targets and their
-witnesses. Decoding re-applies the current round's map with one
+stores a | b << n in side word j-2. `encode_round` writes any round into
+one block, `encode_blocks` round j >= 2 into many. Their search, `_search`,
+is one loop over ints for a list of blocks. For a = 0, 1, ... it builds
+each parameter set's rows once and tests every pending block in order:
+one `hashfam.hash_words` pass over a word's candidate masks, listed once
+per call, gives its table H_{a,0}(y) -> smallest y, and membership tests
+find the targets v with v ^ x_i in every table. A block retires at its
+least a, as if searched alone. Blocks of one parameter object that hold
+a word share its table until a ends; a block that shares none scans on
+alone. The lowest failing block's error wins, its NoEncoding or its
+check's. Decoding re-applies the current round's map with one
 `hash_words` call over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
 ranks the subsets.
@@ -27,6 +33,7 @@ construction. Every message and word goes through its checked constructor.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -198,86 +205,131 @@ def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bo
     return all(count_above(w, budget) >= (1 << kj) for w in ws)
 
 
-def search_block_encoding(
-    params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord]
-) -> tuple[int, int, list[BitWord]]:
-    """Find a map (a, b) and words y_i >= w_i of weight <= B_j with H(y_i) = x_i.
-
-    Scans multipliers a in ascending order. For each a the candidate
-    targets T_i = { H_{a,0}(y) XOR x_i : y in Y_i } are intersected; a
-    nonempty intersection yields the shift v = min(intersection), the
-    additive coefficient b = v padded with zeros, and per word the smallest
-    candidate hashing to x_i XOR v. The one hashing pass maps each target
-    to its smallest witness. The ascending scan and min tie-breaks make the
-    result a pure function of the inputs.
-    """
+def _search_job(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord]) -> tuple:
+    """Check one block's search inputs; return them as `_search` takes them."""
     if not 2 <= j <= params.t:
         raise ValueError(f"round {j} out of range 2..{params.t}")
     if len(ws) != params.m or len(xs) != params.m:
         raise ValueError(f"expected {params.m} current words and messages")
-    modulus = canonical_spec(params.n)  # rejects widths the search cannot cover
-    n = params.n
-    kj = params.k_for_round(j)
-    out_len = kj - params.l
-    budget = params.budgets[j - 1]
-    prev_budget = params.budgets[j - 2]
+    canonical_spec(params.n)  # rejects widths the search cannot cover
+    out_len, prev_budget = params.k_for_round(j) - params.l, params.budgets[j - 2]
     for i, w in enumerate(ws):
-        if w.length != n:
-            raise ValueError(f"word {i} has {w.length} bits, expected {n}")
+        if w.length != params.n:
+            raise ValueError(f"word {i} has {w.length} bits, expected {params.n}")
         if w.weight > prev_budget:
             raise ValueError(f"word {i} has weight {w.weight}, above round-{j - 1} budget {prev_budget}")
     for i, x in enumerate(xs):
         if x.length != out_len:
             raise ValueError(f"message {i} has {x.length} bits, expected {out_len}")
+    return params, j, ws, xs
 
-    # Candidates run in descending order, so the last witness stored for a
-    # target is its smallest one.
-    candidates = []
-    for i, w in enumerate(ws):
-        masks = list(enumerate_above(w, budget))
-        masks.reverse()
-        candidates.append(masks)
 
-    top = 1 << n
-    fail_counts = [0] * params.m
-    for a in range(top):
-        rows = truncated_rows(modulus, a, out_len)
-        common = None
-        witnesses = []
-        for i in range(params.m):
-            cands = candidates[i]
-            witness = dict(zip(hash_words(rows, cands, xs[i].bits), cands))
-            common = witness.keys() if common is None else common & witness.keys()
+def search_block_encoding(
+    params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord]
+) -> tuple[int, int, list[BitWord]]:
+    """Find a map (a, b) and words y_i >= w_i of weight <= B_j with H(y_i) = x_i.
+
+    The least multiplier a whose targets T_i = { H_{a,0}(y) XOR x_i : y in
+    Y_i } intersect gives b = v = min(intersection) and, per word, the
+    smallest candidate hashing to x_i XOR v: `_search` on one block.
+    """
+    [(a, b, ys)] = _search([_search_job(params, j, ws, xs)])
+    return a, b, list(ys)
+
+
+def _search(jobs: Sequence[tuple]) -> list[tuple[int, int, tuple[BitWord, ...]]]:
+    """(a, b, ys) for each `_search_job`, by the multiplier-major loop of the module docstring."""
+    groups, blocks = {}, []  # per parameter object and round: holders, candidates, modulus, out_len, n, budget, j
+    for params, j, ws, xs in jobs:
+        group = groups.get((id(params), j)) or groups.setdefault((id(params), j), (
+            Counter(), {}, canonical_spec(params.n), params.k_for_round(j) - params.l, params.n,
+            params.budgets[j - 1], j))
+        group[0].update(w.bits for w in ws)
+        blocks.append((group, ws, xs, [0] * params.m))
+
+    def attempt(blk: int, a: int, rows: list[int], tables: dict) -> tuple | None:
+        (holders, candidates, _, _, n, budget, _), ws, xs, fails = blocks[blk]
+        common, used, x0 = None, [], xs[0].bits
+        for i, w in enumerate(ws):
+            table = tables.get(w.bits)
+            if table is None:  # descending candidates: the last witness stored is the smallest
+                cands = candidates.get(w.bits)
+                if cands is None:
+                    cands = candidates[w.bits] = list(enumerate_above(w, budget))[::-1]
+                table = dict(zip(hash_words(rows, cands, 0), cands))
+                if holders[w.bits] > 1:  # kept to the end of a while another pending slot holds w
+                    tables[w.bits] = table
+            shift = xs[i].bits ^ x0
+            common = table if common is None else [h for h in common if h ^ shift in table]
             if not common:
-                fail_counts[i] += 1
+                fails[i] += 1
+                return None
+            used.append(table)
+        v = min(h ^ x0 for h in common)
+        return a, v, tuple([BitWord(n, table[v ^ x.bits]) for table, x in zip(used, xs)])
+
+    found, error, last, pending, a = [None] * len(blocks), None, len(blocks), list(range(len(blocks))), 0
+    while pending:
+        at_a, still = {}, []  # per group: its rows and shared tables at a
+        for blk in pending:
+            if blk > last:
                 break
-            witnesses.append(witness)
-        if common:
-            v = min(common)
-            return a, v, [BitWord(n, witness[v]) for witness in witnesses]
-    bottleneck = max(range(params.m), key=lambda i: (fail_counts[i], -i))
-    raise NoEncoding(
-        f"exhausted all {top} multipliers for round {j}; data word {bottleneck} "
-        "was the most frequent bottleneck",
-        bottleneck,
-    )
+            group, ws = blocks[blk][:2]
+            holders, candidates, modulus, out_len, n, _, j = group
+            top = 1 << n
+            if id(group) not in at_a:
+                at_a[id(group)] = truncated_rows(modulus, a, out_len), {}
+            lone = all(holders[w.bits] == 1 for w in ws)
+            result, at = attempt(blk, a, *at_a[id(group)]), a + 1
+            while result is None and lone and at < top:  # no other block shares its tables
+                result, at = attempt(blk, at, truncated_rows(modulus, at, out_len), {}), at + 1
+            if result is None and not lone and at < top:
+                still.append(blk)
+                continue
+            found[blk] = result
+            holders.subtract(w.bits for w in ws)
+            for w in ws:
+                if not holders[w.bits]:
+                    candidates.pop(w.bits, None)
+            if result is None:
+                fails = blocks[blk][3]
+                bottleneck = max(range(len(fails)), key=lambda i: (fails[i], -i))
+                last, error = blk, NoEncoding(f"exhausted all {top} multipliers for round {j}; data word "
+                                              f"{bottleneck} was the most frequent bottleneck", bottleneck)
+        pending, a = still, a + 1
+    if error is not None:
+        raise error
+    return found
+
+
+def encode_blocks(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:
+    """`encode_round` on blocks that hold a round: their checks in block order, then one `_search`."""
+    jobs, error = [], None
+    for state, msg in zip(states, msgs):
+        try:
+            if msg.round == 1:
+                encode_round1(state, msg)  # refuses: the block holds a round
+            if msg.round > state.params.t:
+                raise SequencingError(f"round {msg.round} out of range 1..{state.params.t}")
+            if state.round != msg.round - 1:
+                raise SequencingError(f"block holds {state.round} round(s), cannot write round {msg.round}")
+            _check_payload(state, msg)
+            jobs.append(_search_job(state.params, msg.round, state.data, msg.payload))
+        except Exception as exc:  # raised after the search, unless an earlier block has no encoding
+            error = exc
+            break
+    found = _search(jobs)
+    if error is not None:
+        raise error
+    return [
+        _built_state(p, j, ys, state.sides[: j - 2] + (BitWord(2 * p.n, a | (b << p.n)),) + state.sides[j - 1 :])
+        for state, (p, j, _, _), (a, b, ys) in zip(states, jobs, found)
+    ]
 
 
 def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
-    """Write round msg.round: round 1 by encode_round1, a later round by the map search."""
-    j = msg.round
-    if j == 1:
-        return encode_round1(state, msg)
-    if j > state.params.t:
-        raise SequencingError(f"round {j} out of range 1..{state.params.t}")
-    if state.round != j - 1:
-        raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
-    _check_payload(state, msg)
-    p = state.params
-    a, b, ys = search_block_encoding(p, j, state.data, msg.payload)
-    side = BitWord(2 * p.n, a | (b << p.n))
-    sides = state.sides[: j - 2] + (side,) + state.sides[j - 1 :]
-    return _built_state(p, j, tuple(ys), sides)
+    """Write round msg.round: round 1 by encode_round1, a later round by `encode_blocks`."""
+    return encode_round1(state, msg) if msg.round == 1 else encode_blocks([state], [msg])[0]
 
 
 def decode_round(state: BlockState, j: int) -> RoundMessage:

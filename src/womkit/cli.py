@@ -20,22 +20,11 @@ from math import ceil
 from .bitwords import BitWord
 from .block_codec import BlockState, NoEncoding, SequencingError, decode_round, in_guaranteed_regime
 from .capacity import (
-    RatePoint,
-    WeightVector,
-    WomParams,
-    achieved_rate,
-    derive_parameters,
-    inverse_entropy,
-    optimal_point,
+    RatePoint, WeightVector, WomParams, achieved_rate, derive_parameters, inverse_entropy, optimal_point,
     parse_densities,
 )
 from .full_codec import (
-    FullParams,
-    full_encode_round,
-    memory_to_states,
-    pack_messages,
-    states_to_memory,
-    unpack_messages,
+    FullParams, full_encode_round, memory_to_states, pack_messages, states_to_memory, unpack_messages,
 )
 from .hashfam import AUDIT_MAX_WIDTH, DISTANCE_MAX_WIDTH, image_fraction_audit, lhl_exact_distance
 from .wom_device import Device, ImageFormatError, WriteOnceViolation, apply_write, load_image, save_image

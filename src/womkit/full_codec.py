@@ -3,7 +3,9 @@
 A full code is n1 side-by-side copies of the basic block; blocks encode
 and decode independently (each may pick its own hash coefficients), so
 concatenation preserves the rate while the per-block search cost becomes
-polynomial in the total length. This module splits a flat bitstream into
+polynomial in the total length. A round j >= 2 write searches all blocks
+in one multiplier-major loop, which hashes a word that several blocks
+hold once per multiplier. This module splits a flat bitstream into
 per-block round messages, joins them back, and bridges block states to
 the flat device memory, where a block's round is its t-bit unary header.
 
@@ -34,7 +36,9 @@ from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WomParams
-from .block_codec import BlockState, RoundMessage, _built_state, _check_words, check_block, encode_round
+from .block_codec import (
+    BlockState, RoundMessage, _built_state, _check_words, check_block, encode_blocks, encode_round,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +66,10 @@ def full_encode_round(
 ) -> list[BlockState]:
     """Encode one round across all blocks; fails atomically.
 
-    States are immutable, so any per-block error (sequencing, no encoding)
-    propagates before the caller sees a partially updated list.
+    Round 1 encodes block by block; a later round is `block_codec.encode_blocks`:
+    one search tests every pending block at a = 0, 1, ..., sharing the table
+    of a word that several pending blocks hold. The lowest failing block's
+    error is raised, as a per-block loop raises it. States are immutable.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -72,7 +78,9 @@ def full_encode_round(
     rounds = {s.round for s in states}
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
-    return [encode_round(state, msg) for state, msg in zip(states, msgs)]
+    if rounds == {0}:
+        return [encode_round(state, msg) for state, msg in zip(states, msgs)]
+    return encode_blocks(states, msgs)
 
 
 def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMessage]:

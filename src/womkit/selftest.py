@@ -19,22 +19,10 @@ from math import comb, log2
 
 from .bitwords import BitWord, dominates, enumerate_above, subset_rank, subset_unrank
 from .block_codec import (
-    BlockState,
-    RoundMessage,
-    decode_round,
-    encode_round,
-    in_guaranteed_regime,
-    search_block_encoding,
+    BlockState, RoundMessage, decode_round, encode_round, in_guaranteed_regime, search_block_encoding,
 )
-from .capacity import (
-    WeightVector,
-    WomParams,
-    achieved_rate,
-    derive_parameters,
-    in_capacity_region,
-    optimal_point,
-)
-from .full_codec import FullParams, memory_to_states, states_to_memory
+from .capacity import WeightVector, WomParams, achieved_rate, derive_parameters, in_capacity_region, optimal_point
+from .full_codec import FullParams, full_encode_round, memory_to_states, states_to_memory
 from .gf2n import canonical_spec, mul_bits
 from .hashfam import hash_apply, image_fraction_audit, lhl_exact_distance
 from .wom_device import ChecksumMismatch, Device, apply_write, load_image, save_image
@@ -105,6 +93,19 @@ def _run_sessions(params: WomParams, seed: int, count: int) -> list[bytes]:
             _require(decode_round(state, j) == msg, f"round {j} decode mismatch")
         images.append(save_image(dev, params, params.t))
     return images
+
+
+def _whole_image(params: WomParams, seed: int, blocks: int) -> bytes:
+    """An image written through every round by `full_encode_round`, checked against `encode_round`."""
+    rnd = random.Random(seed)
+    states = [BlockState.fresh(params)] * blocks
+    for j in range(1, params.t + 1):
+        msgs = [_random_message(params, j, rnd) for _ in range(blocks)]
+        per_block = [encode_round(state, msg) for state, msg in zip(states, msgs)]
+        states = full_encode_round(states, msgs)
+        _require(states == per_block, f"round {j}: whole-image states differ from per-block states")
+    memory = states_to_memory(states)
+    return save_image(apply_write(Device.fresh(memory.length), memory), params, params.t)
 
 
 def criterion_1() -> str:
@@ -276,13 +277,15 @@ def criterion_9() -> str:
 
 
 def criterion_10() -> str:
-    """Re-running the end-to-end sessions reproduces byte-identical images."""
+    """Re-running the end-to-end sessions, and a 40-block whole-image write, reproduces byte-identical images."""
     first = _run_sessions(params_t2(), seed=0x2C0DE, count=100)
     second = _run_sessions(params_t2(), seed=0x2C0DE, count=100)
     _require(first == second, "t=2 images differ between runs")
     first = _run_sessions(params_t3(), seed=0x3C0DE, count=50)
     second = _run_sessions(params_t3(), seed=0x3C0DE, count=50)
     _require(first == second, "t=3 images differ between runs")
+    first, second = (_whole_image(params_t3(), seed=0xAC0DE, blocks=40) for _ in range(2))
+    _require(first == second, "whole-image writes differ between runs")
     return "byte-identical images, coefficients included"
 
 

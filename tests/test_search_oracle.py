@@ -12,12 +12,17 @@ most a few thousand words, and outputs at least half as long as supported.
 """
 
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 import search_oracle as oracle
 from womkit.bitwords import BitWord, count_above
-from womkit.block_codec import NoEncoding, search_block_encoding
+from womkit.block_codec import BlockState, NoEncoding, RoundMessage, _built_state, search_block_encoding
 from womkit.capacity import WeightVector, WomParams
+from womkit.full_codec import full_encode_round
 
 
 def outcome(search, *args):
@@ -86,3 +91,188 @@ def test_search_bottleneck_and_errors_match_oracle():
     assert got == [outcome(oracle.search_block_encoding, *case) for case in cases]
     assert [g[0] for g in got] == ["no encoding"] * 2 + ["value error"] * 5
     assert (got[0][2], got[1][2]) == (1, 2)
+
+
+# Whole-image writes: `full_encode_round` searches all blocks of a round in
+# one multiplier-major loop; `oracle.full_encode_round` searches each block
+# alone with the one-pass search it replaced.
+
+T2 = WeightVector([Fraction(1, 3), Fraction(1, 2)])
+T3 = WeightVector([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)])
+CLI_SHAPE = WomParams(t=3, n=12, m=3, l=2, k=(7, 5), p=T3)
+BULK_SHAPE = WomParams(t=2, n=10, m=4, l=2, k=(7,), p=T2)
+
+
+def write_outcome(encode, states, msgs):
+    """Each block's (a, b, ys), or the error raised; the caller's list must come back unchanged."""
+    before = list(states)
+    try:
+        result = encode(states, msgs)
+        got = ("ok", [(s.sides[s.round - 2].bits % (1 << s.params.n), s.sides[s.round - 2].bits >> s.params.n, s.data)
+                      for s in result])
+    except NoEncoding as exc:
+        got = ("no encoding", str(exc), exc.bottleneck)
+    except Exception as exc:
+        got = (type(exc).__name__, str(exc))
+    assert len(states) == len(before) and all(s is t for s, t in zip(states, before))
+    return got
+
+
+def message(params, j, rnd, ranks=None):
+    if j == 1:
+        return RoundMessage(1, ranks or [rnd.randrange(params.round1_space) for _ in range(params.m)])
+    width = params.payload_bits(j)
+    return RoundMessage(j, [BitWord(width, rnd.getrandbits(width)) for _ in range(params.m)])
+
+
+def rounds_of(params, blocks, seed, last=None, same=0.0, distinct=False):
+    """(states, messages) before each round j >= 2 of a random image.
+
+    A fraction `same` of the blocks gets one rank for all its round-1 words;
+    `distinct` draws every round-1 word of the image once. Each round's
+    states come from the previous round's whole-image write, which the
+    tests compare with the oracle.
+    """
+    rnd = random.Random(seed)
+    m = params.m
+    ranks = rnd.sample(range(params.round1_space), blocks * m) if distinct else None
+    msgs = [message(params, 1, rnd, ranks[b * m:(b + 1) * m] if distinct else
+                    [rnd.randrange(params.round1_space)] * m if rnd.random() < same else None)
+            for b in range(blocks)]
+    states, out = [BlockState.fresh(params)] * blocks, []
+    for j in range(2, (last or params.t) + 1):
+        states = full_encode_round(states, msgs)
+        msgs = [message(params, j, rnd) for _ in range(blocks)]
+        out.append((states, msgs))
+    return out
+
+
+def assert_matches_oracle(states, msgs):
+    got = write_outcome(full_encode_round, states, msgs)
+    assert got == write_outcome(oracle.full_encode_round, states, msgs)
+    return got
+
+
+@pytest.mark.parametrize("params, blocks, seed", [
+    (WomParams(t=2, n=10, m=4, l=2, k=(7,), p=T2), 300, 1),
+    (WomParams(t=2, n=12, m=4, l=2, k=(8,), p=T2), 200, 2),
+    (CLI_SHAPE, 400, 3),
+    (BULK_SHAPE, 2000, 4),
+])
+def test_whole_image_rounds_match_per_block_oracle(params, blocks, seed):
+    for states, msgs in rounds_of(params, blocks, seed):
+        words = [w.bits for s in states for w in s.data]
+        assert len(set(words)) < 0.65 * len(words)  # the words repeat
+        assert assert_matches_oracle(states, msgs)[0] == "ok"
+
+
+def test_all_distinct_words_and_one_block_match_oracle():
+    for n in range(14, 19):
+        params = WomParams(t=2, n=n, m=4, l=2, k=(n - 6,), p=T2)
+        [(states, msgs)] = rounds_of(params, 2 if n >= 17 else 3, seed=n, distinct=True)
+        assert assert_matches_oracle(states, msgs)[0] == "ok"
+        assert assert_matches_oracle(states[:1], msgs[:1])[0] == "ok"
+
+
+def test_blocks_whose_own_words_repeat_match_oracle():
+    rounds = rounds_of(CLI_SHAPE, 60, seed=5, same=0.5)
+    assert sum(len({w.bits for w in s.data}) == 1 for s in rounds[0][0]) >= 20
+    for states, msgs in rounds:
+        assert assert_matches_oracle(states, msgs)[0] == "ok"
+
+
+def test_mixed_parameter_sets_never_share_tables():
+    # equal word bits under parameters whose hash widths, fields or rounds differ
+    narrow = WomParams(t=2, n=10, m=4, l=1, k=(7,), p=T2)
+    wide = WomParams(t=3, n=12, m=4, l=2, k=(7, 5), p=WeightVector([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
+    rnd = random.Random(6)
+    for params in (narrow, wide):
+        [(states, msgs)] = rounds_of(BULK_SHAPE, 30, seed=7, last=2)
+        twins = [BlockState(params, 1, (w if params.n == 10 else BitWord(12, w.bits) for w in s.data),
+                            (BitWord(2 * params.n, 0),) * (params.t - 1)) for s in states]
+        twin_msgs = [message(params, 2, rnd) for _ in twins]
+        mixed = [s for pair in zip(states, twins) for s in pair]
+        mixed_msgs = [m for pair in zip(msgs, twin_msgs) for m in pair]
+        assert assert_matches_oracle(mixed, mixed_msgs)[0] == "ok"
+        assert assert_matches_oracle(twins + states, twin_msgs + msgs)[0] == "ok"
+
+
+def test_small_images_match_oracle_on_success_and_no_encoding():
+    # narrow fields and long hash outputs: words repeat, and many writes fail
+    rnd = random.Random(0x1A6E)
+    kinds = Counter()
+    for trial in range(600):
+        n = rnd.randint(2, 6)
+        l = rnd.randint(0, 1)
+        p = WeightVector([Fraction(1, rnd.randint(2, 3)), Fraction(1, 2)])
+        params = WomParams(t=2, n=n, m=rnd.randint(1, 4), l=l, k=(rnd.randint(max(l, n - 1), n),), p=p)
+        [(states, msgs)] = rounds_of(params, rnd.randint(2, 6), seed=trial, same=0.2)
+        kinds[assert_matches_oracle(states, msgs)[0]] += 1
+    assert kinds["ok"] >= 60 and kinds["no encoding"] >= 60, kinds
+
+
+# Failure order: the error each case expects is the one the per-block loop raises.
+
+TIGHT = WomParams(t=2, n=2, m=2, l=1, k=(2,), p=WeightVector([Fraction(1, 2), Fraction(1, 2)]))
+WIDE = WomParams(t=2, n=4, m=3, l=0, k=(4,), p=WeightVector([Fraction(1, 4), Fraction(1, 2)]))
+
+
+def round1(params, bits):
+    return BlockState(params, 1, [BitWord(params.n, b) for b in bits], [BitWord(2 * params.n, 0)] * (params.t - 1))
+
+
+def msg2(params, xs):
+    return RoundMessage(2, [BitWord(params.payload_bits(2), x) for x in xs])
+
+
+TIGHT_FAILS = (round1(TIGHT, [1, 1]), msg2(TIGHT, [0, 1]))  # bottleneck 1 after 4 multipliers
+WIDE_FAILS = (round1(WIDE, [1, 2, 1]), msg2(WIDE, [3, 5, 6]))  # bottleneck 2 after 16 multipliers
+TIGHT_OK = (round1(TIGHT, [1, 1]), msg2(TIGHT, [1, 1]))
+WIDE_OK = (round1(WIDE, [1, 2, 4]), msg2(WIDE, [3, 5, 6]))
+OVERWEIGHT = (_built_state(WIDE, 1, tuple(BitWord(4, b) for b in (3, 2, 1)), (BitWord(8, 0),)), msg2(WIDE, [0, 0, 0]))
+SHORT_PAYLOAD = (round1(WIDE, [1, 2, 4]), RoundMessage(2, [BitWord(4, 0)] * 2))
+WRONG_ROUND = (round1(WIDE, [1, 2, 4]), RoundMessage(3, [BitWord(4, 0)] * 3))
+ROUND_ONE = (round1(WIDE, [1, 2, 4]), RoundMessage(1, [0, 0, 0]))
+WRONG_WIDTH = (round1(WIDE, [1, 2, 4]), RoundMessage(2, [BitWord(3, 0)] * 3))
+
+
+@pytest.mark.parametrize("blocks, expect", [
+    ([WIDE_OK, TIGHT_OK, WIDE_OK, TIGHT_FAILS, WIDE_OK], ("no encoding", 1)),
+    ([TIGHT_OK, WIDE_FAILS, TIGHT_OK, TIGHT_FAILS], ("no encoding", 2)),  # the lower index wins
+    ([TIGHT_FAILS, WIDE_FAILS], ("no encoding", 1)),
+    ([WIDE_OK, OVERWEIGHT, TIGHT_FAILS], ("ValueError", "word 0 has weight 2, above round-1 budget 1")),
+    ([WIDE_OK, TIGHT_FAILS, OVERWEIGHT], ("no encoding", 1)),
+    ([SHORT_PAYLOAD, WIDE_FAILS], ("ValueError", "payload has 2 entries, expected 3")),
+    ([WIDE_FAILS, SHORT_PAYLOAD], ("no encoding", 2)),
+    ([TIGHT_OK, WRONG_ROUND, WIDE_FAILS], ("SequencingError", "round 3 out of range 1..2")),
+    ([WIDE_FAILS, WRONG_ROUND], ("no encoding", 2)),
+    ([WIDE_OK, ROUND_ONE, TIGHT_FAILS], ("SequencingError", "block already holds 1 round(s)")),
+    ([WIDE_OK, WRONG_WIDTH, TIGHT_FAILS], ("ValueError", "message 0 has 3 bits, expected 4")),
+    ([TIGHT_FAILS, WRONG_WIDTH], ("no encoding", 1)),
+])
+def test_the_lowest_failing_block_raises(blocks, expect):
+    states, msgs = [state for state, _ in blocks], [msg for _, msg in blocks]
+    got = assert_matches_oracle(states, msgs)
+    assert (got[0], got[-1]) == expect
+
+
+def traced_peak(encode, states, msgs):
+    tracemalloc.start()
+    try:
+        encode(states, msgs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_image_search_memory():
+    # A word's table outlives its block only while another pending block
+    # holds the word, and a block that shares no table scans on alone, so:
+    # a round-3 image at the cli_session parameters stays well under the
+    # 5 MB its 400 blocks may take (0.5 MB at 40 blocks), and an image of
+    # distinct words peaks near the per-block search's one block.
+    [_, third] = rounds_of(CLI_SHAPE, 40, seed=8)
+    assert traced_peak(full_encode_round, *third) <= 500_000
+    params = WomParams(t=2, n=14, m=2, l=2, k=(6,), p=WeightVector([Fraction(3, 7), Fraction(1, 2)]))
+    [second] = rounds_of(params, 40, seed=9, distinct=True)
+    assert traced_peak(full_encode_round, *second) <= 1.25 * traced_peak(oracle.full_encode_round, *second)
