@@ -8,19 +8,18 @@ a fixed-weight subset. Every later round j finds a single truncated affine
 map H, the int pair (a, b), and per-word replacements y_i >= w_i within
 the round's weight budget such that H(y_i) equals the i-th message, then
 stores a | b << n in side word j-2. `encode_round` writes any round into
-one block, `encode_blocks` round j >= 2 into many. Their search, `_search`,
-is one loop over ints for a list of blocks. For a = 0, 1, ... it builds
-each parameter set's rows once and tests every pending block in order:
-one `hashfam.hash_words` pass over a word's candidate masks, listed once
-per call, gives its table H_{a,0}(y) -> smallest y, and membership tests
-find the targets v with v ^ x_i in every table. A block retires at its
-least a, as if searched alone. Blocks of one parameter object that hold
-a word share its table until a ends; a block that shares none scans on
-alone. The lowest failing block's error wins, its NoEncoding or its
-check's. Decoding re-applies the current round's map with one
-`hash_words` call over the data words. Both build their row table with
-`hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
-ranks the subsets.
+one block, `encode_blocks` round j >= 2 into many, block by block. For
+each block, `_search` tries a = 0, 1, ... over ints: one
+`hashfam.hash_words` pass over a word's candidate masks gives its table
+H_{a,0}(y) -> smallest y, and membership tests find the targets v with
+v ^ x_i in every table. One memo per call, keyed on parameter object,
+round and bits, holds a word's candidates and, while more than one
+unwritten slot holds the word, its table at each a built so far; the
+entry goes when the word's last holder is written. The first failing
+block raises its error, its check's or its NoEncoding. Decoding re-applies
+the current round's map with one `hash_words` call over the data words.
+Both build their row table with `hashfam.truncated_rows`, so H is
+evaluated only in `hashfam`. Round 1 ranks the subsets.
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise. `check_block` is the one budget rule a block must
@@ -186,7 +185,10 @@ def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
     _check_payload(state, msg)
     p = state.params
     b1 = p.budgets[0]
-    data = tuple([subset_unrank(int(rank), p.n, b1) for rank in msg.payload])
+    for i, rank in enumerate(msg.payload):
+        if type(rank) is not int:
+            raise ValueError(f"word {i}: rank {rank!r} is not an int")
+    data = tuple([subset_unrank(rank, p.n, b1) for rank in msg.payload])
     return _built_state(p, 1, data, state.sides)
 
 
@@ -205,8 +207,8 @@ def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bo
     return all(count_above(w, budget) >= (1 << kj) for w in ws)
 
 
-def _search_job(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord]) -> tuple:
-    """Check one block's search inputs; return them as `_search` takes them."""
+def _check_search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence) -> None:
+    """Raise unless ws and xs are one block's current words and round-j messages."""
     if not 2 <= j <= params.t:
         raise ValueError(f"round {j} out of range 2..{params.t}")
     if len(ws) != params.m or len(xs) != params.m:
@@ -219,9 +221,10 @@ def _search_job(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[B
         if w.weight > prev_budget:
             raise ValueError(f"word {i} has weight {w.weight}, above round-{j - 1} budget {prev_budget}")
     for i, x in enumerate(xs):
+        if type(x) is not BitWord:
+            raise ValueError(f"message {i} is {x!r}, not a BitWord")
         if x.length != out_len:
             raise ValueError(f"message {i} has {x.length} bits, expected {out_len}")
-    return params, j, ws, xs
 
 
 def search_block_encoding(
@@ -233,98 +236,65 @@ def search_block_encoding(
     Y_i } intersect gives b = v = min(intersection) and, per word, the
     smallest candidate hashing to x_i XOR v: `_search` on one block.
     """
-    [(a, b, ys)] = _search([_search_job(params, j, ws, xs)])
+    _check_search(params, j, ws, xs)
+    a, b, ys = _search(params, j, ws, xs, {}, Counter((id(params), j, w.bits) for w in ws))
     return a, b, list(ys)
 
 
-def _search(jobs: Sequence[tuple]) -> list[tuple[int, int, tuple[BitWord, ...]]]:
-    """(a, b, ys) for each `_search_job`, by the multiplier-major loop of the module docstring."""
-    groups, blocks = {}, []  # per parameter object and round: holders, candidates, modulus, out_len, n, budget, j
-    for params, j, ws, xs in jobs:
-        group = groups.get((id(params), j)) or groups.setdefault((id(params), j), (
-            Counter(), {}, canonical_spec(params.n), params.k_for_round(j) - params.l, params.n,
-            params.budgets[j - 1], j))
-        group[0].update(w.bits for w in ws)
-        blocks.append((group, ws, xs, [0] * params.m))
-
-    def attempt(blk: int, a: int, rows: list[int], tables: dict) -> tuple | None:
-        (holders, candidates, _, _, n, budget, _), ws, xs, fails = blocks[blk]
-        common, used, x0 = None, [], xs[0].bits
-        for i, w in enumerate(ws):
-            table = tables.get(w.bits)
-            if table is None:  # descending candidates: the last witness stored is the smallest
-                cands = candidates.get(w.bits)
-                if cands is None:
-                    cands = candidates[w.bits] = list(enumerate_above(w, budget))[::-1]
+def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord], memos: dict,
+            holders: Counter) -> tuple[int, int, tuple[BitWord, ...]]:
+    """(a, b, ys) for one checked block; `memos` and `holders` share words as the module docstring says."""
+    n, modulus, out_len = params.n, canonical_spec(params.n), params.k_for_round(j) - params.l
+    keys, budget = [(id(params), j, w.bits) for w in ws], params.budgets[j - 1]
+    for key, w in zip(keys, ws):
+        if key not in memos:  # descending candidates: the last witness stored is the smallest
+            memos[key] = list(enumerate_above(w, budget))[::-1], {}
+    x0, fails = xs[0].bits, [0] * params.m
+    for a in range(1 << n):
+        rows, common, used = truncated_rows(modulus, a, out_len), None, []
+        for i, key in enumerate(keys):
+            cands, tables = memos[key]
+            table = tables.get(a)
+            if table is None:
                 table = dict(zip(hash_words(rows, cands, 0), cands))
-                if holders[w.bits] > 1:  # kept to the end of a while another pending slot holds w
-                    tables[w.bits] = table
+                if holders[key] > 1:  # kept until the word's last holder slot is done
+                    tables[a] = table
             shift = xs[i].bits ^ x0
             common = table if common is None else [h for h in common if h ^ shift in table]
             if not common:
                 fails[i] += 1
-                return None
-            used.append(table)
-        v = min(h ^ x0 for h in common)
-        return a, v, tuple([BitWord(n, table[v ^ x.bits]) for table, x in zip(used, xs)])
-
-    found, error, last, pending, a = [None] * len(blocks), None, len(blocks), list(range(len(blocks))), 0
-    while pending:
-        at_a, still = {}, []  # per group: its rows and shared tables at a
-        for blk in pending:
-            if blk > last:
                 break
-            group, ws = blocks[blk][:2]
-            holders, candidates, modulus, out_len, n, _, j = group
-            top = 1 << n
-            if id(group) not in at_a:
-                at_a[id(group)] = truncated_rows(modulus, a, out_len), {}
-            lone = all(holders[w.bits] == 1 for w in ws)
-            result, at = attempt(blk, a, *at_a[id(group)]), a + 1
-            while result is None and lone and at < top:  # no other block shares its tables
-                result, at = attempt(blk, at, truncated_rows(modulus, at, out_len), {}), at + 1
-            if result is None and not lone and at < top:
-                still.append(blk)
-                continue
-            found[blk] = result
-            holders.subtract(w.bits for w in ws)
-            for w in ws:
-                if not holders[w.bits]:
-                    candidates.pop(w.bits, None)
-            if result is None:
-                fails = blocks[blk][3]
-                bottleneck = max(range(len(fails)), key=lambda i: (fails[i], -i))
-                last, error = blk, NoEncoding(f"exhausted all {top} multipliers for round {j}; data word "
-                                              f"{bottleneck} was the most frequent bottleneck", bottleneck)
-        pending, a = still, a + 1
-    if error is not None:
-        raise error
-    return found
+            used.append(table)
+        else:
+            holders.subtract(keys)
+            for key in keys:
+                if not holders[key]:
+                    memos.pop(key, None)
+            v = min(h ^ x0 for h in common)
+            return a, v, tuple([BitWord(n, table[v ^ x.bits]) for table, x in zip(used, xs)])
+    bottleneck = max(range(params.m), key=lambda i: (fails[i], -i))
+    raise NoEncoding(f"exhausted all {1 << n} multipliers for round {j}; data word {bottleneck} was the "
+                     "most frequent bottleneck", bottleneck)
 
 
 def encode_blocks(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:
-    """`encode_round` on blocks that hold a round: their checks in block order, then one `_search`."""
-    jobs, error = [], None
+    """`encode_round` on blocks that hold a round, in block order, with one memo for the call."""
+    holders = Counter((id(state.params), state.round + 1, w.bits) for state in states for w in state.data)
+    memos, out = {}, []
     for state, msg in zip(states, msgs):
-        try:
-            if msg.round == 1:
-                encode_round1(state, msg)  # refuses: the block holds a round
-            if msg.round > state.params.t:
-                raise SequencingError(f"round {msg.round} out of range 1..{state.params.t}")
-            if state.round != msg.round - 1:
-                raise SequencingError(f"block holds {state.round} round(s), cannot write round {msg.round}")
-            _check_payload(state, msg)
-            jobs.append(_search_job(state.params, msg.round, state.data, msg.payload))
-        except Exception as exc:  # raised after the search, unless an earlier block has no encoding
-            error = exc
-            break
-    found = _search(jobs)
-    if error is not None:
-        raise error
-    return [
-        _built_state(p, j, ys, state.sides[: j - 2] + (BitWord(2 * p.n, a | (b << p.n)),) + state.sides[j - 1 :])
-        for state, (p, j, _, _), (a, b, ys) in zip(states, jobs, found)
-    ]
+        p, j = state.params, msg.round
+        if j == 1:
+            encode_round1(state, msg)  # refuses: the block holds a round
+        if j > p.t:
+            raise SequencingError(f"round {j} out of range 1..{p.t}")
+        if state.round != j - 1:
+            raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
+        _check_payload(state, msg)
+        _check_search(p, j, state.data, msg.payload)
+        a, b, ys = _search(p, j, state.data, msg.payload, memos, holders)
+        out.append(_built_state(p, j, ys, state.sides[: j - 2] + (BitWord(2 * p.n, a | (b << p.n)),)
+                                + state.sides[j - 1 :]))
+    return out
 
 
 def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:

@@ -3,9 +3,9 @@
 A full code is n1 side-by-side copies of the basic block; blocks encode
 and decode independently (each may pick its own hash coefficients), so
 concatenation preserves the rate while the per-block search cost becomes
-polynomial in the total length. A round j >= 2 write searches all blocks
-in one multiplier-major loop, which hashes a word that several blocks
-hold once per multiplier. This module splits a flat bitstream into
+polynomial in the total length. A round j >= 2 write searches the blocks
+in order and hashes a word that several blocks hold once per multiplier
+(`block_codec.encode_blocks`). This module splits a flat bitstream into
 per-block round messages, joins them back, and bridges block states to
 the flat device memory, where a block's round is its t-bit unary header.
 
@@ -66,10 +66,10 @@ def full_encode_round(
 ) -> list[BlockState]:
     """Encode one round across all blocks; fails atomically.
 
-    Round 1 encodes block by block; a later round is `block_codec.encode_blocks`:
-    one search tests every pending block at a = 0, 1, ..., sharing the table
-    of a word that several pending blocks hold. The lowest failing block's
-    error is raised, as a per-block loop raises it. States are immutable.
+    Round 1 encodes block by block; a later round is `block_codec.encode_blocks`,
+    which also searches block by block but shares the tables of a word that
+    several blocks hold. The first failing block's error is raised before
+    any state is returned. States are immutable.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -133,7 +133,9 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
         if len(msg.payload) != m:
             raise ValueError(f"payload has {len(msg.payload)} entries, expected {m}")
         for word, entry in enumerate(msg.payload):
-            value = int(entry) if j == 1 else entry.bits
+            if j == 1 and not isinstance(entry, int):  # a bool is an int, as on the fast path
+                raise ValueError(f"block {block} word {word}: rank {entry!r} is not an int")
+            value = entry if j == 1 else entry.bits
             if value >> width:
                 raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")
             values.append(value)

@@ -12,7 +12,8 @@ words, blocks and lines instead. The image helpers (`_LineReader`,
 `block_codec.check_block`) are kept here in their own words, so the oracles
 do not follow the library's internals. `memory_to_states` checks each
 unary header, builds its states through the public constructor and names
-the first block it rejects. `save_image` refuses a round that is no int and
+the first block it rejects. `unpack_messages` refuses a round-1 rank that
+is no int. `save_image` refuses a round that is no int and
 a block header that is not the round's unary counter. `load_image` takes
 only the text `save_image` writes: the same parameter and round lines,
 exact block labels (none in a one-block image) and lower case hex. Tests
@@ -173,7 +174,9 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
         if len(msg.payload) != params.block.m:
             raise ValueError(f"payload has {len(msg.payload)} entries, expected {params.block.m}")
         for word, entry in enumerate(msg.payload):
-            value = int(entry) if j == 1 else entry.bits
+            if j == 1 and not isinstance(entry, int):
+                raise ValueError(f"block {block} word {word}: rank {entry!r} is not an int")
+            value = entry if j == 1 else entry.bits
             if value >> width:
                 raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")
             bits |= value << offset

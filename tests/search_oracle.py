@@ -10,10 +10,11 @@ each word's smallest witness.
 multiplier and word, one `hash_words` pass with the shift x_i maps each
 target to its smallest witness. `encode_round` and `full_encode_round` are
 the per-block write loop built on it, which searched each block alone and
-raised the first failing block's error. The library now searches all blocks
-of a round in one multiplier-major loop. Tests require the same
-`(a, b, ys)`, the same `NoEncoding` message and `bottleneck`, and the same
-check errors from all of them.
+raised the first failing block's error. The library searches the blocks
+in the same order, but shares a repeated word's tables across blocks
+through one memo per write. Tests require the same `(a, b, ys)`, the same
+`NoEncoding` message and `bottleneck`, and the same check errors from all
+of them.
 """
 
 from __future__ import annotations

@@ -145,6 +145,17 @@ def test_no_encoding_exit_5_and_atomicity(tmp_path, capsys):
     assert code == 5
     assert "bottleneck" in err
     assert img.read_bytes() == before
+    # two blocks: round 1 ranks (0, 1) and (1, 1); round 2 encodes block 0, and
+    # block 1 has none, so the write aborts after block 0's new state is built
+    img = tmp_path / "two.wom"
+    assert run(capsys, "init", "--out", str(img), "--blocks", "2", "--t", "2", "--n", "2", "--m", "2",
+               "--l", "1", "--k", "2", "--p", "1/2,1/2")[0] == 0
+    assert run(capsys, "write", "--img", str(img), "--round", "1",
+               "--in", write_hex(tmp_path / "c.hex", "0e"))[0] == 0
+    before = img.read_bytes()
+    assert run(capsys, "write", "--img", str(img), "--round", "2", "--in", write_hex(tmp_path / "d.hex", "08")) == (
+        5, "", "error: exhausted all 4 multipliers for round 2; data word 1 was the most frequent bottleneck\n")
+    assert img.read_bytes() == before
 
 
 def test_multi_block_session(tmp_path, capsys):

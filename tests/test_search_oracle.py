@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 import search_oracle as oracle
+from womkit import block_codec
 from womkit.bitwords import BitWord, count_above
 from womkit.block_codec import BlockState, NoEncoding, RoundMessage, _built_state, search_block_encoding
 from womkit.capacity import WeightVector, WomParams
@@ -93,9 +94,10 @@ def test_search_bottleneck_and_errors_match_oracle():
     assert (got[0][2], got[1][2]) == (1, 2)
 
 
-# Whole-image writes: `full_encode_round` searches all blocks of a round in
-# one multiplier-major loop; `oracle.full_encode_round` searches each block
-# alone with the one-pass search it replaced.
+# Whole-image writes: `full_encode_round` searches the blocks of a round in
+# order and shares a repeated word's tables through one memo per call;
+# `oracle.full_encode_round` searches each block alone with the one-pass
+# search the library started from.
 
 T2 = WeightVector([Fraction(1, 3), Fraction(1, 2)])
 T3 = WeightVector([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)])
@@ -164,6 +166,24 @@ def test_whole_image_rounds_match_per_block_oracle(params, blocks, seed):
         words = [w.bits for s in states for w in s.data]
         assert len(set(words)) < 0.65 * len(words)  # the words repeat
         assert assert_matches_oracle(states, msgs)[0] == "ok"
+
+
+def test_whole_image_writes_share_tables(monkeypatch):
+    # the candidates hashed by the 400-block image above; searching each
+    # block alone hashes 356,460 and 577,149
+    hashed, hash_words = [], block_codec.hash_words
+
+    def counting(rows, words, shift):
+        hashed.append(len(words))
+        return hash_words(rows, words, shift)
+
+    monkeypatch.setattr(block_codec, "hash_words", counting)
+    counts = []
+    for states, msgs in rounds_of(CLI_SHAPE, 400, seed=3):
+        hashed.clear()
+        full_encode_round(states, msgs)
+        counts.append(sum(hashed))
+    assert 0 < counts[0] <= 113_620 and 0 < counts[1] <= 428_396, counts
 
 
 def test_all_distinct_words_and_one_block_match_oracle():
@@ -266,13 +286,16 @@ def traced_peak(encode, states, msgs):
 
 
 def test_whole_image_search_memory():
-    # A word's table outlives its block only while another pending block
-    # holds the word, and a block that shares no table scans on alone, so:
-    # a round-3 image at the cli_session parameters stays well under the
-    # 5 MB its 400 blocks may take (0.5 MB at 40 blocks), and an image of
-    # distinct words peaks near the per-block search's one block.
+    # A word's candidates and tables live only until the last block that
+    # holds it is written, and a word that one slot holds never has its
+    # tables kept, so: a round-3 image at the cli_session parameters stays
+    # well under the 5 MB its 400 blocks may take (0.5 MB at 40 blocks,
+    # 0.4 MB at 100), and an image of distinct words peaks near the
+    # per-block search's one block.
     [_, third] = rounds_of(CLI_SHAPE, 40, seed=8)
     assert traced_peak(full_encode_round, *third) <= 500_000
+    [_, third] = rounds_of(CLI_SHAPE, 100, seed=8)
+    assert traced_peak(full_encode_round, *third) <= 400_000
     params = WomParams(t=2, n=14, m=2, l=2, k=(6,), p=WeightVector([Fraction(3, 7), Fraction(1, 2)]))
     [second] = rounds_of(params, 40, seed=9, distinct=True)
     assert traced_peak(full_encode_round, *second) <= 1.25 * traced_peak(oracle.full_encode_round, *second)
