@@ -7,19 +7,20 @@ t-bit unary header (`full_codec`), which the image format checks too
 a fixed-weight subset. Every later round j finds a single truncated affine
 map H, the int pair (a, b), and per-word replacements y_i >= w_i within
 the round's weight budget such that H(y_i) equals the i-th message, then
-stores a | b << n in side word j-2. `encode_round` writes any round into
-one block, `encode_blocks` round j >= 2 into many, block by block. For
-each block, `_search` tries a = 0, 1, ... over ints: one
-`hashfam.hash_words` pass over a word's candidate masks gives its table
-H_{a,0}(y) -> smallest y, and membership tests find the targets v with
-v ^ x_i in every table. One memo per call, keyed on parameter object,
-round and bits, holds a word's candidates and, while more than one
-unwritten slot holds the word, its table at each a built so far; the
-entry goes when the word's last holder is written. The first failing
-block raises its error, its check's or its NoEncoding. Decoding re-applies
-the current round's map with one `hash_words` call over the data words.
-Both build their row table with `hashfam.truncated_rows`, so H is
-evaluated only in `hashfam`. Round 1 ranks the subsets.
+stores a | b << n in side word j-2. `full_encode_round` writes one round,
+any round, into every block of an image in block order, and `encode_round`
+is its one-block case. For each block of a round j >= 2, `_search` tries
+a = 0, 1, ... over ints: one `hashfam.hash_words` pass over a word's
+candidate masks gives its table H_{a,0}(y) -> smallest y, and membership
+tests find the targets v with v ^ x_i in every table. One memo per call,
+keyed on parameter object, round and bits, holds a word's candidates and,
+while more than one unwritten slot holds the word, its table at each a
+built so far; the entry goes when the word's last holder is written. The
+first failing block raises its error, its check's or its NoEncoding.
+Decoding re-applies the current round's map with one `hash_words` call
+over the data words. Both build their row table with
+`hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
+ranks the subsets.
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise. `check_block` is the one budget rule a block must
@@ -164,7 +165,7 @@ def _check_words(p: WomParams, r: int, data: Iterable[int], sides: Iterable[Iter
     for s, words in enumerate(sides):
         for bits in words:
             if s < r - 1:
-                b, width = bits >> n, p.k[s] - p.l
+                b, width = bits >> n, p.payload_bits(s + 2)
                 if b >> width:
                     raise ValueError(f"side word {s} holds b = {b}, wider than {width} bits")
             elif bits:
@@ -214,7 +215,7 @@ def _check_search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence
     if len(ws) != params.m or len(xs) != params.m:
         raise ValueError(f"expected {params.m} current words and messages")
     canonical_spec(params.n)  # rejects widths the search cannot cover
-    out_len, prev_budget = params.k_for_round(j) - params.l, params.budgets[j - 2]
+    out_len, prev_budget = params.payload_bits(j), params.budgets[j - 2]
     for i, w in enumerate(ws):
         if w.length != params.n:
             raise ValueError(f"word {i} has {w.length} bits, expected {params.n}")
@@ -244,7 +245,7 @@ def search_block_encoding(
 def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord], memos: dict,
             holders: Counter) -> tuple[int, int, tuple[BitWord, ...]]:
     """(a, b, ys) for one checked block; `memos` and `holders` share words as the module docstring says."""
-    n, modulus, out_len = params.n, canonical_spec(params.n), params.k_for_round(j) - params.l
+    n, modulus, out_len = params.n, canonical_spec(params.n), params.payload_bits(j)
     keys, budget = [(id(params), j, w.bits) for w in ws], params.budgets[j - 1]
     for key, w in zip(keys, ws):
         if key not in memos:  # descending candidates: the last witness stored is the smallest
@@ -277,14 +278,28 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
                      "most frequent bottleneck", bottleneck)
 
 
-def encode_blocks(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:
-    """`encode_round` on blocks that hold a round, in block order, with one memo for the call."""
-    holders = Counter((id(state.params), state.round + 1, w.bits) for state in states for w in state.data)
+def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:
+    """Write one round into every block, in block order; fails atomically.
+
+    Round 1 is `encode_round1` per block. A later round runs `_search` per
+    block with one memo for the call, which shares the tables of a word
+    that several blocks hold. The first failing block's error is raised
+    before any state is returned. States are immutable.
+    """
+    if len(states) != len(msgs):
+        raise ValueError(f"{len(states)} states but {len(msgs)} messages")
+    if not states:
+        raise ValueError("need at least one block")
+    rounds = {s.round for s in states}
+    if len(rounds) > 1:
+        raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
+    holders = Counter((id(s.params), s.round + 1, w.bits) for s in states if s.round for w in s.data)
     memos, out = {}, []
     for state, msg in zip(states, msgs):
         p, j = state.params, msg.round
         if j == 1:
-            encode_round1(state, msg)  # refuses: the block holds a round
+            out.append(encode_round1(state, msg))
+            continue
         if j > p.t:
             raise SequencingError(f"round {j} out of range 1..{p.t}")
         if state.round != j - 1:
@@ -298,8 +313,8 @@ def encode_blocks(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) ->
 
 
 def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
-    """Write round msg.round: round 1 by encode_round1, a later round by `encode_blocks`."""
-    return encode_round1(state, msg) if msg.round == 1 else encode_blocks([state], [msg])[0]
+    """Write round msg.round into one block: `full_encode_round` on that block."""
+    return full_encode_round([state], [msg])[0]
 
 
 def decode_round(state: BlockState, j: int) -> RoundMessage:
@@ -316,7 +331,7 @@ def decode_round(state: BlockState, j: int) -> RoundMessage:
     if j == 1:
         return RoundMessage(1, [colex_rank(d.bits) for d in state.data])
     side = state.sides[j - 2].bits
-    out_len = p.k[j - 2] - p.l
+    out_len = p.payload_bits(j)
     rows = truncated_rows(canonical_spec(p.n), side & ((1 << p.n) - 1), out_len)
     hashes = hash_words(rows, [d.bits for d in state.data], side >> p.n)
     return RoundMessage(j, [BitWord(out_len, h) for h in hashes])

@@ -74,10 +74,6 @@ class RatePoint:
         return sum(self.rates)
 
 
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 @dataclass(frozen=True, slots=True)
 class WeightVector:
     """Write densities (p_1..p_t), each in [0, 1/2]; the last is pinned to 1/2.
@@ -90,7 +86,7 @@ class WeightVector:
     p: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(_as_fraction(x) for x in self.p))
+        object.__setattr__(self, "p", tuple(map(Fraction, self.p)))
         if len(self.p) < 1:
             raise ValueError("need at least one round")
         if any(not 0 <= x <= Fraction(1, 2) for x in self.p):

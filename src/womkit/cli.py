@@ -26,6 +26,7 @@ from .capacity import (
 from .full_codec import (
     FullParams, full_encode_round, memory_to_states, pack_messages, states_to_memory, unpack_messages,
 )
+from .gf2n import MAX_WIDTH, MIN_WIDTH
 from .hashfam import AUDIT_MAX_WIDTH, DISTANCE_MAX_WIDTH, image_fraction_audit, lhl_exact_distance
 from .wom_device import Device, ImageFormatError, WriteOnceViolation, apply_write, load_image, save_image
 
@@ -155,7 +156,7 @@ def cmd_init(args) -> int:
         raise ValueError(f"{args.out} already exists (use --force to overwrite)")
     params = _manual_params(args)
     if not params.desk_executable:
-        raise ValueError(f"n={params.n} is outside the searchable field width 2..24")
+        raise ValueError(f"n={params.n} is outside the searchable field width {MIN_WIDTH}..{MAX_WIDTH}")
     dev = Device.fresh(args.blocks * params.n0)
     # Overwriting takes the image's lock: a writer that holds it would later
     # rename its own image over this one.
@@ -168,11 +169,17 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
-def _load_session(path: str) -> tuple[Device, FullParams, int, list[BlockState]]:
+def _load_session(path: str) -> tuple[Device, FullParams, int, list[BlockState], BitWord | None]:
+    """Device, parameters, round, states and the stream the round holds (None at round 0).
+
+    Write decodes here as read does, so it refuses every image read refuses, with the same text.
+    """
     with open(path, "rb") as handle:
         dev, params, round_ = load_image(handle.read())
     full = FullParams(params, dev.cells.length // params.n0)
-    return dev, full, round_, memory_to_states(dev.cells, full)
+    states = memory_to_states(dev.cells, full)
+    stream = unpack_messages([decode_round(state, round_) for state in states], full) if round_ else None
+    return dev, full, round_, states, stream
 
 
 def _read_message_file(path: str) -> BitWord:
@@ -185,16 +192,9 @@ def _read_message_file(path: str) -> BitWord:
     return BitWord(8 * len(raw), int.from_bytes(raw, "little"))
 
 
-def _decode_current(full: FullParams, states: list[BlockState], j: int) -> BitWord:
-    """The stream round j holds, through the checks `read` makes."""
-    return unpack_messages([decode_round(state, j) for state in states], full)
-
-
 def cmd_write(args) -> int:
     with _image_lock(args.img):
-        dev, full, current, states = _load_session(args.img)
-        if current:  # refuse what read refuses: a round-1 rank wider than the stream carries
-            _decode_current(full, states, current)
+        dev, full, current, states, _ = _load_session(args.img)
         if args.blocks is not None and args.blocks != full.n1:
             raise ValueError(f"image holds {full.n1} block(s), not {args.blocks}")
         if not 1 <= args.round <= full.block.t:
@@ -223,16 +223,14 @@ def cmd_write(args) -> int:
 
 
 def cmd_read(args) -> int:
-    _, full, current, states = _load_session(args.img)
+    _, _, current, _, stream = _load_session(args.img)
     if current == 0:
         _fail("image holds no written rounds yet")
         return EXIT_NOTHING_WRITTEN
-    j = current if args.round is None else args.round
-    if j != current:
+    if args.round not in (None, current):
         raise ValueError(f"only the most recent round ({current}) is decodable")
-    stream = _decode_current(full, states, j)
     payload = stream.bits.to_bytes(ceil(stream.length / 8) if stream.length else 0, "little")
-    print(f"round={j}")
+    print(f"round={current}")
     print(f"bits={stream.length}")
     print(f"payload={payload.hex()}")
     return EXIT_OK

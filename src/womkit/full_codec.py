@@ -3,11 +3,12 @@
 A full code is n1 side-by-side copies of the basic block; blocks encode
 and decode independently (each may pick its own hash coefficients), so
 concatenation preserves the rate while the per-block search cost becomes
-polynomial in the total length. A round j >= 2 write searches the blocks
-in order and hashes a word that several blocks hold once per multiplier
-(`block_codec.encode_blocks`). This module splits a flat bitstream into
-per-block round messages, joins them back, and bridges block states to
-the flat device memory, where a block's round is its t-bit unary header.
+polynomial in the total length. `block_codec.full_encode_round`, which
+this module exports, writes one round into every block in order and, from
+round 2 on, hashes a word that several blocks hold once per multiplier.
+This module splits a flat bitstream into per-block round messages, joins
+them back, and bridges block states to the flat device memory, where a
+block's round is its t-bit unary header.
 
 Splitting and joining never shift the whole stream or memory once per
 field: they convert it to bytes once and cut or glue fields eight at a time,
@@ -36,9 +37,7 @@ from typing import Sequence
 
 from .bitwords import BitWord, _join_fields, _split_fields
 from .capacity import WomParams
-from .block_codec import (
-    BlockState, RoundMessage, _built_state, _check_words, check_block, encode_blocks, encode_round,
-)
+from .block_codec import BlockState, RoundMessage, _built_state, _check_words, check_block, full_encode_round
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,28 +58,6 @@ class FullParams:
     def round_capacity(self, j: int) -> int:
         """Message bits one round carries across all blocks."""
         return self.n1 * self.block.m * self.block.payload_bits(j)
-
-
-def full_encode_round(
-    states: Sequence[BlockState], msgs: Sequence[RoundMessage]
-) -> list[BlockState]:
-    """Encode one round across all blocks; fails atomically.
-
-    Round 1 encodes block by block; a later round is `block_codec.encode_blocks`,
-    which also searches block by block but shares the tables of a word that
-    several blocks hold. The first failing block's error is raised before
-    any state is returned. States are immutable.
-    """
-    if len(states) != len(msgs):
-        raise ValueError(f"{len(states)} states but {len(msgs)} messages")
-    if not states:
-        raise ValueError("need at least one block")
-    rounds = {s.round for s in states}
-    if len(rounds) > 1:
-        raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
-    if rounds == {0}:
-        return [encode_round(state, msg) for state, msg in zip(states, msgs)]
-    return encode_blocks(states, msgs)
 
 
 def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMessage]:
@@ -105,8 +82,8 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
 
     The payloads are flattened into one list and their width is checked
     once, through max and min. Any other case, a payload of the wrong length
-    or an entry that is no int included, takes one walk over the blocks in
-    order, which names the block and word of the first error.
+    or an entry that is no int or no `BitWord` included, takes one walk over
+    the blocks in order, which names the block and word of the first error.
     """
     if len(msgs) != params.n1:
         raise ValueError(f"{len(msgs)} messages for {params.n1} blocks")
@@ -122,11 +99,11 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
             break
         entries.extend(msg.payload)
     else:
-        values = entries if j == 1 else [entry.bits for entry in entries]
         try:
+            values = entries if j == 1 else [entry.bits for entry in entries]
             if not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
                 return BitWord(len(values) * width, _join_fields(values, width))
-        except TypeError:  # an entry that is no int
+        except (TypeError, AttributeError):  # an entry that is no int, or no word
             pass
     values = []
     for block, msg in enumerate(msgs):
@@ -135,6 +112,8 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
         for word, entry in enumerate(msg.payload):
             if j == 1 and not isinstance(entry, int):  # a bool is an int, as on the fast path
                 raise ValueError(f"block {block} word {word}: rank {entry!r} is not an int")
+            if j != 1 and not isinstance(entry, BitWord):
+                raise ValueError(f"block {block} word {word}: {entry!r} is not a BitWord")
             value = entry if j == 1 else entry.bits
             if value >> width:
                 raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")

@@ -66,7 +66,7 @@ def _random_message(params: WomParams, j: int, rnd: random.Random) -> RoundMessa
     if j == 1:
         space = params.round1_space
         return RoundMessage(1, tuple(rnd.randrange(space) for _ in range(params.m)))
-    width = params.k_for_round(j) - params.l
+    width = params.payload_bits(j)
     return RoundMessage(j, tuple(BitWord(width, rnd.getrandbits(width)) for _ in range(params.m)))
 
 
@@ -166,7 +166,7 @@ def criterion_6() -> str:
     ]
     ran = 0
     for params, count in families:
-        out_len = params.k[0] - params.l
+        out_len = params.payload_bits(2)
         for _ in range(count):
             ws = []
             for _ in range(params.m):

@@ -33,10 +33,9 @@ a memoryview, and only the preamble lines and lines that need parsing or
 an error message become text. Every line goes through one checked reader,
 `_take`, and a slot's value is reused wherever that exact line appears
 again in the same slot, so loading keeps one memo entry per distinct line
-per slot plus one int per block. On an 8,000-block round-1 image (0.62 MB)
-this cut the traced transient of a load from +5.28 MB to about +0.5 MB.
-Every block's header must be the unary counter of the `round=` line; each
-distinct header line is checked once, when it is first parsed.
+per slot plus one int per block. Every block's header must be the
+unary counter of the `round=` line; each distinct header line is checked
+once, when it is first parsed.
 """
 
 from __future__ import annotations

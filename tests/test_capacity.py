@@ -55,6 +55,8 @@ def test_optimal_point_sums():
     assert densities.p == (Fraction(1, 3), Fraction(1, 2))
     rates3, _ = optimal_point(3)
     assert abs(rates3.total - 2.0) < 1e-12
+    with pytest.raises(ValueError, match="^need at least one round$"):
+        optimal_point(0)
 
 
 def test_optimal_point_in_region():
@@ -87,6 +89,10 @@ def test_weight_vector_validation():
         WeightVector([Fraction(2, 3), Fraction(1, 2)])  # above 1/2
     with pytest.raises(ValueError):
         WeightVector([])
+    with pytest.raises(ValueError, match="^need at least one round$"):
+        RatePoint(())
+    with pytest.raises(ValueError, match="^rates must be nonnegative$"):
+        RatePoint((0.5, -0.1))
 
 
 def test_derive_parameters_frozen_example():
@@ -108,6 +114,12 @@ def test_derive_parameters_rejects_vacuous_target():
         derive_parameters(2.0, 2, rates, densities)
     with pytest.raises(ValueError):
         derive_parameters(0.0, 2, rates, densities)
+    with pytest.raises(ValueError, match="^need at least one round$"):
+        derive_parameters(0.5, 0, rates, densities)
+    with pytest.raises(ValueError, match="^rates and densities must have t entries$"):
+        derive_parameters(0.5, 3, rates, densities)
+    with pytest.raises(ValueError, match="^rate point is not achievable under the given densities$"):
+        derive_parameters(0.5, 2, RatePoint((1.0, 0.6)), densities)
 
 
 def test_derived_occupancy_and_rate_guarantee():
@@ -157,6 +169,14 @@ def test_params_validation():
         WomParams(**{**good, "m": 0})
     with pytest.raises(ValueError):
         WomParams(**{**good, "p": WeightVector([Fraction(1, 2)])})
+    for field, value, message in [("t", 0, "need at least one round"), ("n", 0, "data words need at least one bit"),
+                                  ("l", -1, "slack must be nonnegative")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WomParams(**{**good, field: value})
+    with pytest.raises(ValueError, match="^data index 4 out of range$"):
+        WomParams(**good).data_offset(4)
+    with pytest.raises(ValueError, match="^side index 1 out of range$"):
+        WomParams(**good).side_offset(1)
 
 
 @pytest.mark.parametrize("field,value,message", [

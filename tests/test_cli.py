@@ -75,6 +75,21 @@ def test_params_with_explicit_rates(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["params", "--t", "3", "--epsilon", "0.5", "--rates", "0.5,0.5"], "2 rates given for t=3"),
+    (["params", "--t", "2", "--epsilon", "0.5", "--rates", "x"],
+     "bad rates 'x': could not convert string to float: 'x'"),
+    (["init", "--out", "{img}", "--t", "2", "--m", "4", "--l", "2", "--k", "7", "--p", "1/3,1/2"],
+     "manual parameters need --n"),
+    (["audit-hash", "--n", "6", "--k", "4", "--l", "2", "--trials", "0"], "need at least one trial set"),
+])
+def test_usage_errors_print_one_line_and_exit_2(tmp_path, capsys, argv, message):
+    img = tmp_path / "none.wom"
+    code, out, err = run(capsys, *(arg.format(img=img) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not img.exists()
+
+
 def test_init_write_read_cycle(tmp_path, capsys):
     img = tmp_path / "session.wom"
     init_image(capsys, img)

@@ -81,6 +81,8 @@ def test_mismatched_arity_rejected():
         full_encode_round(states, msgs)
     with pytest.raises(ValueError):
         unpack_messages(msgs[:1], full)
+    with pytest.raises(ValueError, match="^need at least one block$"):
+        FullParams(full.block, 0)
 
 
 def test_atomic_failure_leaves_states_untouched():

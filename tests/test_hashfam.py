@@ -128,6 +128,10 @@ def test_image_audit_errors():
         image_fraction_audit(13, 6, 4, [range(64)])  # width out of range
     with pytest.raises(ValueError):
         image_fraction_audit(8, 6, 4, [])
+    with pytest.raises(ValueError, match="^need 0 <= l <= k <= n, got l=6 k=4 n=8$"):
+        image_fraction_audit(8, 4, 6, [range(64)])
+    with pytest.raises(ValueError, match="^set element 0x10 is not an 4-bit word$"):
+        image_fraction_audit(4, 2, 1, [[0, 1, 2, 16]])
 
 
 def test_lhl_distance_degenerate_zero():
@@ -172,3 +176,5 @@ def test_lhl_distance_errors():
         lhl_exact_distance(4, 4, 2, range(8))  # wrong source size
     with pytest.raises(ValueError):
         lhl_exact_distance(8, 4, 2, range(16))  # width out of range
+    with pytest.raises(ValueError, match="^need 0 <= l <= k <= n, got l=3 k=2 n=4$"):
+        lhl_exact_distance(4, 2, 3, range(4))

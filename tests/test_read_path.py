@@ -215,14 +215,26 @@ def unpack_cases():
         ("round-2 words fit", r2(ok2, ok2, ok2, ok2)),
         ("round-2 word too wide at block 1 word 1", r2(ok2, ((1, 0), (1 << width2, 1), (0, 0)), ok2, ok2)),
         ("round-2 entry that is no word", [RoundMessage(2, (1, 2, 3))] * 4),
+        ("round-2 entry that is no word after words",
+         r2(ok2, ok2) + [RoundMessage(2, (BitWord(width2, 0), None, 0))] * 2),
         ("round without a hash size", [RoundMessage(3, (0, 0, 0))] * 4),
     ]
+
+
+# The oracle raises AttributeError reading entry.bits; the library names the entry.
+NO_WORD = {
+    "round-2 entry that is no word": "block 0 word 0: 1 is not a BitWord",
+    "round-2 entry that is no word after words": "block 2 word 1: None is not a BitWord",
+}
 
 
 @pytest.mark.parametrize("what,msgs", unpack_cases(), ids=[what for what, _ in unpack_cases()])
 def test_unpack_messages_matches_oracle_on_every_path(what, msgs):
     got = outcome(unpack_messages, msgs, FULL)
-    assert got == outcome(layout_oracle.unpack_messages, msgs, FULL)
+    if what in NO_WORD:
+        assert got == ("raised", ValueError, NO_WORD[what])
+    else:
+        assert got == outcome(layout_oracle.unpack_messages, msgs, FULL)
     assert (got[0] == "ok") == (what in {"fits", "round-2 words fit", "bool ranks"}), got
 
 

@@ -254,6 +254,7 @@ SHORT_PAYLOAD = (round1(WIDE, [1, 2, 4]), RoundMessage(2, [BitWord(4, 0)] * 2))
 WRONG_ROUND = (round1(WIDE, [1, 2, 4]), RoundMessage(3, [BitWord(4, 0)] * 3))
 ROUND_ONE = (round1(WIDE, [1, 2, 4]), RoundMessage(1, [0, 0, 0]))
 WRONG_WIDTH = (round1(WIDE, [1, 2, 4]), RoundMessage(2, [BitWord(3, 0)] * 3))
+FRESH_OK = (BlockState.fresh(TIGHT), RoundMessage(1, [0, 1]))  # with TIGHT_OK, every per-block check passes
 
 
 @pytest.mark.parametrize("blocks, expect", [
@@ -269,6 +270,8 @@ WRONG_WIDTH = (round1(WIDE, [1, 2, 4]), RoundMessage(2, [BitWord(3, 0)] * 3))
     ([WIDE_OK, ROUND_ONE, TIGHT_FAILS], ("SequencingError", "block already holds 1 round(s)")),
     ([WIDE_OK, WRONG_WIDTH, TIGHT_FAILS], ("ValueError", "message 0 has 3 bits, expected 4")),
     ([TIGHT_FAILS, WRONG_WIDTH], ("no encoding", 1)),
+    ([], ("ValueError", "need at least one block")),
+    ([FRESH_OK, TIGHT_OK], ("ValueError", "blocks disagree on the current round: [0, 1]")),
 ])
 def test_the_lowest_failing_block_raises(blocks, expect):
     states, msgs = [state for state, _ in blocks], [msg for _, msg in blocks]
