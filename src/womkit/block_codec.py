@@ -12,11 +12,19 @@ any round, into every block of an image in block order, and `encode_round`
 is its one-block case. For each block of a round j >= 2, `_search` tries
 a = 0, 1, ... over ints: one `hashfam.hash_words` pass over a word's
 candidate masks gives its table H_{a,0}(y) -> smallest y, and membership
-tests find the targets v with v ^ x_i in every table. One memo per call,
-keyed on parameter object, round and bits, holds a word's candidates and,
-while more than one unwritten slot holds the word, its table at each a
-built so far; the entry goes when the word's last holder is written. The
-first failing block raises its error, its check's or its NoEncoding.
+tests find the targets v with v ^ x_i in every table. H_{a,0} is
+GF(2)-linear, so word i's targets lie in its hull: H(w_i) XOR the span of
+the rows of w_i's unset bits (the point H(w_i) when w_i has no budget
+left), shifted by x_i ^ x_0. At the first word whose table at a the memo
+lacks, the hull test filters through the block's tables and hulls and
+skips a, building no table, when they leave no common target; it never
+skips a multiplier that works. One memo per call, keyed on parameter
+object, round and bits, holds a word's candidates and, while more than one
+unwritten slot holds the word, its tables and hulls at each a built so
+far; the entry goes when the word's last holder is written. When every
+multiplier fails, the same loop rescans with the test off, so NoEncoding
+names the exact bottleneck. The first failing block raises its error, its
+check's or its NoEncoding.
 Decoding re-applies the current round's map with one `hash_words` call
 over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
@@ -244,38 +252,89 @@ def search_block_encoding(
 
 def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord], memos: dict,
             holders: Counter) -> tuple[int, int, tuple[BitWord, ...]]:
-    """(a, b, ys) for one checked block; `memos` and `holders` share words as the module docstring says."""
+    """(a, b, ys) for one checked block; `memos` and `holders` share words as the module docstring says.
+
+    `_may_meet` is the hull test. At a = 0 every row is zero, so each hull
+    is the point x_i ^ x_0, and the test skips a = 0 unless all x_i are
+    equal. A skipped multiplier counts no fail; the rescan with the test
+    off (`exact`) counts every fail.
+    """
     n, modulus, out_len = params.n, canonical_spec(params.n), params.payload_bits(j)
     keys, budget = [(id(params), j, w.bits) for w in ws], params.budgets[j - 1]
     for key, w in zip(keys, ws):
         if key not in memos:  # descending candidates: the last witness stored is the smallest
-            memos[key] = list(enumerate_above(w, budget))[::-1], {}
-    x0, fails = xs[0].bits, [0] * params.m
-    for a in range(1 << n):
-        rows, common, used = truncated_rows(modulus, a, out_len), None, []
-        for i, key in enumerate(keys):
-            cands, tables = memos[key]
-            table = tables.get(a)
-            if table is None:
-                table = dict(zip(hash_words(rows, cands, 0), cands))
-                if holders[key] > 1:  # kept until the word's last holder slot is done
-                    tables[a] = table
-            shift = xs[i].bits ^ x0
-            common = table if common is None else [h for h in common if h ^ shift in table]
-            if not common:
-                fails[i] += 1
-                break
-            used.append(table)
-        else:
-            holders.subtract(keys)
-            for key in keys:
-                if not holders[key]:
-                    memos.pop(key, None)
-            v = min(h ^ x0 for h in common)
-            return a, v, tuple([BitWord(n, table[v ^ x.bits]) for table, x in zip(used, xs)])
+            memos[key] = list(enumerate_above(w, budget))[::-1], {}, {}
+    x0 = xs[0].bits
+    words = [(memos[key], key[2], x.bits ^ x0, holders[key] > 1) for key, x in zip(keys, xs)]
+    start = int(any(x.bits != x0 for x in xs))
+    for exact in (False, True):
+        fails = [0] * params.m
+        for a in range(0 if exact else start, 1 << n):
+            rows, common, used, hull_test = truncated_rows(modulus, a, out_len), None, [], not exact
+            for i, ((cands, tables, hulls), _, shift, keep) in enumerate(words):
+                table = tables.get(a)
+                if table is None:
+                    if hull_test:
+                        hull_test = False
+                        if not _may_meet(rows, a, common, words[i:]):
+                            break
+                    table = dict(zip(hash_words(rows, cands, 0), cands))
+                    if keep:  # kept until the word's last holder slot is done
+                        tables[a] = table
+                        hulls.pop(a, None)
+                common = table if common is None else [h for h in common if h ^ shift in table]
+                if not common:
+                    fails[i] += 1
+                    break
+                used.append(table)
+            else:
+                holders.subtract(keys)
+                for key in keys:
+                    if not holders[key]:
+                        memos.pop(key, None)
+                v = min(h ^ x0 for h in common)
+                return a, v, tuple([BitWord(n, table[v ^ x.bits]) for table, x in zip(used, xs)])
     bottleneck = max(range(params.m), key=lambda i: (fails[i], -i))
     raise NoEncoding(f"exhausted all {1 << n} multipliers for round {j}; data word {bottleneck} was the "
                      "most frequent bottleneck", bottleneck)
+
+
+def _may_meet(rows: list[int], a: int, common, words: list) -> bool:
+    """False only if no h in common (any h when None) has h ^ shift in every word's targets at a.
+
+    A word's table at a holds its targets exactly. Without one, its targets
+    lie in its hull, kept in the word's memo entry while its tables would
+    be. The test filters common through each word's table or hull in turn.
+    """
+    for (cands, tables, hulls), bits, shift, keep in words:
+        hull = tables.get(a) or hulls.get(a)
+        if hull is None:
+            hull = _hull(rows, bits, len(cands))
+            if keep:
+                hulls[a] = hull
+        if hull:
+            common = [h ^ shift for h in hull] if common is None else [h for h in common if h ^ shift in hull]
+            if not common:
+                return False
+    return True
+
+
+def _hull(rows: list[int], bits: int, size: int) -> set:
+    """The points H(w) XOR span{rows of w's unset bits} for the word w = bits with size candidates.
+
+    H is GF(2)-linear, so every candidate y = w | s hashes to H(w) XOR H(s)
+    in this set. A word with one candidate has the point H(w) alone. The
+    set is empty, and bounds nothing, once the span outgrows the candidates,
+    which are then cheaper to hash than the hull is to build.
+    """
+    span = {0}
+    for q, row in enumerate(rows if size > 1 else ()):
+        if not bits >> q & 1 and row not in span:
+            span |= {s ^ row for s in span}
+            if len(span) > size:
+                return set()
+    point = hash_words(rows, (bits,), 0)[0]
+    return {point ^ s for s in span}
 
 
 def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:

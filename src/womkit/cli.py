@@ -58,12 +58,13 @@ def _parse_ints(option: str, text: str) -> tuple[int, ...]:
 
 
 def _densities_for_rates(rates: RatePoint) -> WeightVector:
-    """Smallest densities supporting each round's rate, final round at 1/2."""
+    """Smallest densities supporting each round's rate, final round at 1/2.
+
+    Each density is at most 1/2, so the memory left stays at least 2^-(t-1).
+    """
     entries = []
     remaining = 1.0
     for j in range(1, rates.t):
-        if remaining <= 0:
-            raise ValueError("earlier rounds consumed the whole memory")
         target = rates.rates[j - 1] / remaining
         if target > 1 + 1e-9:
             raise ValueError(f"round {j} rate {rates.rates[j - 1]} is not achievable")

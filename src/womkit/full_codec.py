@@ -81,9 +81,11 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
     """Join per-block messages back into the bitstream pack_messages split.
 
     The payloads are flattened into one list and their width is checked
-    once, through max and min. Any other case, a payload of the wrong length
-    or an entry that is no int or no `BitWord` included, takes one walk over
-    the blocks in order, which names the block and word of the first error.
+    once, through max and min; round-1 ranks must all have type int, as in
+    `encode_round1`. Any other case, a payload of the wrong length or an
+    entry that is no int (a bool included) or no `BitWord`, takes one walk
+    over the blocks in order, which names the block and word of the first
+    error.
     """
     if len(msgs) != params.n1:
         raise ValueError(f"{len(msgs)} messages for {params.n1} blocks")
@@ -101,7 +103,8 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
     else:
         try:
             values = entries if j == 1 else [entry.bits for entry in entries]
-            if not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
+            ranks_are_ints = j != 1 or set(map(type, values)) == {int}  # so no bool passes as a rank
+            if ranks_are_ints and not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
                 return BitWord(len(values) * width, _join_fields(values, width))
         except (TypeError, AttributeError):  # an entry that is no int, or no word
             pass
@@ -110,7 +113,7 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
         if len(msg.payload) != m:
             raise ValueError(f"payload has {len(msg.payload)} entries, expected {m}")
         for word, entry in enumerate(msg.payload):
-            if j == 1 and not isinstance(entry, int):  # a bool is an int, as on the fast path
+            if j == 1 and type(entry) is not int:
                 raise ValueError(f"block {block} word {word}: rank {entry!r} is not an int")
             if j != 1 and not isinstance(entry, BitWord):
                 raise ValueError(f"block {block} word {word}: {entry!r} is not a BitWord")

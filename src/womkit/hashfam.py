@@ -70,10 +70,9 @@ def hash_apply(a: int, b: int, out_len: int, x: BitWord) -> BitWord:
 def _distinct_masks(values: Iterable, n: int) -> list[int]:
     masks = set()
     for v in values:
-        bits = int(v)
-        if not 0 <= bits < (1 << n):
-            raise ValueError(f"set element 0x{bits:x} is not an {n}-bit word")
-        masks.add(bits)
+        if type(v) is not int or not 0 <= v < 1 << n:
+            raise ValueError(f"set element {v!r} is not an int in 0..{(1 << n) - 1}")
+        masks.add(v)
     return sorted(masks)
 
 

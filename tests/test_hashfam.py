@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -130,8 +131,10 @@ def test_image_audit_errors():
         image_fraction_audit(8, 6, 4, [])
     with pytest.raises(ValueError, match="^need 0 <= l <= k <= n, got l=6 k=4 n=8$"):
         image_fraction_audit(8, 4, 6, [range(64)])
-    with pytest.raises(ValueError, match="^set element 0x10 is not an 4-bit word$"):
+    with pytest.raises(ValueError, match=r"^set element 16 is not an int in 0\.\.15$"):
         image_fraction_audit(4, 2, 1, [[0, 1, 2, 16]])
+    with pytest.raises(ValueError, match=r"^set element -1 is not an int in 0\.\.15$"):
+        image_fraction_audit(4, 2, 1, [[0, 1, 2, -1]])
 
 
 def test_lhl_distance_degenerate_zero():
@@ -178,3 +181,13 @@ def test_lhl_distance_errors():
         lhl_exact_distance(8, 4, 2, range(16))  # width out of range
     with pytest.raises(ValueError, match="^need 0 <= l <= k <= n, got l=3 k=2 n=4$"):
         lhl_exact_distance(4, 2, 3, range(4))
+
+
+@pytest.mark.parametrize("element", [True, 2.9, "3", BitWord(4, 3)])
+def test_audits_refuse_elements_that_are_not_ints(element):
+    # int(v) once read these as 1, 2, 3 and 3, so the source [0, True, 2.9, '3'] passed as range(4)
+    text = rf"^set element {re.escape(repr(element))} is not an int in 0\.\.15$"
+    with pytest.raises(ValueError, match=text):
+        lhl_exact_distance(4, 2, 1, [0, element, 1, 2])
+    with pytest.raises(ValueError, match=text):
+        image_fraction_audit(4, 2, 1, [[0, 1, element, 2]])

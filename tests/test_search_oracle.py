@@ -24,6 +24,8 @@ from womkit.bitwords import BitWord, count_above
 from womkit.block_codec import BlockState, NoEncoding, RoundMessage, _built_state, search_block_encoding
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import full_encode_round
+from womkit.gf2n import canonical_spec
+from womkit.hashfam import hash_words, truncated_rows
 
 
 def outcome(search, *args):
@@ -169,12 +171,15 @@ def test_whole_image_rounds_match_per_block_oracle(params, blocks, seed):
 
 
 def test_whole_image_writes_share_tables(monkeypatch):
-    # the candidates hashed by the 400-block image above; searching each
-    # block alone hashes 356,460 and 577,149
+    # the candidates hashed into tables by the 400-block image above: 69,940
+    # and 158,534 with the hull test, 113,620 and 428,396 without it, and
+    # 356,460 and 577,149 when each block is searched alone. A hull's point
+    # is a one-word hash; every candidate list here holds more words.
     hashed, hash_words = [], block_codec.hash_words
 
     def counting(rows, words, shift):
-        hashed.append(len(words))
+        if len(words) > 1:
+            hashed.append(len(words))
         return hash_words(rows, words, shift)
 
     monkeypatch.setattr(block_codec, "hash_words", counting)
@@ -183,7 +188,7 @@ def test_whole_image_writes_share_tables(monkeypatch):
         hashed.clear()
         full_encode_round(states, msgs)
         counts.append(sum(hashed))
-    assert 0 < counts[0] <= 113_620 and 0 < counts[1] <= 428_396, counts
+    assert 0 < counts[0] <= 71_000 and 0 < counts[1] <= 160_000, counts
 
 
 def test_all_distinct_words_and_one_block_match_oracle():
@@ -302,3 +307,110 @@ def test_whole_image_search_memory():
     params = WomParams(t=2, n=14, m=2, l=2, k=(6,), p=WeightVector([Fraction(3, 7), Fraction(1, 2)]))
     [second] = rounds_of(params, 40, seed=9, distinct=True)
     assert traced_peak(full_encode_round, *second) <= 1.25 * traced_peak(oracle.full_encode_round, *second)
+
+
+# The hull test. At multiplier a every target of word i lies in its hull,
+# H(w_i) XOR the span of the rows of w_i's unset bits, shifted by x_i ^ x_0.
+# The search skips a multiplier whose hulls and tables leave no common
+# target before it builds the missing tables, and NoEncoding comes from a
+# rescan with the test off.
+
+
+def first_fail(params, j, ws, xs, a, hulls=False):
+    """The first word at which a's candidate targets, or its hulls, stop meeting; None if they meet."""
+    rows = truncated_rows(canonical_spec(params.n), a, params.payload_bits(j))
+    common = None
+    for i, (w, x) in enumerate(zip(ws, xs)):
+        cands = list(oracle.enumerate_above(w, params.budgets[j - 1]))
+        points = block_codec._hull(rows, w.bits, len(cands)) if hulls else hash_words(rows, cands, 0)
+        if points:  # an empty hull bounds nothing
+            targets = {h ^ x.bits ^ xs[0].bits for h in points}
+            common = targets if common is None else common & targets
+            if not common:
+                return i
+    return None
+
+
+def test_hull_test_never_skips_a_multiplier_that_works(monkeypatch):
+    # random blocks at n <= 8: each hull holds its word's candidate hashes,
+    # each multiplier the test skips (a = 0 included) has an empty candidate
+    # intersection, and the search matches the oracle
+    skipped, may_meet = [], block_codec._may_meet
+
+    def spy(rows, a, *rest):
+        meets = may_meet(rows, a, *rest)
+        if not meets:
+            skipped.append(a)
+        return meets
+
+    monkeypatch.setattr(block_codec, "_may_meet", spy)
+    rnd = random.Random(0x4011)
+    kinds = Counter()
+    for n in range(2, 9):
+        for _ in range(60):
+            j = rnd.choice((2, 3))
+            params, ws, xs = random_instance(rnd, n, j)
+            skipped.clear()
+            got = outcome(search_block_encoding, params, j, ws, xs)
+            assert got == outcome(oracle.search_block_encoding, params, j, ws, xs), (params, j, ws, xs)
+            kinds[got[0]] += 1
+            if len({x.bits for x in xs}) > 1:
+                skipped.append(0)
+            for a in skipped:
+                assert first_fail(params, j, ws, xs, a) is not None, (params, j, ws, xs, a)
+            kinds["skipped"] += len(skipped)
+            modulus, out_len = canonical_spec(n), params.payload_bits(j)
+            for a in rnd.sample(range(1 << n), min(16, 1 << n)):
+                rows = truncated_rows(modulus, a, out_len)
+                for w in ws:
+                    cands = list(oracle.enumerate_above(w, params.budgets[j - 1]))
+                    hull = block_codec._hull(rows, w.bits, len(cands))
+                    assert not hull or set(hash_words(rows, cands, 0)) <= hull
+    assert kinds["ok"] >= 300 and kinds["no encoding"] >= 45 and kinds["skipped"] >= 1200, kinds
+
+
+# A round-2 block that no multiplier encodes. At 6 of its 64 multipliers
+# the hulls stop meeting at word 2 while the candidates stop at word 1.
+# Counted where the candidates empty, word 1 is the bottleneck (32 fails
+# against 27); counted where the hulls first empty, word 2 would be.
+HULL_FIRST = WomParams(t=2, n=6, m=4, l=0, k=(4,), p=WeightVector([Fraction(1, 2), Fraction(1, 2)]))
+HULL_FIRST_WS = [BitWord(6, bits) for bits in (35, 50, 35, 38)]
+HULL_FIRST_XS = [BitWord(4, x) for x in (6, 9, 7, 2)]
+
+
+def test_no_encoding_names_the_exact_bottleneck_when_hulls_empty_first():
+    args = HULL_FIRST, 2, HULL_FIRST_WS, HULL_FIRST_XS
+    exact = [first_fail(*args, a) for a in range(64)]
+    hulls = [first_fail(*args, a, hulls=True) for a in range(64)]
+    assert sum(h not in (None, e) for h, e in zip(hulls, exact)) == 6
+    assert Counter(exact) == {1: 32, 2: 27, 3: 5}
+    assert Counter(e if h is None else h for h, e in zip(hulls, exact)) == {1: 27, 2: 29, 3: 8}
+    text = "exhausted all 64 multipliers for round 2; data word 1 was the most frequent bottleneck"
+    assert outcome(search_block_encoding, *args) == ("no encoding", text, 1)
+    assert outcome(oracle.search_block_encoding, *args) == ("no encoding", text, 1)
+    # two blocks that hold the same words share their hulls through the memo
+    state = round1(HULL_FIRST, [w.bits for w in HULL_FIRST_WS])
+    msgs = [RoundMessage(2, HULL_FIRST_XS)] * 2
+    assert assert_matches_oracle([state, state], msgs) == ("no encoding", text, 1)
+
+
+def test_no_table_is_built_at_a_zero_unless_all_messages_are_equal(monkeypatch):
+    # at a = 0 every row is zero and word i's hull is the point x_i ^ x_0
+    zero_tables, hash_words_ = [], block_codec.hash_words
+
+    def spy(rows, words, shift):
+        if not any(rows) and len(words) > 1:
+            zero_tables.append(len(words))
+        return hash_words_(rows, words, shift)
+
+    monkeypatch.setattr(block_codec, "hash_words", spy)
+    [(states, msgs)] = rounds_of(BULK_SHAPE, 300, seed=12)
+    assert all(len({x.bits for x in msg.payload}) > 1 for msg in msgs)
+    assert assert_matches_oracle(states, msgs)[0] == "ok"
+    assert zero_tables == []
+    equal = RoundMessage(2, [msgs[0].payload[0]] * BULK_SHAPE.m)
+    assert assert_matches_oracle(states[:2], [equal, msgs[1]])[0] == "ok"
+    zero_tables.clear()
+    [written] = full_encode_round(states[:1], [equal])
+    assert written.sides[0].bits == equal.payload[0].bits << BULK_SHAPE.n and written.data == states[0].data
+    assert len(zero_tables) == BULK_SHAPE.m
