@@ -19,12 +19,13 @@ left), shifted by x_i ^ x_0. At the first word whose table at a the memo
 lacks, the hull test filters through the block's tables and hulls and
 skips a, building no table, when they leave no common target; it never
 skips a multiplier that works. One memo per call, keyed on parameter
-object, round and bits, holds a word's candidates and, while more than one
-unwritten slot holds the word, its tables and hulls at each a built so
-far; the entry goes when the word's last holder is written. When every
-multiplier fails, the same loop rescans with the test off, so NoEncoding
-names the exact bottleneck. The first failing block raises its error, its
-check's or its NoEncoding.
+object, round and bits, holds a word's descending candidates and its
+tables at the multipliers that encoded one of its holders. Tables and
+hulls built at a failing multiplier are dropped at once, so memory does
+not grow with the multipliers a block scans; the entry goes when the
+word's last holder is written. When every multiplier fails, the same loop
+rescans with the test off, so NoEncoding names the exact bottleneck. The
+first failing block raises its error, its check's or its NoEncoding.
 Decoding re-applies the current round's map with one `hash_words` call
 over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
@@ -246,32 +247,33 @@ def search_block_encoding(
     smallest candidate hashing to x_i XOR v: `_search` on one block.
     """
     _check_search(params, j, ws, xs)
-    a, b, ys = _search(params, j, ws, xs, {}, Counter((id(params), j, w.bits) for w in ws))
+    a, b, ys = _search(params, j, ws, xs, {})
     return a, b, list(ys)
 
 
-def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord], memos: dict,
-            holders: Counter) -> tuple[int, int, tuple[BitWord, ...]]:
-    """(a, b, ys) for one checked block; `memos` and `holders` share words as the module docstring says.
+def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWord],
+            memo: dict) -> tuple[int, int, tuple[BitWord, ...]]:
+    """(a, b, ys) for one checked block; `memo` shares words as the module docstring says.
 
     `_may_meet` is the hull test. At a = 0 every row is zero, so each hull
     is the point x_i ^ x_0, and the test skips a = 0 unless all x_i are
     equal. A skipped multiplier counts no fail; the rescan with the test
-    off (`exact`) counts every fail.
+    off (`exact`) counts every fail. Only the tables that encode the block
+    go into the memo.
     """
     n, modulus, out_len = params.n, canonical_spec(params.n), params.payload_bits(j)
     keys, budget = [(id(params), j, w.bits) for w in ws], params.budgets[j - 1]
     for key, w in zip(keys, ws):
-        if key not in memos:  # descending candidates: the last witness stored is the smallest
-            memos[key] = list(enumerate_above(w, budget))[::-1], {}, {}
+        if key not in memo:  # descending candidates: the last witness stored is the smallest
+            memo[key] = list(enumerate_above(w, budget))[::-1], {}
     x0 = xs[0].bits
-    words = [(memos[key], key[2], x.bits ^ x0, holders[key] > 1) for key, x in zip(keys, xs)]
+    words = [(memo[key], key[2], x.bits ^ x0) for key, x in zip(keys, xs)]
     start = int(any(x.bits != x0 for x in xs))
     for exact in (False, True):
         fails = [0] * params.m
         for a in range(0 if exact else start, 1 << n):
             rows, common, used, hull_test = truncated_rows(modulus, a, out_len), None, [], not exact
-            for i, ((cands, tables, hulls), _, shift, keep) in enumerate(words):
+            for i, ((cands, tables), _, shift) in enumerate(words):
                 table = tables.get(a)
                 if table is None:
                     if hull_test:
@@ -279,19 +281,14 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
                         if not _may_meet(rows, a, common, words[i:]):
                             break
                     table = dict(zip(hash_words(rows, cands, 0), cands))
-                    if keep:  # kept until the word's last holder slot is done
-                        tables[a] = table
-                        hulls.pop(a, None)
                 common = table if common is None else [h for h in common if h ^ shift in table]
                 if not common:
                     fails[i] += 1
                     break
                 used.append(table)
             else:
-                holders.subtract(keys)
-                for key in keys:
-                    if not holders[key]:
-                        memos.pop(key, None)
+                for ((_, tables), _, _), table in zip(words, used):
+                    tables[a] = table
                 v = min(h ^ x0 for h in common)
                 return a, v, tuple([BitWord(n, table[v ^ x.bits]) for table, x in zip(used, xs)])
     bottleneck = max(range(params.m), key=lambda i: (fails[i], -i))
@@ -302,16 +299,12 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
 def _may_meet(rows: list[int], a: int, common, words: list) -> bool:
     """False only if no h in common (any h when None) has h ^ shift in every word's targets at a.
 
-    A word's table at a holds its targets exactly. Without one, its targets
-    lie in its hull, kept in the word's memo entry while its tables would
-    be. The test filters common through each word's table or hull in turn.
+    A word's memo table at a holds its targets exactly. Without one, its
+    targets lie in its hull, built here and dropped after the test. The
+    test filters common through each word's table or hull in turn.
     """
-    for (cands, tables, hulls), bits, shift, keep in words:
-        hull = tables.get(a) or hulls.get(a)
-        if hull is None:
-            hull = _hull(rows, bits, len(cands))
-            if keep:
-                hulls[a] = hull
+    for (cands, tables), bits, shift in words:
+        hull = tables[a] if a in tables else _hull(rows, bits, len(cands))
         if hull:
             common = [h ^ shift for h in hull] if common is None else [h for h in common if h ^ shift in hull]
             if not common:
@@ -341,9 +334,9 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     """Write one round into every block, in block order; fails atomically.
 
     Round 1 is `encode_round1` per block. A later round runs `_search` per
-    block with one memo for the call, which shares the tables of a word
-    that several blocks hold. The first failing block's error is raised
-    before any state is returned. States are immutable.
+    block with one memo for the call and drops a word's entry once its last
+    holder is written. The first failing block's error is raised before
+    any state is returned. States are immutable.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -353,7 +346,7 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
     holders = Counter((id(s.params), s.round + 1, w.bits) for s in states if s.round for w in s.data)
-    memos, out = {}, []
+    memo, out = {}, []
     for state, msg in zip(states, msgs):
         p, j = state.params, msg.round
         if j == 1:
@@ -365,7 +358,12 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
             raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
         _check_payload(state, msg)
         _check_search(p, j, state.data, msg.payload)
-        a, b, ys = _search(p, j, state.data, msg.payload, memos, holders)
+        a, b, ys = _search(p, j, state.data, msg.payload, memo)
+        keys = [(id(p), j, w.bits) for w in state.data]
+        holders.subtract(keys)
+        for key in keys:
+            if not holders[key]:
+                memo.pop(key, None)
         out.append(_built_state(p, j, ys, state.sides[: j - 2] + (BitWord(2 * p.n, a | (b << p.n)),)
                                 + state.sides[j - 1 :]))
     return out

@@ -171,10 +171,12 @@ def test_whole_image_rounds_match_per_block_oracle(params, blocks, seed):
 
 
 def test_whole_image_writes_share_tables(monkeypatch):
-    # the candidates hashed into tables by the 400-block image above: 69,940
-    # and 158,534 with the hull test, 113,620 and 428,396 without it, and
-    # 356,460 and 577,149 when each block is searched alone. A hull's point
-    # is a one-word hash; every candidate list here holds more words.
+    # the candidates hashed into tables by the 400-block image above: 70,330
+    # and 158,633 with the hull test and a memo that keeps a word's tables
+    # at the multipliers that encoded its holders, 113,620 and 428,396
+    # without the hull test, and 356,460 and 577,149 when each block is
+    # searched alone. A hull's point is a one-word hash; every candidate
+    # list here holds more words.
     hashed, hash_words = [], block_codec.hash_words
 
     def counting(rows, words, shift):
@@ -294,12 +296,12 @@ def traced_peak(encode, states, msgs):
 
 
 def test_whole_image_search_memory():
-    # A word's candidates and tables live only until the last block that
-    # holds it is written, and a word that one slot holds never has its
-    # tables kept, so: a round-3 image at the cli_session parameters stays
-    # well under the 5 MB its 400 blocks may take (0.5 MB at 40 blocks,
-    # 0.4 MB at 100), and an image of distinct words peaks near the
-    # per-block search's one block.
+    # A word's memo entry holds its candidates and its tables at the
+    # multipliers that encoded one of its holders, and lives only until the
+    # last block that holds it is written, so: a round-3 image at the
+    # cli_session parameters stays well under the 5 MB its 400 blocks may
+    # take (0.5 MB at 40 blocks, 0.4 MB at 100), and an image of distinct
+    # words peaks near the per-block search's one block.
     [_, third] = rounds_of(CLI_SHAPE, 40, seed=8)
     assert traced_peak(full_encode_round, *third) <= 500_000
     [_, third] = rounds_of(CLI_SHAPE, 100, seed=8)
@@ -307,6 +309,23 @@ def test_whole_image_search_memory():
     params = WomParams(t=2, n=14, m=2, l=2, k=(6,), p=WeightVector([Fraction(3, 7), Fraction(1, 2)]))
     [second] = rounds_of(params, 40, seed=9, distinct=True)
     assert traced_peak(full_encode_round, *second) <= 1.25 * traced_peak(oracle.full_encode_round, *second)
+
+
+def test_shared_blocks_that_no_multiplier_encodes_keep_no_failing_tables():
+    # two blocks hold the same 8 round-1 words, and no multiplier encodes
+    # their round-2 message: the tables and hulls built at the 512 failing
+    # multipliers are dropped at once, so the write peaks near the per-block
+    # search
+    params = WomParams(t=2, n=9, m=8, l=0, k=(9,), p=T2)
+    state = round1(params, [259, 49, 148, 261, 52, 88, 146, 266])
+    rnd = random.Random(8)
+    msgs = [message(params, 2, rnd) for _ in range(2)]
+    text = "exhausted all 512 multipliers for round 2; data word 1 was the most frequent bottleneck"
+    peaks, outcomes = [], []
+    for encode in (full_encode_round, oracle.full_encode_round):
+        peaks.append(traced_peak(lambda *args: outcomes.append(write_outcome(encode, *args)), [state, state], msgs))
+    assert outcomes == [("no encoding", text, 1)] * 2
+    assert peaks[0] <= 2 * peaks[1], peaks
 
 
 # The hull test. At multiplier a every target of word i lies in its hull,
@@ -388,7 +407,8 @@ def test_no_encoding_names_the_exact_bottleneck_when_hulls_empty_first():
     text = "exhausted all 64 multipliers for round 2; data word 1 was the most frequent bottleneck"
     assert outcome(search_block_encoding, *args) == ("no encoding", text, 1)
     assert outcome(oracle.search_block_encoding, *args) == ("no encoding", text, 1)
-    # two blocks that hold the same words share their hulls through the memo
+    # two blocks that hold the same words share their candidates through
+    # the memo; the tables and hulls of failing multipliers are not kept
     state = round1(HULL_FIRST, [w.bits for w in HULL_FIRST_WS])
     msgs = [RoundMessage(2, HULL_FIRST_XS)] * 2
     assert assert_matches_oracle([state, state], msgs) == ("no encoding", text, 1)
