@@ -16,18 +16,17 @@ tests find the targets v with v ^ x_i in every table. H_{a,0} is
 GF(2)-linear, so word i's targets lie in its hull: H(w_i) XOR the span of
 the rows of w_i's unset bits (the point H(w_i) when w_i has no budget
 left), shifted by x_i ^ x_0. At the first word whose table at a the memo
-lacks, the hull test filters through the block's tables and hulls and
-skips a, building no table, when they leave no common target; it never
-skips a multiplier that works. One memo per call, keyed on parameter
-object, round and bits, holds a word's descending candidates and its
-tables at the multipliers that encoded one of its holders. Tables and
-hulls built at a failing multiplier are dropped at once, so memory does
-not grow with the multipliers a block scans; the entry goes when the
-word's last holder is written. When every multiplier fails, the same loop
-rescans with the test off, so NoEncoding names the exact bottleneck. The
-first failing block raises its error, its check's or its NoEncoding.
-Decoding re-applies the current round's map with one `hash_words` call
-over the data words. Both build their row table with
+lacks, the hull test skips a, building no table, when the block's tables
+and hulls leave no common target; it never skips a multiplier that works.
+One memo per call, keyed on parameter object, round and bits, holds a
+word's descending candidates and its tables at the multipliers that
+encoded one of its holders, until its last holder is written. A block
+builds a word's table or hull at a once, drops those of a failing a and
+notes only which multipliers the test skipped; when every multiplier
+fails, it rescans those with the test off, so NoEncoding names the exact
+bottleneck. The first failing block raises its error, its check's or its
+NoEncoding. Decoding re-applies the current round's map with one
+`hash_words` call over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
 ranks the subsets.
 
@@ -257,9 +256,8 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
 
     `_may_meet` is the hull test. At a = 0 every row is zero, so each hull
     is the point x_i ^ x_0, and the test skips a = 0 unless all x_i are
-    equal. A skipped multiplier counts no fail; the rescan with the test
-    off (`exact`) counts every fail. Only the tables that encode the block
-    go into the memo.
+    equal. A skipped multiplier counts no fail, a tested one the fail an
+    exhaustive scan counts, so the rescan (`exact`) visits only the skipped.
     """
     n, modulus, out_len = params.n, canonical_spec(params.n), params.payload_bits(j)
     keys, budget = [(id(params), j, w.bits) for w in ws], params.budgets[j - 1]
@@ -269,18 +267,19 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
     x0 = xs[0].bits
     words = [(memo[key], key[2], x.bits ^ x0) for key, x in zip(keys, xs)]
     start = int(any(x.bits != x0 for x in xs))
+    fails, skipped = [0] * params.m, list(range(start))
     for exact in (False, True):
-        fails = [0] * params.m
-        for a in range(0 if exact else start, 1 << n):
-            rows, common, used, hull_test = truncated_rows(modulus, a, out_len), None, [], not exact
-            for i, ((cands, tables), _, shift) in enumerate(words):
-                table = tables.get(a)
+        for a in skipped if exact else range(start, 1 << n):
+            rows, common, used, built, hull_test = truncated_rows(modulus, a, out_len), None, [], {}, not exact
+            for i, ((cands, tables), bits, shift) in enumerate(words):
+                table = tables.get(a) or built.get(bits)
                 if table is None:
                     if hull_test:
                         hull_test = False
                         if not _may_meet(rows, a, common, words[i:]):
+                            skipped.append(a)
                             break
-                    table = dict(zip(hash_words(rows, cands, 0), cands))
+                    table = built[bits] = dict(zip(hash_words(rows, cands, 0), cands))
                 common = table if common is None else [h for h in common if h ^ shift in table]
                 if not common:
                     fails[i] += 1
@@ -300,11 +299,14 @@ def _may_meet(rows: list[int], a: int, common, words: list) -> bool:
     """False only if no h in common (any h when None) has h ^ shift in every word's targets at a.
 
     A word's memo table at a holds its targets exactly. Without one, its
-    targets lie in its hull, built here and dropped after the test. The
-    test filters common through each word's table or hull in turn.
+    targets lie in its hull, built once per word and dropped after the
+    test, which filters common through each word's table or hull in turn.
     """
+    hulls = {}
     for (cands, tables), bits, shift in words:
-        hull = tables[a] if a in tables else _hull(rows, bits, len(cands))
+        hull = tables.get(a) or hulls.get(bits)
+        if hull is None:
+            hull = hulls[bits] = _hull(rows, bits, len(cands))
         if hull:
             common = [h ^ shift for h in hull] if common is None else [h for h in common if h ^ shift in hull]
             if not common:
@@ -334,9 +336,8 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     """Write one round into every block, in block order; fails atomically.
 
     Round 1 is `encode_round1` per block. A later round runs `_search` per
-    block with one memo for the call and drops a word's entry once its last
-    holder is written. The first failing block's error is raised before
-    any state is returned. States are immutable.
+    block with one memo, dropping a word's entry after its last holder;
+    the first failing block's error is raised before any state is returned.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -377,8 +378,7 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
 def decode_round(state: BlockState, j: int) -> RoundMessage:
     """Read back round j's messages; only the most recent round is decodable.
 
-    Round j >= 2 builds the rows a*z^i once and hashes the data words with
-    shift b.
+    Round j >= 2 hashes the data words with rows a*z^i built once and shift b.
     """
     p = state.params
     if not 1 <= j <= p.t:

@@ -5,8 +5,7 @@ and decode independently (each may pick its own hash coefficients), so
 concatenation preserves the rate while the per-block search cost becomes
 polynomial in the total length. `block_codec.full_encode_round`, which
 this module exports, writes one round into every block in order and, from
-round 2 on, keeps a repeated word's candidates and its tables at the
-multipliers that encoded its blocks until its last block is written.
+round 2 on, shares a repeated word's candidates and winning tables.
 This module splits a flat bitstream into per-block round messages, joins
 them back, and bridges block states to the flat device memory, where a
 block's round is its t-bit unary header.

@@ -171,12 +171,12 @@ def test_whole_image_rounds_match_per_block_oracle(params, blocks, seed):
 
 
 def test_whole_image_writes_share_tables(monkeypatch):
-    # the candidates hashed into tables by the 400-block image above: 70,330
-    # and 158,633 with the hull test and a memo that keeps a word's tables
-    # at the multipliers that encoded its holders, 113,620 and 428,396
-    # without the hull test, and 356,460 and 577,149 when each block is
-    # searched alone. A hull's point is a one-word hash; every candidate
-    # list here holds more words.
+    # the candidates hashed into tables by the 400-block image above: 69,940
+    # and 158,534 with the hull test, whether the memo keeps a word's tables
+    # at every multiplier or only at those that encoded its holders,
+    # 113,620 and 428,396 without the hull test, and 356,460 and 577,149
+    # when each block is searched alone. A hull's point is a one-word hash;
+    # every candidate list here holds more words.
     hashed, hash_words = [], block_codec.hash_words
 
     def counting(rows, words, shift):
@@ -191,6 +191,37 @@ def test_whole_image_writes_share_tables(monkeypatch):
         full_encode_round(states, msgs)
         counts.append(sum(hashed))
     assert 0 < counts[0] <= 71_000 and 0 < counts[1] <= 160_000, counts
+
+
+def test_a_block_builds_a_repeated_words_table_and_hull_once_per_multiplier(monkeypatch):
+    # blocks of the bulk_image probe's shape, searched alone as its probe
+    # does: a word that a block holds twice has its candidates hashed, and
+    # its hull built, at most once at each multiplier
+    built, at = [], []
+    rows_at, hash_words, hull = block_codec.truncated_rows, block_codec.hash_words, block_codec._hull
+
+    def rows(modulus, a, out_len):
+        at[:] = [a]
+        return rows_at(modulus, a, out_len)
+
+    def hashing(rows, words, shift):
+        if len(words) > 1:  # a candidate list, not a hull's point; its last candidate is the word
+            built.append(("table", at[0], words[-1]))
+        return hash_words(rows, words, shift)
+
+    def hulling(rows, bits, size):
+        built.append(("hull", at[0], bits))
+        return hull(rows, bits, size)
+
+    monkeypatch.setattr(block_codec, "truncated_rows", rows)
+    monkeypatch.setattr(block_codec, "hash_words", hashing)
+    monkeypatch.setattr(block_codec, "_hull", hulling)
+    [(states, msgs)] = rounds_of(BULK_SHAPE, 128, seed=5)
+    assert sum(len({w.bits for w in s.data}) < BULK_SHAPE.m for s in states) >= 5
+    for state, msg in zip(states, msgs):
+        built.clear()
+        search_block_encoding(BULK_SHAPE, 2, state.data, msg.payload)
+        assert built and len(built) == len(set(built)), Counter(built).most_common(1)
 
 
 def test_all_distinct_words_and_one_block_match_oracle():
