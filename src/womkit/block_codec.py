@@ -28,7 +28,9 @@ bottleneck. The first failing block raises its error, its check's or its
 NoEncoding. Decoding re-applies the current round's map with one
 `hash_words` call over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
-ranks the subsets.
+decodes by ranking the subsets and encodes by unranking each distinct rank
+once per call and parameter object, after the block's type check (True
+would find rank 1's word); `encode_round1` is its one-block case.
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise. `check_block` is the one budget rule a block must
@@ -186,19 +188,12 @@ def _check_payload(state: BlockState, msg: RoundMessage) -> None:
 
 
 def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
-    """Write the first round: payload ranks become fixed-weight data words."""
+    """Write the first round into one block: `full_encode_round` on that block."""
     if state.round != 0:
         raise SequencingError(f"block already holds {state.round} round(s)")
     if msg.round != 1:
         raise SequencingError(f"message is for round {msg.round}, block expects round 1")
-    _check_payload(state, msg)
-    p = state.params
-    b1 = p.budgets[0]
-    for i, rank in enumerate(msg.payload):
-        if type(rank) is not int:
-            raise ValueError(f"word {i}: rank {rank!r} is not an int")
-    data = tuple([subset_unrank(rank, p.n, b1) for rank in msg.payload])
-    return _built_state(p, 1, data, state.sides)
+    return full_encode_round([state], [msg])[0]
 
 
 def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bool:
@@ -335,9 +330,10 @@ def _hull(rows: list[int], bits: int, size: int) -> set:
 def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:
     """Write one round into every block, in block order; fails atomically.
 
-    Round 1 is `encode_round1` per block. A later round runs `_search` per
-    block with one memo, dropping a word's entry after its last holder;
-    the first failing block's error is raised before any state is returned.
+    Round 1 unranks each distinct rank once per parameter object. A later
+    round runs `_search` per block with one memo, dropping a word's entry
+    after its last holder; the first failing block's error is raised before
+    any state is returned.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -347,11 +343,21 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
     holders = Counter((id(s.params), s.round + 1, w.bits) for s in states if s.round for w in s.data)
-    memo, out = {}, []
+    memo, words_of, out = {}, {}, []
     for state, msg in zip(states, msgs):
         p, j = state.params, msg.round
         if j == 1:
-            out.append(encode_round1(state, msg))
+            if state.round != 0:
+                raise SequencingError(f"block already holds {state.round} round(s)")
+            _check_payload(state, msg)
+            for i, rank in enumerate(msg.payload):  # before any lookup: True would find rank 1's word
+                if type(rank) is not int:
+                    raise ValueError(f"word {i}: rank {rank!r} is not an int")
+            words = words_of.setdefault(id(p), {})
+            for rank in msg.payload:
+                if rank not in words:
+                    words[rank] = subset_unrank(rank, p.n, p.budgets[0])
+            out.append(_built_state(p, 1, tuple(map(words.__getitem__, msg.payload)), state.sides))
             continue
         if j > p.t:
             raise SequencingError(f"round {j} out of range 1..{p.t}")

@@ -4,21 +4,22 @@ A full code is n1 side-by-side copies of the basic block; blocks encode
 and decode independently (each may pick its own hash coefficients), so
 concatenation preserves the rate while the per-block search cost becomes
 polynomial in the total length. `block_codec.full_encode_round`, which
-this module exports, writes one round into every block in order and, from
-round 2 on, shares a repeated word's candidates and winning tables.
+this module exports, writes one round into every block in order, unranking
+each distinct round-1 rank once and, from round 2 on, sharing a repeated
+word's candidates and winning tables.
 This module splits a flat bitstream into per-block round messages, joins
 them back, and bridges block states to the flat device memory, where a
 block's round is its t-bit unary header.
 
 Splitting and joining never shift the whole stream or memory once per
-field: they convert it to bytes once and cut or glue fields eight at a time,
-so they cost time linear in the block count. An image holds few distinct
-blocks and words: round 1 draws every data word from C(n, B_1) subsets.
-So `memory_to_states` cuts each slot as one column of ints over the
-distinct blocks and builds one state per distinct block, through
-`block_codec._built_state`. Its word tables are plain dicts from bits to
-`BitWord`, one for the data words and one per side slot, so equal words
-are one object. States and words are immutable, so sharing them is
+field: they convert it to bytes once and cut or glue each group of eight
+fields in one expression, so they cost time linear in the block count. An
+image holds few distinct blocks and words: round 1 draws every data word
+from C(n, B_1) subsets. So `memory_to_states` cuts each slot as one column
+of ints over the distinct blocks and builds one state per distinct block,
+through `block_codec._built_state`. Its word tables are plain dicts from
+bits to `BitWord`, one for the data words and one per side slot, so equal
+words are one object. States and words are immutable, so sharing them is
 invisible to callers.
 
 A memory loads only if every block has a unary header and passes

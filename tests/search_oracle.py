@@ -10,8 +10,10 @@ each word's smallest witness.
 multiplier and word, one `hash_words` pass with the shift x_i maps each
 target to its smallest witness. `encode_round` and `full_encode_round` are
 the per-block write loop built on it, which searched each block alone and
-raised the first failing block's error. The library searches the blocks
-in the same order, but shares a repeated word's tables across blocks
+raised the first failing block's error; its round 1 is `encode_round1`,
+the per-block write that unranked every rank of a block on its own. The
+library writes the blocks in the same order, but unranks each distinct
+round-1 rank once and shares a repeated word's tables across blocks
 through one memo per write. Tests require the same `(a, b, ys)`, the same
 `NoEncoding` message and `bottleneck`, and the same check errors from all
 of them.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from womkit.bitwords import BitWord
+from womkit.bitwords import BitWord, subset_unrank
 from womkit.block_codec import (
     BlockState,
     NoEncoding,
@@ -29,7 +31,6 @@ from womkit.block_codec import (
     SequencingError,
     _built_state,
     _check_payload,
-    encode_round1,
 )
 from womkit.capacity import WomParams
 from womkit.gf2n import canonical_spec
@@ -194,6 +195,22 @@ def one_pass_search(
         "was the most frequent bottleneck",
         bottleneck,
     )
+
+
+def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
+    """Write the first round: payload ranks become fixed-weight data words."""
+    if state.round != 0:
+        raise SequencingError(f"block already holds {state.round} round(s)")
+    if msg.round != 1:
+        raise SequencingError(f"message is for round {msg.round}, block expects round 1")
+    _check_payload(state, msg)
+    p = state.params
+    b1 = p.budgets[0]
+    for i, rank in enumerate(msg.payload):
+        if type(rank) is not int:
+            raise ValueError(f"word {i}: rank {rank!r} is not an int")
+    data = tuple([subset_unrank(rank, p.n, b1) for rank in msg.payload])
+    return _built_state(p, 1, data, state.sides)
 
 
 def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:

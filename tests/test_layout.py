@@ -102,14 +102,17 @@ def with_headers(memory: BitWord, full: FullParams, round_: int) -> BitWord:
 
 def test_split_and_join_fields_match_field_by_field_shifts():
     rnd = random.Random(41)
-    for width in (0, 1, 5, 62, 64, 65):
-        for count in (0, 1, 2, 3, 7, 8, 9, 300):
+    for width in (0, 1, 5, 8, 16, 24, 62, 64, 65):
+        for count in (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 300):
             value = rnd.getrandbits(width * count) if width * count else 0
             fields = [(value >> (i * width)) & ((1 << width) - 1) for i in range(count)]
             assert list(_split_fields(value, width, count)) == fields
             assert _join_fields(fields, width) == value
             # bits above the last field are ignored
             assert list(_split_fields(value | 5 << (width * count), width, count)) == fields
+    # a value far narrower than its fields: the split pads its bytes with zero fields
+    assert list(_split_fields(1, 5, 300)) == [1] + [0] * 299
+    assert _join_fields([1] + [0] * 299, 5) == 1
 
 
 @pytest.mark.parametrize("params,n1", shapes())

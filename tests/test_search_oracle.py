@@ -20,7 +20,7 @@ import pytest
 
 import search_oracle as oracle
 from womkit import block_codec
-from womkit.bitwords import BitWord, count_above
+from womkit.bitwords import BitWord, count_above, subset_unrank
 from womkit.block_codec import BlockState, NoEncoding, RoundMessage, _built_state, search_block_encoding
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import full_encode_round
@@ -267,6 +267,38 @@ def test_small_images_match_oracle_on_success_and_no_encoding():
         [(states, msgs)] = rounds_of(params, rnd.randint(2, 6), seed=trial, same=0.2)
         kinds[assert_matches_oracle(states, msgs)[0]] += 1
     assert kinds["ok"] >= 60 and kinds["no encoding"] >= 60, kinds
+
+
+# Round 1: each distinct rank is unranked once per call and parameter
+# object, and looked up only after its block's ranks pass the type check.
+
+HEAVY = WomParams(t=2, n=10, m=4, l=1, k=(7,), p=WeightVector([Fraction(1, 2), Fraction(1, 2)]))
+
+
+@pytest.mark.parametrize("entry, text", [
+    (True, "word 1: rank True is not an int"),
+    (1.0, "word 1: rank 1.0 is not an int"),
+    (BULK_SHAPE.round1_space, "rank 120 out of range, expected 0..119"),
+])
+def test_round1_checks_each_rank_before_the_shared_table(entry, text):
+    # earlier blocks write rank 1 first: a table looked up before the type
+    # check would give True and 1.0 rank 1's word
+    msgs = [RoundMessage(1, [1, 2, 3, 4]), RoundMessage(1, [5, 1, 1, 6]), RoundMessage(1, [7, entry, 8, 9])]
+    assert assert_matches_oracle([BlockState.fresh(BULK_SHAPE)] * 3, msgs) == ("ValueError", text)
+
+
+def test_round1_tables_are_kept_apart_per_parameter_set():
+    # equal ranks under parameters whose widths or round-1 weights differ
+    narrow = WomParams(t=2, n=10, m=4, l=1, k=(7,), p=T2)
+    wide = WomParams(t=3, n=12, m=4, l=2, k=(7, 5), p=T3)
+    rnd = random.Random(6)
+    ranks = [[rnd.randrange(narrow.round1_space) for _ in range(4)] for _ in range(30)]
+    states = [BlockState.fresh(params) for _ in ranks for params in (narrow, wide, HEAVY)]
+    msgs = [RoundMessage(1, block) for block in ranks for _ in (narrow, wide, HEAVY)]
+    assert assert_matches_oracle(states, msgs)[0] == "ok"
+    for state, msg in zip(full_encode_round(states, msgs), msgs):
+        p = state.params
+        assert state.data == tuple(subset_unrank(rank, p.n, p.budgets[0]) for rank in msg.payload)
 
 
 # Failure order: the error each case expects is the one the per-block loop raises.
