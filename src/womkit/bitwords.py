@@ -99,9 +99,9 @@ def count_above(w: BitWord, max_weight: int) -> int:
     return sum(comb(free, j) for j in range(min(budget, free) + 1))
 
 
-# Round 1 draws every data word from the C(n, B_1) words of one weight (120
-# at n = 10, B_1 = 3), so ranking and unranking are cached; the bound keeps a
-# long-lived process from holding up to C(24, 12), about 2.7 M, words.
+# Decoding ranks each round-1 word, one of the C(n, B_1) words of one weight
+# (120 at n = 10, B_1 = 3), so ranking is cached; the bound keeps a long-lived
+# process from holding up to C(24, 12), about 2.7 M, words.
 _CACHE_WORDS = 512
 
 
@@ -128,7 +128,6 @@ def colex_rank(bits: int) -> int:
     return rank
 
 
-@lru_cache(maxsize=_CACHE_WORDS)
 def subset_unrank(rank: int, length: int, weight: int) -> BitWord:
     """Inverse of subset_rank: the weight-`weight` word of given colex rank."""
     if not 0 <= weight <= length:

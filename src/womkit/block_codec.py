@@ -15,18 +15,18 @@ candidate masks gives its table H_{a,0}(y) -> smallest y, and membership
 tests find the targets v with v ^ x_i in every table. H_{a,0} is
 GF(2)-linear, so word i's targets lie in its hull: H(w_i) XOR the span of
 the rows of w_i's unset bits (the point H(w_i) when w_i has no budget
-left), shifted by x_i ^ x_0. At the first word whose table at a the memo
-lacks, the hull test skips a, building no table, when the block's tables
-and hulls leave no common target; it never skips a multiplier that works.
-One memo per call, keyed on parameter object, round and bits, holds a
-word's descending candidates and its tables at the multipliers that
-encoded one of its holders, until its last holder is written. A block
-builds a word's table or hull at a once, drops those of a failing a and
-notes only which multipliers the test skipped; when every multiplier
-fails, it rescans those with the test off, so NoEncoding names the exact
-bottleneck. The first failing block raises its error, its check's or its
-NoEncoding. Decoding re-applies the current round's map with one
-`hash_words` call over the data words. Both build their row table with
+left), shifted by x_i ^ x_0. Before any table at a, the hull test skips
+a when the block's memo tables and hulls leave no common target; it never
+skips a multiplier that works. One memo per call, keyed on parameter
+object and bits (a call writes one round), holds a word's descending
+candidates and its tables at the multipliers that encoded one of its
+holders, until its last holder is written. A block builds a word's table
+or hull at a once, drops those of a failing a and notes only which
+multipliers the test skipped; when every multiplier fails, it rescans
+those with the test off, so NoEncoding names the exact bottleneck. The
+first failing block raises its error, its check's or its NoEncoding.
+Decoding re-applies the current round's map with one `hash_words` call
+over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
 decodes by ranking the subsets and encodes by unranking each distinct rank
 once per call and parameter object, after the block's type check (True
@@ -249,31 +249,30 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
             memo: dict) -> tuple[int, int, tuple[BitWord, ...]]:
     """(a, b, ys) for one checked block; `memo` shares words as the module docstring says.
 
-    `_may_meet` is the hull test. At a = 0 every row is zero, so each hull
-    is the point x_i ^ x_0, and the test skips a = 0 unless all x_i are
-    equal. A skipped multiplier counts no fail, a tested one the fail an
-    exhaustive scan counts, so the rescan (`exact`) visits only the skipped.
+    `_may_meet` is the hull test, run once at each multiplier of the first
+    pass. At a = 0 every row is zero, so each hull is the point x_i ^ x_0,
+    and the test skips a = 0 unless all x_i are equal. A skipped multiplier
+    counts no fail, a tested one the fail an exhaustive scan counts, so the
+    rescan (`exact`) visits only the skipped.
     """
     n, modulus, out_len = params.n, canonical_spec(params.n), params.payload_bits(j)
-    keys, budget = [(id(params), j, w.bits) for w in ws], params.budgets[j - 1]
+    keys, budget = [(id(params), w.bits) for w in ws], params.budgets[j - 1]
     for key, w in zip(keys, ws):
         if key not in memo:  # descending candidates: the last witness stored is the smallest
             memo[key] = list(enumerate_above(w, budget))[::-1], {}
     x0 = xs[0].bits
-    words = [(memo[key], key[2], x.bits ^ x0) for key, x in zip(keys, xs)]
+    words = [(memo[key], key[1], x.bits ^ x0) for key, x in zip(keys, xs)]
     start = int(any(x.bits != x0 for x in xs))
     fails, skipped = [0] * params.m, list(range(start))
     for exact in (False, True):
         for a in skipped if exact else range(start, 1 << n):
-            rows, common, used, built, hull_test = truncated_rows(modulus, a, out_len), None, [], {}, not exact
+            rows, common, used, built = truncated_rows(modulus, a, out_len), None, [], {}
+            if not exact and not _may_meet(rows, a, words):
+                skipped.append(a)
+                continue
             for i, ((cands, tables), bits, shift) in enumerate(words):
                 table = tables.get(a) or built.get(bits)
                 if table is None:
-                    if hull_test:
-                        hull_test = False
-                        if not _may_meet(rows, a, common, words[i:]):
-                            skipped.append(a)
-                            break
                     table = built[bits] = dict(zip(hash_words(rows, cands, 0), cands))
                 common = table if common is None else [h for h in common if h ^ shift in table]
                 if not common:
@@ -290,14 +289,14 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
                      "most frequent bottleneck", bottleneck)
 
 
-def _may_meet(rows: list[int], a: int, common, words: list) -> bool:
-    """False only if no h in common (any h when None) has h ^ shift in every word's targets at a.
+def _may_meet(rows: list[int], a: int, words: list) -> bool:
+    """False only if no h has h ^ shift in every word's targets at a.
 
     A word's memo table at a holds its targets exactly. Without one, its
     targets lie in its hull, built once per word and dropped after the
-    test, which filters common through each word's table or hull in turn.
+    test, which narrows the common h through each table or hull in turn.
     """
-    hulls = {}
+    common, hulls = None, {}
     for (cands, tables), bits, shift in words:
         hull = tables.get(a) or hulls.get(bits)
         if hull is None:
@@ -342,7 +341,7 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     rounds = {s.round for s in states}
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
-    holders = Counter((id(s.params), s.round + 1, w.bits) for s in states if s.round for w in s.data)
+    holders = Counter((id(s.params), w.bits) for s in states if s.round for w in s.data)
     memo, words_of, out = {}, {}, []
     for state, msg in zip(states, msgs):
         p, j = state.params, msg.round
@@ -366,7 +365,7 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
         _check_payload(state, msg)
         _check_search(p, j, state.data, msg.payload)
         a, b, ys = _search(p, j, state.data, msg.payload, memo)
-        keys = [(id(p), j, w.bits) for w in state.data]
+        keys = [(id(p), w.bits) for w in state.data]
         holders.subtract(keys)
         for key in keys:
             if not holders[key]:

@@ -49,6 +49,8 @@ class FullParams:
     n1: int
 
     def __post_init__(self):
+        if type(self.n1) is not int:
+            raise ValueError(f"n1 {self.n1!r} is not an int")
         if self.n1 < 1:
             raise ValueError("need at least one block")
 
@@ -81,12 +83,12 @@ def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMess
 def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord:
     """Join per-block messages back into the bitstream pack_messages split.
 
-    The payloads are flattened into one list and their width is checked
-    once, through max and min; round-1 ranks must all have type int, as in
-    `encode_round1`. Any other case, a payload of the wrong length or an
-    entry that is no int (a bool included) or no `BitWord`, takes one walk
-    over the blocks in order, which names the block and word of the first
-    error.
+    Round-1 ranks must have type int, as in `encode_round1`, and later
+    entries type `BitWord`. The flattened payloads have their types checked
+    once, and their width once, through max and min. Any other case, a
+    payload of the wrong length, an entry of another type (a bool included)
+    or a value that does not fit, takes one walk over the blocks in order,
+    which names the block and word of the first error.
     """
     if len(msgs) != params.n1:
         raise ValueError(f"{len(msgs)} messages for {params.n1} blocks")
@@ -96,33 +98,27 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
     j = rounds.pop()
     m = params.block.m
     width = params.block.payload_bits(j)
+    kind = int if j == 1 else BitWord
     entries = []
     for msg in msgs:
         if len(msg.payload) != m:
             break
         entries.extend(msg.payload)
     else:
-        try:
+        if set(map(type, entries)) == {kind}:
             values = entries if j == 1 else [entry.bits for entry in entries]
-            ranks_are_ints = j != 1 or set(map(type, values)) == {int}  # so no bool passes as a rank
-            if ranks_are_ints and not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
+            if not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
                 return BitWord(len(values) * width, _join_fields(values, width))
-        except (TypeError, AttributeError):  # an entry that is no int, or no word
-            pass
-    values = []
     for block, msg in enumerate(msgs):
         if len(msg.payload) != m:
             raise ValueError(f"payload has {len(msg.payload)} entries, expected {m}")
         for word, entry in enumerate(msg.payload):
-            if j == 1 and type(entry) is not int:
-                raise ValueError(f"block {block} word {word}: rank {entry!r} is not an int")
-            if j != 1 and not isinstance(entry, BitWord):
-                raise ValueError(f"block {block} word {word}: {entry!r} is not a BitWord")
+            if type(entry) is not kind:
+                what = f"rank {entry!r} is not an int" if j == 1 else f"{entry!r} is not a BitWord"
+                raise ValueError(f"block {block} word {word}: {what}")
             value = entry if j == 1 else entry.bits
             if value >> width:
                 raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")
-            values.append(value)
-    return BitWord(len(values) * width, _join_fields(values, width))
 
 
 def states_to_memory(states: Sequence[BlockState]) -> BitWord:

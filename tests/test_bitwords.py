@@ -186,6 +186,5 @@ def test_subset_errors_match_oracle():
 def test_rank_caches_are_bounded():
     # unbounded (maxsize None), a cache could hold C(24, 12) words in a long-lived
     # process; bounded, it must still hold every round-1 word at n = 12, B_1 = 3
-    for cached in (bitwords.colex_rank, bitwords.subset_unrank):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and comb(12, 3) <= maxsize < comb(24, 12)
+    maxsize = bitwords.colex_rank.cache_info().maxsize
+    assert maxsize is not None and comb(12, 3) <= maxsize < comb(24, 12)

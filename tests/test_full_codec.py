@@ -85,6 +85,15 @@ def test_mismatched_arity_rejected():
         FullParams(full.block, 0)
 
 
+@pytest.mark.parametrize("n1, text", [(2.0, "n1 2.0 is not an int"), (True, "n1 True is not an int"),
+                                      ("3", "n1 '3' is not an int")])
+def test_block_count_must_be_an_int(n1, text):
+    # 2.0 would fail later in pack_messages, and True would pass as one block
+    with pytest.raises(ValueError) as exc:
+        FullParams(params_t2(), n1)
+    assert str(exc.value) == text
+
+
 def test_atomic_failure_leaves_states_untouched():
     full = full_t2(2)
     rnd = random.Random(32)

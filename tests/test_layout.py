@@ -318,7 +318,7 @@ def test_memory_peak_within_ten_percent_of_oracle():
 
 
 # Sharing: equal blocks, words and image lines are built, formatted or parsed
-# once per call, and round-1 words come from the bounded rank caches. None of
+# once per call, and so is each distinct round-1 word. None of
 # it may leak between calls or parameters, or let an error through.
 
 BULK = WomParams(t=2, n=10, m=4, l=2, k=(7,), p=WeightVector([Fraction(1, 3), Fraction(1, 2)]))
@@ -486,7 +486,6 @@ def oracle_round1(states, msgs):
 
 
 def clear_rank_caches():
-    bitwords.subset_unrank.cache_clear()
     bitwords.colex_rank.cache_clear()
 
 

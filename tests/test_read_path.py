@@ -15,6 +15,7 @@ must raise what the oracle raises on every error path.
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -217,15 +218,18 @@ def unpack_cases():
         ("round-2 entry that is no word", [RoundMessage(2, (1, 2, 3))] * 4),
         ("round-2 entry that is no word after words",
          r2(ok2, ok2) + [RoundMessage(2, (BitWord(width2, 0), None, 0))] * 2),
+        ("round-2 entries that are no words but fit", [RoundMessage(2, [SimpleNamespace(bits=1)] * 3)] * 4),
         ("round without a hash size", [RoundMessage(3, (0, 0, 0))] * 4),
     ]
 
 
-# The oracle raises AttributeError reading entry.bits and takes a bool as a
-# rank; the library names the entry, and refuses a bool as encode_round1 does.
+# The oracle raises AttributeError reading entry.bits, and takes a bool as a
+# rank and any entry with fitting bits as a word; the library names the
+# entry, and refuses what encode_round1 and the round-j search refuse.
 REFUSED = {
     "round-2 entry that is no word": "block 0 word 0: 1 is not a BitWord",
     "round-2 entry that is no word after words": "block 2 word 1: None is not a BitWord",
+    "round-2 entries that are no words but fit": "block 0 word 0: namespace(bits=1) is not a BitWord",
     "bool ranks": "block 0 word 0: rank True is not an int",
 }
 

@@ -393,9 +393,32 @@ def test_shared_blocks_that_no_multiplier_encodes_keep_no_failing_tables():
 
 # The hull test. At multiplier a every target of word i lies in its hull,
 # H(w_i) XOR the span of the rows of w_i's unset bits, shifted by x_i ^ x_0.
-# The search skips a multiplier whose hulls and tables leave no common
-# target before it builds the missing tables, and NoEncoding comes from a
-# rescan with the test off.
+# The search skips a multiplier whose hulls and memo tables leave no common
+# target before it looks up or builds any table, and NoEncoding comes from
+# a rescan with the test off.
+
+
+def test_the_hull_test_runs_once_at_each_multiplier_a_block_visits(monkeypatch):
+    # rounds 2 and 3 of the 400-block image above raise no NoEncoding, so a
+    # block visits only multipliers of its first pass, and each gets one
+    # test, also when all the block's words hold memo tables at it
+    calls, rows_at, may_meet = Counter(), block_codec.truncated_rows, block_codec._may_meet
+
+    def rows(*args):
+        calls["visits"] += 1
+        return rows_at(*args)
+
+    def meets(*args):
+        calls["tests"] += 1
+        return may_meet(*args)
+
+    rounds = rounds_of(CLI_SHAPE, 400, seed=3)
+    monkeypatch.setattr(block_codec, "truncated_rows", rows)
+    monkeypatch.setattr(block_codec, "_may_meet", meets)
+    for states, msgs in rounds:
+        calls.clear()
+        full_encode_round(states, msgs)
+        assert calls["visits"] > len(states) and calls["tests"] == calls["visits"], calls
 
 
 def first_fail(params, j, ws, xs, a, hulls=False):
