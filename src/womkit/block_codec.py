@@ -28,9 +28,13 @@ first failing block raises its error, its check's or its NoEncoding.
 Decoding re-applies the current round's map with one `hash_words` call
 over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
-decodes by ranking the subsets and encodes by unranking each distinct rank
-once per call and parameter object, after the block's type check (True
-would find rank 1's word); `encode_round1` is its one-block case.
+decodes by ranking the subsets. Fresh blocks under one parameter object
+encode it in column passes: each check runs once over all blocks, the
+rank types before any lookup (True would find rank 1's word), each
+distinct rank is unranked once and `map` builds the states. A failed
+check, or several parameter objects, takes the block loop, which unranks
+each distinct rank once per parameter object and raises the first failing
+block's error. `encode_round1` is the one-block case.
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise. `check_block` is the one budget rule a block must
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .bitwords import BitWord, colex_rank, count_above, enumerate_above, subset_unrank
@@ -329,10 +334,11 @@ def _hull(rows: list[int], bits: int, size: int) -> set:
 def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:
     """Write one round into every block, in block order; fails atomically.
 
-    Round 1 unranks each distinct rank once per parameter object. A later
-    round runs `_search` per block with one memo, dropping a word's entry
-    after its last holder; the first failing block's error is raised before
-    any state is returned.
+    Round 1 on fresh blocks under one parameter object runs in column
+    passes, as the module docstring says; otherwise it runs the block loop.
+    A later round runs `_search` per block with one memo, dropping a word's
+    entry after its last holder; the first failing block's error is raised
+    before any state is returned.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -341,6 +347,17 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     rounds = {s.round for s in states}
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
+    p = states[0].params
+    if rounds == {0} and {msg.round for msg in msgs} == {1} and all(s.params is p for s in states):
+        payloads = [msg.payload for msg in msgs]
+        ranks = list(chain.from_iterable(payloads))
+        # types before any lookup: True would find rank 1's word
+        if set(map(len, payloads)) == {p.m} and set(map(type, ranks)) == {int}:
+            distinct = set(ranks)
+            if min(distinct) >= 0 and max(distinct) < p.round1_space:
+                words = {rank: subset_unrank(rank, p.n, p.budgets[0]) for rank in distinct}
+                data = zip(*[map(words.__getitem__, ranks)] * p.m)
+                return list(map(_built_state, repeat(p), repeat(1), data, [s.sides for s in states]))
     holders = Counter((id(s.params), w.bits) for s in states if s.round for w in s.data)
     memo, words_of, out = {}, {}, []
     for state, msg in zip(states, msgs):

@@ -4,9 +4,10 @@ A full code is n1 side-by-side copies of the basic block; blocks encode
 and decode independently (each may pick its own hash coefficients), so
 concatenation preserves the rate while the per-block search cost becomes
 polynomial in the total length. `block_codec.full_encode_round`, which
-this module exports, writes one round into every block in order, unranking
-each distinct round-1 rank once and, from round 2 on, sharing a repeated
-word's candidates and winning tables.
+this module exports, writes one round into every block. Round 1 checks and
+builds all blocks in column passes and unranks each distinct rank once;
+from round 2 on it writes the blocks in order, sharing a repeated word's
+candidates and winning tables.
 This module splits a flat bitstream into per-block round messages, joins
 them back, and bridges block states to the flat device memory, where a
 block's round is its t-bit unary header.
@@ -122,21 +123,22 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
 
 
 def states_to_memory(states: Sequence[BlockState]) -> BitWord:
-    """Flatten block states into one device-sized word (block i at i * N_0)."""
+    """Flatten block states into one device-sized word (block i at i * N_0).
+
+    Each state is one walk over its data words, then its side words, each
+    shifted to its slot's offset.
+    """
     if not states:
         raise ValueError("need at least one block")
     p = states[0].params
     if any(s.params is not p and s.params != p for s in states):
         raise ValueError("blocks disagree on parameters")
-    data_offsets = [p.data_offset(d) for d in range(p.m)]
-    side_offsets = [p.side_offset(s) for s in range(p.t - 1)]
+    offsets = [*map(p.data_offset, range(p.m)), *map(p.side_offset, range(p.t - 1))]
     headers = [(1 << r) - 1 for r in range(p.t + 1)]  # round r as a unary header
     blocks = []
     for state in states:
         bits = headers[state.round]
-        for offset, word in zip(data_offsets, state.data):
-            bits |= word.bits << offset
-        for offset, word in zip(side_offsets, state.sides):
+        for offset, word in zip(offsets, state.data + state.sides):
             bits |= word.bits << offset
         blocks.append(bits)
     return BitWord(len(states) * p.n0, _join_fields(blocks, p.n0))

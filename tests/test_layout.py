@@ -7,6 +7,7 @@ exception type and message on every error path.
 """
 
 import dataclasses
+import itertools
 import random
 import re
 import tracemalloc
@@ -17,9 +18,12 @@ from types import SimpleNamespace
 import pytest
 
 import layout_oracle as oracle
-from womkit import bitwords, full_codec, wom_device
+import search_oracle
+from womkit import bitwords, block_codec, full_codec, wom_device
 from womkit.bitwords import BitWord, _join_fields, _split_fields, subset_unrank
-from womkit.block_codec import BlockState, RoundMessage, _built_state, check_block, decode_round, encode_round1
+from womkit.block_codec import (
+    BlockState, RoundMessage, SequencingError, _built_state, check_block, decode_round, encode_round1,
+)
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import FullParams, full_encode_round
 from womkit.wom_device import Device, apply_write
@@ -510,12 +514,64 @@ def test_round1_full_encode_matches_per_block_encode():
         for state, msg in zip(cold, msgs):
             for rank, word in zip(msg.payload, state.data):
                 assert words.setdefault((state.params.n, rank), word) == word
-    bad = [(BULK.round1_space,) * BULK.m, (-1,) * BULK.m, (ranks[0],) * (BULK.m - 1), ("x",) * BULK.m]
-    for payload in bad:
-        case = msgs[:5] + [RoundMessage(1, payload)] + msgs[5:]
-        states = [BlockState.fresh(BULK)] * len(case)
+
+
+def test_round1_errors_match_the_per_block_oracle():
+    # A round-1 write checks all blocks in column passes, but any failure must
+    # raise what the per-block loop raises for the first faulty block.
+    rnd = random.Random(55)
+    msgs = [RoundMessage(1, tuple(rnd.randrange(BULK.round1_space) for _ in range(BULK.m))) for _ in range(12)]
+    ok = msgs[0].payload
+    faults = [ok[:-1], ok + ok[:1], (True,) + ok[1:], ok[:1] + ("3",) + ok[2:], ok[:2] + (2.0,) + ok[3:],
+              ok[:-1] + (-1,), ok[:-1] + (BULK.round1_space,)]
+    fresh = [BlockState.fresh(BULK)] * len(msgs)
+
+    def same_as_oracle(states, case):
         got = outcome(full_encode_round, states, case)
-        assert got[0] == "raised" and got == outcome(per_block_round1, states, case)
+        assert got == outcome(search_oracle.full_encode_round, states, case), case
+        return got
+
+    def with_faults(*placed):
+        case = list(msgs)
+        for block, payload in placed:
+            case[block] = RoundMessage(1, payload)
+        return case
+
+    for payload in faults:  # each check failing alone, in the first block and a later one
+        for block in (0, 7):
+            assert same_as_oracle(fresh, with_faults((block, payload)))[0] == "raised"
+    for first, second in itertools.permutations(faults, 2):  # two failures, in both orders
+        assert same_as_oracle(fresh, with_faults((3, first), (8, second)))[0] == "raised"
+    for j in (2, 3):  # a later round's message among round-1 messages
+        case = list(msgs)
+        case[4] = RoundMessage(j, [BitWord(BULK.payload_bits(2), 0)] * BULK.m)
+        assert same_as_oracle(fresh, case)[0] == "raised"
+    written = full_encode_round(fresh, msgs)
+    assert same_as_oracle(written, msgs)[:2] == ("raised", SequencingError)
+    twin, other = dataclasses.replace(BULK), dataclasses.replace(BULK, n=12)
+    for mixed in (twin, other):  # equal-but-distinct and different parameter objects
+        states = [BlockState.fresh(rnd.choice((BULK, mixed))) for _ in msgs]
+        assert same_as_oracle(states, msgs)[0] == "ok"
+        for payload in faults:
+            assert same_as_oracle(states, with_faults((5, payload)))[0] == "raised"
+
+
+def test_round1_write_shares_one_word_per_distinct_rank(monkeypatch):
+    full = FullParams(BULK, 8000)
+    needed = full.round_capacity(1)
+    msgs = full_codec.pack_messages(BitWord(needed, random.Random(56).getrandbits(needed)), 1, full)
+    calls = []
+
+    def spy(rank, length, weight):
+        calls.append(rank)
+        return subset_unrank(rank, length, weight)
+
+    monkeypatch.setattr(block_codec, "subset_unrank", spy)
+    out = full_encode_round(full_codec.memory_to_states(BitWord(full.N1, 0), full), msgs)
+    ranks = {rank for msg in msgs for rank in msg.payload}
+    assert sorted(calls) == sorted(ranks)
+    assert len({id(word) for state in out for word in state.data}) == len(ranks)
+    assert [decode_round(state, 1) for state in out] == msgs
 
 
 def repeated_line_image(n1: int = 6) -> bytes:
