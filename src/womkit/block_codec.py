@@ -17,8 +17,8 @@ GF(2)-linear, so word i's targets lie in its hull: H(w_i) XOR the span of
 the rows of w_i's unset bits (the point H(w_i) when w_i has no budget
 left), shifted by x_i ^ x_0. Before any table at a, the hull test skips
 a when the block's memo tables and hulls leave no common target; it never
-skips a multiplier that works. One memo per call, keyed on parameter
-object and bits (a call writes one round), holds a word's descending
+skips a multiplier that works. One memo per parameter object and call,
+keyed on bits (a call writes one round), holds a word's descending
 candidates and its tables at the multipliers that encoded one of its
 holders, until its last holder is written. A block builds a word's table
 or hull at a once, drops those of a failing a and notes only which
@@ -261,12 +261,12 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
     rescan (`exact`) visits only the skipped.
     """
     n, modulus, out_len = params.n, canonical_spec(params.n), params.payload_bits(j)
-    keys, budget = [(id(params), w.bits) for w in ws], params.budgets[j - 1]
-    for key, w in zip(keys, ws):
-        if key not in memo:  # descending candidates: the last witness stored is the smallest
-            memo[key] = list(enumerate_above(w, budget))[::-1], {}
+    budget = params.budgets[j - 1]
+    for w in ws:
+        if w.bits not in memo:  # descending candidates: the last witness stored is the smallest
+            memo[w.bits] = list(enumerate_above(w, budget))[::-1], {}
     x0 = xs[0].bits
-    words = [(memo[key], key[1], x.bits ^ x0) for key, x in zip(keys, xs)]
+    words = [(memo[w.bits], w.bits, x.bits ^ x0) for w, x in zip(ws, xs)]
     start = int(any(x.bits != x0 for x in xs))
     fails, skipped = [0] * params.m, list(range(start))
     for exact in (False, True):
@@ -336,9 +336,9 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
 
     Round 1 on fresh blocks under one parameter object runs in column
     passes, as the module docstring says; otherwise it runs the block loop.
-    A later round runs `_search` per block with one memo, dropping a word's
-    entry after its last holder; the first failing block's error is raised
-    before any state is returned.
+    A later round runs `_search` per block with one memo per parameter
+    object, dropping a word's entry after its last holder there; the first
+    failing block's error is raised before any state is returned.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -358,8 +358,9 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
                 words = {rank: subset_unrank(rank, p.n, p.budgets[0]) for rank in distinct}
                 data = zip(*[map(words.__getitem__, ranks)] * p.m)
                 return list(map(_built_state, repeat(p), repeat(1), data, [s.sides for s in states]))
-    holders = Counter((id(s.params), w.bits) for s in states if s.round for w in s.data)
-    memo, words_of, out = {}, {}, []
+    holders, memos, words_of, out = {}, {}, {}, []
+    for s in states if rounds != {0} else ():  # per parameter object: a key is a word's bits
+        holders.setdefault(id(s.params), Counter()).update([w.bits for w in s.data])
     for state, msg in zip(states, msgs):
         p, j = state.params, msg.round
         if j == 1:
@@ -381,12 +382,12 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
             raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
         _check_payload(state, msg)
         _check_search(p, j, state.data, msg.payload)
+        memo, held = memos.setdefault(id(p), {}), holders[id(p)]
         a, b, ys = _search(p, j, state.data, msg.payload, memo)
-        keys = [(id(p), w.bits) for w in state.data]
-        holders.subtract(keys)
-        for key in keys:
-            if not holders[key]:
-                memo.pop(key, None)
+        held.subtract([w.bits for w in state.data])
+        for w in state.data:
+            if not held[w.bits]:
+                memo.pop(w.bits, None)
         out.append(_built_state(p, j, ys, state.sides[: j - 2] + (BitWord(2 * p.n, a | (b << p.n)),)
                                 + state.sides[j - 1 :]))
     return out
