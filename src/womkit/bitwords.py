@@ -3,24 +3,51 @@
 A word y dominates w when every coordinate of w is also set in y: the only
 order a write-once memory can move along. Fixed-weight words are ranked in
 colexicographic order of their support sets, giving the bijection used for
-subset-valued messages.
+subset-valued messages. `_Frozen` is the base of womkit's value classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BitWord:
+class _Frozen:
+    """A value whose `__init__` checks and sets its slots once: equal to its own class with
+    equal `_fields`, hashed as their tuple, shown as `Class(name=value, ...)`, pickled via `__init__`."""
+
+    __slots__ = _fields = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)  # a tuple from two fields on
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BitWord(_Frozen):
     """length coordinates stored as an integer mask (bit i = coordinate i)."""
 
-    length: int
-    bits: int
+    __slots__ = _fields = ("length", "bits")
 
     def __init__(self, length: int, bits: int):
         if type(length) is not int or type(bits) is not int:
@@ -59,8 +86,8 @@ class BitWord:
         return cls(length, 0)
 
 
-# The slots' own setters: the frozen dataclass's __setattr__ refuses to assign.
-_set_length, _set_bits = (BitWord.__dict__[name].__set__ for name in ("length", "bits"))
+# The slots' own setters: faster than object.__setattr__ past _Frozen's refusal, for a hot constructor.
+_set_length, _set_bits = (BitWord.__dict__[f].__set__ for f in BitWord._fields)
 
 
 def dominates(y: BitWord, w: BitWord) -> bool:

@@ -40,7 +40,7 @@ All states are immutable; encoders return new states that dominate their
 inputs coordinatewise. `check_block` is the one budget rule a block must
 keep, and `_check_words` holds its per-word tests. The public
 `BlockState(...)` runs it, so a `BlockState` keeps the rule by its
-type. The codec builds the states it writes through `_built_state`, which
+type. `_built_state` fills the slots of each state the codec writes and
 skips the check: `check_block` costs about four times the rest of a
 construction. Every message and word goes through its checked constructor.
 """
@@ -48,11 +48,10 @@ construction. Every message and word goes through its checked constructor.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from .bitwords import BitWord, colex_rank, count_above, enumerate_above, subset_unrank
+from .bitwords import BitWord, _Frozen, colex_rank, count_above, enumerate_above, subset_unrank
 from .capacity import WomParams
 from .gf2n import canonical_spec
 from .hashfam import hash_words, truncated_rows
@@ -75,12 +74,10 @@ class NoEncoding(Exception):
         self.bottleneck = bottleneck
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RoundMessage:
+class RoundMessage(_Frozen):
     """Payload of one round: m subset ranks (round 1) or m words of k_j-l bits."""
 
-    round: int
-    payload: tuple
+    __slots__ = _fields = ("round", "payload")
 
     def __init__(self, round: int, payload: Iterable):
         payload = tuple(payload)
@@ -92,14 +89,10 @@ class RoundMessage:
         _set_payload(self, payload)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BlockState:
+class BlockState(_Frozen):
     """Immutable contents of one block after `round` rounds, checked by `check_block`."""
 
-    params: WomParams
-    round: int
-    data: tuple[BitWord, ...]
-    sides: tuple[BitWord, ...]
+    __slots__ = _fields = ("params", "round", "data", "sides")
 
     def __init__(self, params: WomParams, round: int, data: Iterable[BitWord], sides: Iterable[BitWord]):
         _set_params(self, params)
@@ -118,11 +111,9 @@ class BlockState:
         )
 
 
-# The slots' own setters: the frozen dataclass's __setattr__ refuses to assign.
-_set_round, _set_payload = (RoundMessage.__dict__[name].__set__ for name in ("round", "payload"))
-_set_params, _set_block_round, _set_data, _set_sides = (
-    BlockState.__dict__[name].__set__ for name in ("params", "round", "data", "sides")
-)
+# The slots' own setters: faster than object.__setattr__ past _Frozen's refusal, for hot constructors.
+_set_round, _set_payload = (RoundMessage.__dict__[f].__set__ for f in RoundMessage._fields)
+_set_params, _set_block_round, _set_data, _set_sides = (BlockState.__dict__[f].__set__ for f in BlockState._fields)
 
 
 def _built_state(params: WomParams, round_: int, data: tuple, sides: tuple) -> BlockState:

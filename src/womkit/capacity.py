@@ -13,10 +13,10 @@ floors and the image file format stores densities as num/den pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, floor, log2
 
+from .bitwords import _Frozen
 from .gf2n import MAX_WIDTH, MIN_WIDTH
 
 REGION_TOL = 1e-9
@@ -53,17 +53,17 @@ def inverse_entropy(h: float) -> float:
     return (lo + hi) / 2.0
 
 
-@dataclass(frozen=True, slots=True)
-class RatePoint:
+class RatePoint(_Frozen):
     """Per-round rates (R_1..R_t) in bits per cell."""
 
-    rates: tuple[float, ...]
+    __slots__ = _fields = ("rates",)
 
-    def __post_init__(self):
-        if len(self.rates) < 1:
+    def __init__(self, rates: tuple[float, ...]):
+        if len(rates) < 1:
             raise ValueError("need at least one round")
-        if any(r < 0 for r in self.rates):
+        if any(r < 0 for r in rates):
             raise ValueError("rates must be nonnegative")
+        object.__setattr__(self, "rates", rates)
 
     @property
     def t(self) -> int:
@@ -74,8 +74,7 @@ class RatePoint:
         return sum(self.rates)
 
 
-@dataclass(frozen=True, slots=True)
-class WeightVector:
+class WeightVector(_Frozen):
     """Write densities (p_1..p_t), each in [0, 1/2]; the last is pinned to 1/2.
 
     The region itself only constrains p_1..p_{t-1}; fixing p_t = 1/2 makes
@@ -83,16 +82,17 @@ class WeightVector:
     is precisely entropy-1 writing on the remaining cells).
     """
 
-    p: tuple[Fraction, ...]
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(map(Fraction, self.p)))
-        if len(self.p) < 1:
+    def __init__(self, p: tuple[Fraction, ...]):
+        p = tuple(map(Fraction, p))
+        if len(p) < 1:
             raise ValueError("need at least one round")
-        if any(not 0 <= x <= Fraction(1, 2) for x in self.p):
+        if any(not 0 <= x <= Fraction(1, 2) for x in p):
             raise ValueError("densities must lie in [0, 1/2]")
-        if self.p[-1] != Fraction(1, 2):
+        if p[-1] != Fraction(1, 2):
             raise ValueError("last density must be exactly 1/2")
+        object.__setattr__(self, "p", p)
 
     @property
     def t(self) -> int:
@@ -150,8 +150,7 @@ def in_capacity_region(rates: RatePoint, p: WeightVector) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class WomParams:
+class WomParams(_Frozen):
     """Parameters of one coded block.
 
     t rounds over m data words of n bits each, with t-1 side words of 2n
@@ -162,40 +161,35 @@ class WomParams:
     computed once, when the parameters are built.
     """
 
-    t: int
-    n: int
-    m: int
-    l: int
-    k: tuple[int, ...]
-    p: WeightVector
-    c: int | None = None
-    _budgets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("t", "n", "m", "l", "k", "p", "c")
+    __slots__ = _fields + ("_budgets",)
 
-    def __post_init__(self):
-        named = [("t", self.t), ("n", self.n), ("m", self.m), ("l", self.l)]
-        for name, value in named + [(f"k_{j}", kj) for j, kj in enumerate(self.k, 2)]:
+    def __init__(self, t: int, n: int, m: int, l: int, k: tuple[int, ...], p: WeightVector, c: int | None = None):
+        named = [("t", t), ("n", n), ("m", m), ("l", l)]
+        for name, value in named + [(f"k_{j}", kj) for j, kj in enumerate(k, 2)]:
             if type(value) is not int:
                 raise ValueError(f"{name} {value!r} is not an int")
-        if self.t < 1:
+        if t < 1:
             raise ValueError("need at least one round")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("data words need at least one bit")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("need at least one data word")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("slack must be nonnegative")
-        if len(self.k) != self.t - 1:
-            raise ValueError(f"expected {self.t - 1} hash sizes k_2..k_t, got {len(self.k)}")
-        if any(not self.l <= kj <= self.n for kj in self.k):
-            raise ValueError(f"hash sizes must satisfy l <= k_j <= n (l={self.l}, n={self.n})")
-        if self.p.t != self.t:
-            raise ValueError(f"density vector has {self.p.t} entries, expected {self.t}")
+        if len(k) != t - 1:
+            raise ValueError(f"expected {t - 1} hash sizes k_2..k_t, got {len(k)}")
+        if any(not l <= kj <= n for kj in k):
+            raise ValueError(f"hash sizes must satisfy l <= k_j <= n (l={l}, n={n})")
+        if p.t != t:
+            raise ValueError(f"density vector has {p.t} entries, expected {t}")
         out = []
         remaining = Fraction(1)
-        for pj in self.p.p:
+        for pj in p.p:
             remaining *= 1 - pj
-            out.append(floor((1 - remaining) * self.n))
-        object.__setattr__(self, "_budgets", tuple(out))
+            out.append(floor((1 - remaining) * n))
+        for name, value in zip(self.__slots__, (t, n, m, l, k, p, c, tuple(out))):
+            object.__setattr__(self, name, value)
 
     @property
     def budgets(self) -> tuple[int, ...]:

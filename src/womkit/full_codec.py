@@ -33,27 +33,26 @@ distinct blocks in order, which names the first faulty one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .bitwords import BitWord, _join_fields, _split_fields
+from .bitwords import BitWord, _Frozen, _join_fields, _split_fields
 from .capacity import WomParams
 from .block_codec import BlockState, RoundMessage, _built_state, _check_words, check_block, full_encode_round
 
 
-@dataclass(frozen=True, slots=True)
-class FullParams:
+class FullParams(_Frozen):
     """n1 independent copies of one block configuration."""
 
-    block: WomParams
-    n1: int
+    __slots__ = _fields = ("block", "n1")
 
-    def __post_init__(self):
-        if type(self.n1) is not int:
-            raise ValueError(f"n1 {self.n1!r} is not an int")
-        if self.n1 < 1:
+    def __init__(self, block: WomParams, n1: int):
+        if type(n1) is not int:
+            raise ValueError(f"n1 {n1!r} is not an int")
+        if n1 < 1:
             raise ValueError("need at least one block")
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "n1", n1)
 
     @property
     def N1(self) -> int:

@@ -13,11 +13,10 @@ persistence, and determinism.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2
 
-from .bitwords import BitWord, dominates, enumerate_above, subset_rank, subset_unrank
+from .bitwords import BitWord, _Frozen, dominates, enumerate_above, subset_rank, subset_unrank
 from .block_codec import (
     BlockState, RoundMessage, decode_round, encode_round, in_guaranteed_regime, search_block_encoding,
 )
@@ -28,12 +27,12 @@ from .hashfam import hash_apply, image_fraction_audit, lhl_exact_distance
 from .wom_device import ChecksumMismatch, Device, apply_write, load_image, save_image
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
+class CriterionResult(_Frozen):
+    __slots__ = _fields = ("number", "name", "passed", "detail")
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str):
+        for field, value in zip(self._fields, (number, name, passed, detail)):
+            object.__setattr__(self, field, value)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import binascii
 import io
-from dataclasses import dataclass
 from itertools import islice
 
-from .bitwords import BitWord, _join_fields, _split_fields
+from .bitwords import BitWord, _Frozen, _join_fields, _split_fields
 from .capacity import WeightVector, WomParams, parse_densities
 
 MAGIC = b"WOMIMG 1"
@@ -79,11 +78,13 @@ class MalformedImage(ImageFormatError):
     """A line is present but does not parse."""
 
 
-@dataclass(frozen=True, slots=True)
-class Device:
+class Device(_Frozen):
     """Write-once memory of fixed size."""
 
-    cells: BitWord
+    __slots__ = _fields = ("cells",)
+
+    def __init__(self, cells: BitWord):
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def fresh(cls, nbits: int) -> "Device":

@@ -1,10 +1,10 @@
-import dataclasses
 import random
 from math import comb
 
 import pytest
 
 import layout_oracle as oracle
+from value_oracle import replace
 from womkit import bitwords
 from womkit.bitwords import BitWord, count_above, dominates, enumerate_above, subset_rank, subset_unrank
 
@@ -25,14 +25,14 @@ def test_bitword_validation():
     # frozen, and a copy with a changed field is checked again
     word = BitWord(3, 5)
     for field, value in (("length", 4), ("bits", 1)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(word, field, value)
     assert word == BitWord(3, 5)
     with pytest.raises(ValueError, match="^bits 0x8 out of range for length 3$"):
-        dataclasses.replace(word, bits=8)
+        replace(word, bits=8)
     with pytest.raises(ValueError, match="^length must be nonnegative$"):
-        dataclasses.replace(word, length=-1)
-    assert dataclasses.replace(word, length=4) == BitWord(4, 5)
+        replace(word, length=-1)
+    assert replace(word, length=4) == BitWord(4, 5)
 
 
 @pytest.mark.parametrize("length,bits,message", [

@@ -673,3 +673,10 @@ def test_selftest_checks_hold_under_python_O():
 def test_importing_the_cli_leaves_the_selftest_suite_unloaded():
     done = python("-c", "import sys, womkit.cli; print('womkit.selftest' in sys.modules)")
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_the_cli_and_selftest_import_no_code_generation_modules():
+    # the value classes are plain slotted classes, so womkit needs dataclasses' helpers nowhere
+    done = python("-S", "-c", "import sys, womkit.cli, womkit.selftest; "
+                              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from binascii import crc32
 from fractions import Fraction
@@ -6,6 +5,7 @@ from math import comb
 
 import pytest
 
+from value_oracle import replace
 from womkit.bitwords import BitWord, _split_fields
 from womkit.block_codec import BlockState, NoEncoding, RoundMessage, decode_round, encode_round, encode_round1
 from womkit.capacity import WeightVector, WomParams
@@ -253,9 +253,9 @@ def test_blocks_hold_their_round_and_memory_writes_it_unary():
 
 def test_states_to_memory_compares_params_by_value():
     params = params_t2()
-    twin = dataclasses.replace(params)
+    twin = replace(params)
     assert twin == params and twin is not params
     states = [BlockState.fresh(params), BlockState.fresh(twin)]
     assert states_to_memory(states) == BitWord(2 * params.n0, 0)
     with pytest.raises(ValueError, match="^blocks disagree on parameters$"):
-        states_to_memory([BlockState.fresh(params), BlockState.fresh(dataclasses.replace(params, c=7))])
+        states_to_memory([BlockState.fresh(params), BlockState.fresh(replace(params, c=7))])

@@ -6,7 +6,6 @@ bit-identical states and streams, byte-identical images, and the same
 exception type and message on every error path.
 """
 
-import dataclasses
 import itertools
 import random
 import re
@@ -19,6 +18,7 @@ import pytest
 
 import layout_oracle as oracle
 import search_oracle
+from value_oracle import replace
 from womkit import bitwords, block_codec, full_codec, wom_device
 from womkit.bitwords import BitWord, _join_fields, _split_fields, subset_unrank
 from womkit.block_codec import (
@@ -171,7 +171,7 @@ def test_state_memory_error_paths_match():
     params = random_params(rnd, 3)
     full = FullParams(params, 4)
     same("states_to_memory", [])
-    states = [BlockState.fresh(params), BlockState.fresh(dataclasses.replace(params, c=7))]
+    states = [BlockState.fresh(params), BlockState.fresh(replace(params, c=7))]
     assert same("states_to_memory", states)[0] == "raised"
     same("memory_to_states", BitWord(full.N1 - 1, 0), full)
     memory = random_memory(rnd, full)
@@ -276,10 +276,10 @@ def test_budgets_computed_once_without_changing_identity():
     assert hash(params) == hash(fields)
     twin = WomParams(*fields)
     assert twin == params and hash(twin) == hash(params)
-    assert params != dataclasses.replace(params, c=3)
+    assert params != replace(params, c=3)
     assert isinstance(vars(WomParams)["budgets"], property)
     for n in (params.n, params.n + 5, 40):
-        wider = dataclasses.replace(params, n=n)
+        wider = replace(params, n=n)
         remaining, want = Fraction(1), []
         for pj in params.p.p:
             remaining *= 1 - pj
@@ -495,8 +495,8 @@ def clear_rank_caches():
 
 def test_round1_full_encode_matches_per_block_encode():
     rnd = random.Random(50)
-    other = dataclasses.replace(BULK, n=12)  # same rank width, other words
-    twin = dataclasses.replace(BULK)  # equal parameters in another object
+    other = replace(BULK, n=12)  # same rank width, other words
+    twin = replace(BULK)  # equal parameters in another object
     assert twin == BULK and twin is not BULK
     ranks = [rnd.randrange(BULK.round1_space) for _ in range(3)]
     msgs = [RoundMessage(1, tuple(rnd.choice(ranks) for _ in range(BULK.m))) for _ in range(40)]
@@ -548,7 +548,7 @@ def test_round1_errors_match_the_per_block_oracle():
         assert same_as_oracle(fresh, case)[0] == "raised"
     written = full_encode_round(fresh, msgs)
     assert same_as_oracle(written, msgs)[:2] == ("raised", SequencingError)
-    twin, other = dataclasses.replace(BULK), dataclasses.replace(BULK, n=12)
+    twin, other = replace(BULK), replace(BULK, n=12)
     for mixed in (twin, other):  # equal-but-distinct and different parameter objects
         states = [BlockState.fresh(rnd.choice((BULK, mixed))) for _ in msgs]
         assert same_as_oracle(states, msgs)[0] == "ok"

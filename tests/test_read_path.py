@@ -12,7 +12,6 @@ the ones the public constructor builds from a list, and `unpack_messages`
 must raise what the oracle raises on every error path.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,6 +20,7 @@ import pytest
 
 import decode_oracle
 import layout_oracle
+from value_oracle import replace
 from womkit.bitwords import BitWord
 from womkit.block_codec import BlockState, RoundMessage, decode_round
 from womkit.capacity import WeightVector, WomParams
@@ -104,11 +104,11 @@ def test_codec_built_messages_equal_constructed_ones(params, n1):
             assert all(type(value) is entry for value in msg.payload)
         # frozen, and a copy with a changed field is checked again
         for field in ("round", "payload"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(msg, field, getattr(msg, field))
         with pytest.raises(ValueError, match="^rounds are numbered from 1$"):
-            dataclasses.replace(msg, round=0)
-        assert type(dataclasses.replace(msg, payload=list(msg.payload)).payload) is tuple
+            replace(msg, round=0)
+        assert type(replace(msg, payload=list(msg.payload)).payload) is tuple
 
 
 def distinct_image(params, n1, j, rnd):
