@@ -7,18 +7,17 @@ t-bit unary header (`full_codec`), which the image format checks too
 a fixed-weight subset. Every later round j finds a single truncated affine
 map H, the int pair (a, b), and per-word replacements y_i >= w_i within
 the round's weight budget such that H(y_i) equals the i-th message, then
-stores a | b << n in side word j-2. `full_encode_round` writes one round,
-any round, into every block of an image in block order, and `encode_round`
-is its one-block case. For each block of a round j >= 2, `_search` tries
-a = 0, 1, ... over ints: one `hashfam.hash_words` pass over a word's
-candidate masks gives its table H_{a,0}(y) -> smallest y, and membership
-tests find the targets v with v ^ x_i in every table. H_{a,0} is
-GF(2)-linear, so word i's targets lie in its hull: H(w_i) XOR the span of
-the rows of w_i's unset bits (the point H(w_i) when w_i has no budget
-left), shifted by x_i ^ x_0. Before any table at a, the hull test skips
-a when the block's memo tables and hulls leave no common target; it never
-skips a multiplier that works. One memo per parameter object and call,
-keyed on bits (a call writes one round), holds a word's descending
+stores a | b << n in side word j-2. `full_encode_round` writes one round
+of one image, block by block, and `encode_round` is its one-block case.
+For each block of a round j >= 2, `_search` tries a = 0, 1, ... over ints:
+one `hashfam.hash_words` pass over a word's candidate masks gives its
+table H_{a,0}(y) -> smallest y, and membership tests find the targets v
+with v ^ x_i in every table. H_{a,0} is GF(2)-linear, so word i's targets
+lie in its hull: H(w_i) XOR the span of the rows of w_i's unset bits (the
+point H(w_i) when w_i has no budget left), shifted by x_i ^ x_0. Before
+any table at a, the hull test skips a when the block's memo tables and
+hulls leave no common target; it never skips a multiplier that works. One
+memo per write, keyed on a word's bits, holds a word's descending
 candidates and its tables at the multipliers that encoded one of its
 holders, until its last holder is written. A block builds a word's table
 or hull at a once, drops those of a failing a and notes only which
@@ -28,13 +27,11 @@ first failing block raises its error, its check's or its NoEncoding.
 Decoding re-applies the current round's map with one `hash_words` call
 over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
-decodes by ranking the subsets. Fresh blocks under one parameter object
-encode it in column passes: each check runs once over all blocks, the
-rank types before any lookup (True would find rank 1's word), each
-distinct rank is unranked once and `map` builds the states. A failed
-check, or several parameter objects, takes the block loop, which unranks
-each distinct rank once per parameter object and raises the first failing
-block's error. `encode_round1` is the one-block case.
+decodes by ranking the subsets and encodes in column passes: each check
+runs once over all blocks, the rank types before any lookup (True would
+find rank 1's word), each distinct rank is unranked once and `map` builds
+the states. When a check fails, a check-only walk in block order raises
+the first faulty block's error. `encode_round1` is the one-block case.
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise. `check_block` is the one budget rule a block must
@@ -323,13 +320,14 @@ def _hull(rows: list[int], bits: int, size: int) -> set:
 
 
 def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:
-    """Write one round into every block, in block order; fails atomically.
+    """Write one round of one image, in block order; fails atomically.
 
-    Round 1 on fresh blocks under one parameter object runs in column
-    passes, as the module docstring says; otherwise it runs the block loop.
-    A later round runs `_search` per block with one memo per parameter
-    object, dropping a word's entry after its last holder there; the first
-    failing block's error is raised before any state is returned.
+    Blocks of one parameter set (equal objects count as one; the states
+    carry the first block's) take messages of one round. Those checks and
+    the sequencing run once, before any block. Round 1 runs in column
+    passes; a later round runs `_search` per block with one memo per write,
+    dropping a word's entry after its last holder. The first failing
+    block's error is raised before any state is returned.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -339,45 +337,43 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
     p = states[0].params
-    if rounds == {0} and {msg.round for msg in msgs} == {1} and all(s.params is p for s in states):
+    if any(s.params is not p and s.params != p for s in states):
+        raise ValueError("blocks disagree on parameters")
+    msg_rounds = {msg.round for msg in msgs}
+    if len(msg_rounds) > 1:
+        raise ValueError(f"messages disagree on the round: {sorted(msg_rounds)}")
+    (r,), (j,) = rounds, msg_rounds
+    if j == 1 and r:
+        raise SequencingError(f"block already holds {r} round(s)")
+    if j > p.t:
+        raise SequencingError(f"round {j} out of range 1..{p.t}")
+    if r != j - 1:
+        raise SequencingError(f"block holds {r} round(s), cannot write round {j}")
+    if j == 1:
         payloads = [msg.payload for msg in msgs]
         ranks = list(chain.from_iterable(payloads))
         # types before any lookup: True would find rank 1's word
-        if set(map(len, payloads)) == {p.m} and set(map(type, ranks)) == {int}:
-            distinct = set(ranks)
-            if min(distinct) >= 0 and max(distinct) < p.round1_space:
-                words = {rank: subset_unrank(rank, p.n, p.budgets[0]) for rank in distinct}
-                data = zip(*[map(words.__getitem__, ranks)] * p.m)
-                return list(map(_built_state, repeat(p), repeat(1), data, [s.sides for s in states]))
-    holders, memos, words_of, out = {}, {}, {}, []
-    for s in states if rounds != {0} else ():  # per parameter object: a key is a word's bits
-        holders.setdefault(id(s.params), Counter()).update([w.bits for w in s.data])
+        typed = set(map(len, payloads)) == {p.m} and set(map(type, ranks)) == {int}
+        distinct = set(ranks) if typed else ()
+        if not typed or min(distinct) < 0 or max(distinct) >= p.round1_space:
+            for state, msg in zip(states, msgs):  # raises the first faulty block's error
+                _check_payload(state, msg)
+                for i, rank in enumerate(msg.payload):
+                    if type(rank) is not int:
+                        raise ValueError(f"word {i}: rank {rank!r} is not an int")
+                for rank in msg.payload:
+                    subset_unrank(rank, p.n, p.budgets[0])
+        words = {rank: subset_unrank(rank, p.n, p.budgets[0]) for rank in distinct}
+        data = zip(*[map(words.__getitem__, ranks)] * p.m)
+        return list(map(_built_state, repeat(p), repeat(1), data, [s.sides for s in states]))
+    holders, memo, out = Counter([w.bits for s in states for w in s.data]), {}, []
     for state, msg in zip(states, msgs):
-        p, j = state.params, msg.round
-        if j == 1:
-            if state.round != 0:
-                raise SequencingError(f"block already holds {state.round} round(s)")
-            _check_payload(state, msg)
-            for i, rank in enumerate(msg.payload):  # before any lookup: True would find rank 1's word
-                if type(rank) is not int:
-                    raise ValueError(f"word {i}: rank {rank!r} is not an int")
-            words = words_of.setdefault(id(p), {})
-            for rank in msg.payload:
-                if rank not in words:
-                    words[rank] = subset_unrank(rank, p.n, p.budgets[0])
-            out.append(_built_state(p, 1, tuple(map(words.__getitem__, msg.payload)), state.sides))
-            continue
-        if j > p.t:
-            raise SequencingError(f"round {j} out of range 1..{p.t}")
-        if state.round != j - 1:
-            raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
         _check_payload(state, msg)
         _check_search(p, j, state.data, msg.payload)
-        memo, held = memos.setdefault(id(p), {}), holders[id(p)]
         a, b, ys = _search(p, j, state.data, msg.payload, memo)
-        held.subtract([w.bits for w in state.data])
+        holders.subtract([w.bits for w in state.data])
         for w in state.data:
-            if not held[w.bits]:
+            if not holders[w.bits]:
                 memo.pop(w.bits, None)
         out.append(_built_state(p, j, ys, state.sides[: j - 2] + (BitWord(2 * p.n, a | (b << p.n)),)
                                 + state.sides[j - 1 :]))

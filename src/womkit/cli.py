@@ -114,11 +114,18 @@ def _manual_params(args) -> WomParams:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    """Replace path with data through a synced temp file and rename."""
+    """Replace path with data through a synced temp file and rename, keeping path's mode."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".womimg-")
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:  # a new file gets open()'s mode: 0o666 less the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".womimg-")  # mode 0o600
     try:
         with os.fdopen(fd, "wb") as handle:
+            os.fchmod(fd, mode)
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
@@ -201,18 +208,13 @@ def cmd_write(args) -> int:
         if not 1 <= args.round <= full.block.t:
             raise ValueError(f"round {args.round} out of range 1..{full.block.t}")
         if args.round != current + 1:
-            raise SequencingError(
-                f"image holds {current} round(s); the next write must be round {current + 1}"
-            )
+            raise SequencingError(f"image holds {current} round(s); the next write must be round {current + 1}")
         stream = _read_message_file(args.infile)
         msgs = pack_messages(stream, args.round, full)
+        regime = "exact"
         if args.round >= 2:
-            guaranteed = all(
-                in_guaranteed_regime(full.block, args.round, state.data) for state in states
-            )
+            guaranteed = all(in_guaranteed_regime(full.block, args.round, state.data) for state in states)
             regime = "guaranteed" if guaranteed else "empirical"
-        else:
-            regime = "exact"
         new_states = full_encode_round(states, msgs)
         dev = apply_write(dev, states_to_memory(new_states))
         _atomic_write(args.img, save_image(dev, full.block, args.round))

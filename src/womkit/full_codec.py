@@ -4,13 +4,12 @@ A full code is n1 side-by-side copies of the basic block; blocks encode
 and decode independently (each may pick its own hash coefficients), so
 concatenation preserves the rate while the per-block search cost becomes
 polynomial in the total length. `block_codec.full_encode_round`, which
-this module exports, writes one round into every block. Round 1 checks and
-builds all blocks in column passes and unranks each distinct rank once;
-from round 2 on it writes the blocks in order, sharing a repeated word's
-candidates and winning tables.
-This module splits a flat bitstream into per-block round messages, joins
-them back, and bridges block states to the flat device memory, where a
-block's round is its t-bit unary header.
+this module exports, writes one round of one image: round 1 in column
+passes, each distinct rank unranked once; later rounds block by block,
+sharing a repeated word's candidates and winning tables. This module
+splits a flat bitstream into per-block round messages, joins them back,
+and bridges block states to the flat device memory, where a block's round
+is its t-bit unary header.
 
 Splitting and joining never shift the whole stream or memory once per
 field: they convert it to bytes once and cut or glue each group of eight

@@ -1,6 +1,8 @@
 import fcntl
 import os
 import random
+import signal
+import stat
 import subprocess
 import sys
 from binascii import crc32
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from womkit import selftest
+from womkit import selftest, wom_device
 from womkit.cli import main
 
 
@@ -264,6 +266,27 @@ def test_failed_rename_leaves_image_and_no_temp_file(tmp_path, capsys, monkeypat
     assert "simulated crash" in err
     assert img.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["crash.wom", "m.hex"]
+
+
+def test_init_takes_the_umask_and_writes_keep_the_images_mode(tmp_path, capsys):
+    # the temp file renamed over the image is created with mode 0o600
+    img = tmp_path / "mode.wom"
+    umask = os.umask(0o022)
+    try:
+        init_image(capsys, img)
+        assert stat.S_IMODE(img.stat().st_mode) == 0o644
+        img.chmod(0o664)
+        msg = write_hex(tmp_path / "m.hex", "ffffff")
+        assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
+        assert stat.S_IMODE(img.stat().st_mode) == 0o664
+        assert run(capsys, "init", "--out", str(img), "--force", "--t", "2", "--n", "10", "--m", "4", "--l", "2",
+                   "--k", "7", "--p", "1/3,1/2")[0] == 0
+        assert stat.S_IMODE(img.stat().st_mode) == 0o664
+        os.umask(0o077)
+        init_image(capsys, tmp_path / "private.wom")
+        assert stat.S_IMODE((tmp_path / "private.wom").stat().st_mode) == 0o600
+    finally:
+        os.umask(umask)
 
 
 def test_init_refuses_overwrite_without_force(tmp_path, capsys):
@@ -680,3 +703,75 @@ def test_the_cli_and_selftest_import_no_code_generation_modules():
     done = python("-S", "-c", "import sys, womkit.cli, womkit.selftest; "
                               "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+# A writer killed at one step of `womkit write`: the child's -c script wraps
+# that step so the process sends itself SIGKILL there.
+KILLED_WRITER = """
+import os, signal, sys
+from womkit import cli
+
+def kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+def after(step):
+    def wrapped(*args, **kwargs):
+        result = step(*args, **kwargs)
+        kill()
+        return result
+    return wrapped
+
+def fsync_kill(call, before):
+    fsync, calls = os.fsync, []
+    def wrapped(fd):
+        calls.append(fd)
+        if len(calls) == call and before:
+            kill()
+        fsync(fd)
+        if len(calls) == call:
+            kill()
+    return wrapped
+
+{patch}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def consumed_payload(path, bits):
+    """The payload `read` prints after a write consumed the first `bits` bits of this hex file."""
+    value = int.from_bytes(bytes.fromhex(Path(path).read_text()), "little") & ((1 << bits) - 1)
+    return value.to_bytes((bits + 7) // 8, "little").hex()
+
+
+@pytest.mark.parametrize("patch, left", [  # left: what the kill leaves beside the image
+    ("cli._load_session = after(cli._load_session)", "old image"),
+    ("cli.full_encode_round = after(cli.full_encode_round)", "old image"),
+    ("os.fsync = fsync_kill(1, before=True)", "temp file"),  # written, not synced
+    ("os.fsync = fsync_kill(1, before=False)", "temp file"),  # synced, not renamed
+    ("os.replace = after(os.replace)", "new image"),
+    ("os.fsync = fsync_kill(2, before=True)", "new image"),  # the directory is not synced
+])
+def test_a_killed_writer_leaves_a_loadable_writable_image(tmp_path, capsys, patch, left):
+    img = tmp_path / "killed.wom"
+    init_image(capsys, img, t=3, n=12, m=3, k="7,5", p="1/4,1/3,1/2", blocks=2)  # rounds of 42, 30, 18 bits
+    rnd = random.Random(14)
+    hexes = [write_hex(tmp_path / f"r{j}.hex", rnd.randbytes(size).hex()) for j, size in ((1, 6), (2, 4), (3, 3))]
+    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", hexes[0])[0] == 0
+    old = img.read_bytes()
+    copy = tmp_path / "unkilled.wom"
+    copy.write_bytes(old)
+    assert run(capsys, "write", "--img", str(copy), "--round", "2", "--in", hexes[1])[0] == 0
+    new = copy.read_bytes()
+
+    done = python("-c", KILLED_WRITER.format(patch=patch), "write", "--img", str(img), "--round", "2", "--in", hexes[1])
+    assert (done.returncode, done.stdout, done.stderr) == (-signal.SIGKILL, "", "")
+    wom_device.load_image(img.read_bytes())
+    assert img.read_bytes() == (new if left == "new image" else old)
+    leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".womimg-")]
+    assert len(leftovers) == (left == "temp file")
+    if left != "new image":  # the write did not happen: the same write again
+        assert run(capsys, "write", "--img", str(img), "--round", "2", "--in", hexes[1])[0] == 0
+        assert img.read_bytes() == new
+    assert parse_kv(run(capsys, "read", "--img", str(img))[1])["payload"] == consumed_payload(hexes[1], 30)
+    assert run(capsys, "write", "--img", str(img), "--round", "3", "--in", hexes[2])[0] == 0
+    assert parse_kv(run(capsys, "read", "--img", str(img))[1])["payload"] == consumed_payload(hexes[2], 18)

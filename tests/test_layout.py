@@ -500,7 +500,9 @@ def test_round1_full_encode_matches_per_block_encode():
     assert twin == BULK and twin is not BULK
     ranks = [rnd.randrange(BULK.round1_space) for _ in range(3)]
     msgs = [RoundMessage(1, tuple(rnd.choice(ranks) for _ in range(BULK.m))) for _ in range(40)]
-    fresh = [BlockState.fresh(rnd.choice((BULK, BULK, twin, other))) for _ in msgs]
+    fresh = [BlockState.fresh(rnd.choice((BULK, BULK, twin))) for _ in msgs]
+    mixed = fresh[:7] + [BlockState.fresh(other)] + fresh[8:]  # one write is one parameter set
+    assert outcome(full_encode_round, mixed, msgs) == ("raised", ValueError, "blocks disagree on parameters")
     for states in ([BlockState.fresh(BULK)] * len(msgs), fresh):
         want = oracle_round1(states, msgs)
         for encode in (full_encode_round, per_block_round1):
@@ -542,18 +544,22 @@ def test_round1_errors_match_the_per_block_oracle():
             assert same_as_oracle(fresh, with_faults((block, payload)))[0] == "raised"
     for first, second in itertools.permutations(faults, 2):  # two failures, in both orders
         assert same_as_oracle(fresh, with_faults((3, first), (8, second)))[0] == "raised"
-    for j in (2, 3):  # a later round's message among round-1 messages
-        case = list(msgs)
-        case[4] = RoundMessage(j, [BitWord(BULK.payload_bits(2), 0)] * BULK.m)
-        assert same_as_oracle(fresh, case)[0] == "raised"
     written = full_encode_round(fresh, msgs)
     assert same_as_oracle(written, msgs)[:2] == ("raised", SequencingError)
-    twin, other = replace(BULK), replace(BULK, n=12)
-    for mixed in (twin, other):  # equal-but-distinct and different parameter objects
-        states = [BlockState.fresh(rnd.choice((BULK, mixed))) for _ in msgs]
-        assert same_as_oracle(states, msgs)[0] == "ok"
-        for payload in faults:
-            assert same_as_oracle(states, with_faults((5, payload)))[0] == "raised"
+    states = [BlockState.fresh(rnd.choice((BULK, replace(BULK)))) for _ in msgs]  # equal-but-distinct objects
+    assert same_as_oracle(states, msgs)[0] == "ok"
+    for payload in faults:
+        assert same_as_oracle(states, with_faults((5, payload)))[0] == "raised"
+    # one write is one round of one image: a later round's message, or another
+    # parameter set, is refused before any block, even behind a faulty one
+    for j in (2, 3):
+        case = with_faults((2, ok[:-1]))
+        case[4] = RoundMessage(j, [BitWord(BULK.payload_bits(2), 0)] * BULK.m)
+        assert outcome(full_encode_round, fresh, case) == (
+            "raised", ValueError, f"messages disagree on the round: [1, {j}]")
+    states = fresh[:5] + [BlockState.fresh(replace(BULK, n=12))] + fresh[6:]
+    assert outcome(full_encode_round, states, with_faults((2, ok[:-1]))) == (
+        "raised", ValueError, "blocks disagree on parameters")
 
 
 def test_round1_write_shares_one_word_per_distinct_rank(monkeypatch):

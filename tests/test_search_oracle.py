@@ -15,12 +15,14 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import search_oracle as oracle
+from value_oracle import replace
 from womkit import block_codec
-from womkit.bitwords import BitWord, count_above, subset_unrank
+from womkit.bitwords import BitWord, count_above
 from womkit.block_codec import BlockState, NoEncoding, RoundMessage, _built_state, search_block_encoding
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import full_encode_round
@@ -239,22 +241,6 @@ def test_blocks_whose_own_words_repeat_match_oracle():
         assert assert_matches_oracle(states, msgs)[0] == "ok"
 
 
-def test_mixed_parameter_sets_never_share_tables():
-    # equal word bits under parameters whose hash widths, fields or rounds differ
-    narrow = WomParams(t=2, n=10, m=4, l=1, k=(7,), p=T2)
-    wide = WomParams(t=3, n=12, m=4, l=2, k=(7, 5), p=WeightVector([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
-    rnd = random.Random(6)
-    for params in (narrow, wide):
-        [(states, msgs)] = rounds_of(BULK_SHAPE, 30, seed=7, last=2)
-        twins = [BlockState(params, 1, (w if params.n == 10 else BitWord(12, w.bits) for w in s.data),
-                            (BitWord(2 * params.n, 0),) * (params.t - 1)) for s in states]
-        twin_msgs = [message(params, 2, rnd) for _ in twins]
-        mixed = [s for pair in zip(states, twins) for s in pair]
-        mixed_msgs = [m for pair in zip(msgs, twin_msgs) for m in pair]
-        assert assert_matches_oracle(mixed, mixed_msgs)[0] == "ok"
-        assert assert_matches_oracle(twins + states, twin_msgs + msgs)[0] == "ok"
-
-
 def test_small_images_match_oracle_on_success_and_no_encoding():
     # narrow fields and long hash outputs: words repeat, and many writes fail
     rnd = random.Random(0x1A6E)
@@ -269,10 +255,8 @@ def test_small_images_match_oracle_on_success_and_no_encoding():
     assert kinds["ok"] >= 60 and kinds["no encoding"] >= 60, kinds
 
 
-# Round 1: each distinct rank is unranked once per call and parameter
-# object, and looked up only after its block's ranks pass the type check.
-
-HEAVY = WomParams(t=2, n=10, m=4, l=1, k=(7,), p=WeightVector([Fraction(1, 2), Fraction(1, 2)]))
+# Round 1: each distinct rank is unranked once per call, and looked up only
+# after every rank passes the type check.
 
 
 @pytest.mark.parametrize("entry, text", [
@@ -285,20 +269,6 @@ def test_round1_checks_each_rank_before_the_shared_table(entry, text):
     # check would give True and 1.0 rank 1's word
     msgs = [RoundMessage(1, [1, 2, 3, 4]), RoundMessage(1, [5, 1, 1, 6]), RoundMessage(1, [7, entry, 8, 9])]
     assert assert_matches_oracle([BlockState.fresh(BULK_SHAPE)] * 3, msgs) == ("ValueError", text)
-
-
-def test_round1_tables_are_kept_apart_per_parameter_set():
-    # equal ranks under parameters whose widths or round-1 weights differ
-    narrow = WomParams(t=2, n=10, m=4, l=1, k=(7,), p=T2)
-    wide = WomParams(t=3, n=12, m=4, l=2, k=(7, 5), p=T3)
-    rnd = random.Random(6)
-    ranks = [[rnd.randrange(narrow.round1_space) for _ in range(4)] for _ in range(30)]
-    states = [BlockState.fresh(params) for _ in ranks for params in (narrow, wide, HEAVY)]
-    msgs = [RoundMessage(1, block) for block in ranks for _ in (narrow, wide, HEAVY)]
-    assert assert_matches_oracle(states, msgs)[0] == "ok"
-    for state, msg in zip(full_encode_round(states, msgs), msgs):
-        p = state.params
-        assert state.data == tuple(subset_unrank(rank, p.n, p.budgets[0]) for rank in msg.payload)
 
 
 # Failure order: the error each case expects is the one the per-block loop raises.
@@ -315,8 +285,18 @@ def msg2(params, xs):
     return RoundMessage(2, [BitWord(params.payload_bits(2), x) for x in xs])
 
 
+def wide_fails(bottleneck):
+    """The first WIDE block, over its weight-1 words and messages in order, that no multiplier encodes."""
+    for ws in product((1, 2, 4, 8), repeat=WIDE.m):
+        for xs in product(range(1 << WIDE.payload_bits(2)), repeat=WIDE.m):
+            block = round1(WIDE, ws), msg2(WIDE, xs)
+            if outcome(oracle.search_block_encoding, WIDE, 2, block[0].data, block[1].payload)[2:] == (bottleneck,):
+                return block
+
+
 TIGHT_FAILS = (round1(TIGHT, [1, 1]), msg2(TIGHT, [0, 1]))  # bottleneck 1 after 4 multipliers
 WIDE_FAILS = (round1(WIDE, [1, 2, 1]), msg2(WIDE, [3, 5, 6]))  # bottleneck 2 after 16 multipliers
+WIDE_FAILS_1 = wide_fails(1)
 TIGHT_OK = (round1(TIGHT, [1, 1]), msg2(TIGHT, [1, 1]))
 WIDE_OK = (round1(WIDE, [1, 2, 4]), msg2(WIDE, [3, 5, 6]))
 OVERWEIGHT = (_built_state(WIDE, 1, tuple(BitWord(4, b) for b in (3, 2, 1)), (BitWord(8, 0),)), msg2(WIDE, [0, 0, 0]))
@@ -324,29 +304,58 @@ SHORT_PAYLOAD = (round1(WIDE, [1, 2, 4]), RoundMessage(2, [BitWord(4, 0)] * 2))
 WRONG_ROUND = (round1(WIDE, [1, 2, 4]), RoundMessage(3, [BitWord(4, 0)] * 3))
 ROUND_ONE = (round1(WIDE, [1, 2, 4]), RoundMessage(1, [0, 0, 0]))
 WRONG_WIDTH = (round1(WIDE, [1, 2, 4]), RoundMessage(2, [BitWord(3, 0)] * 3))
-FRESH_OK = (BlockState.fresh(TIGHT), RoundMessage(1, [0, 1]))  # with TIGHT_OK, every per-block check passes
+FRESH_OK = (BlockState.fresh(WIDE), RoundMessage(1, [0, 1, 2]))  # with WIDE_OK, every per-block check passes
 
 
 @pytest.mark.parametrize("blocks, expect", [
-    ([WIDE_OK, TIGHT_OK, WIDE_OK, TIGHT_FAILS, WIDE_OK], ("no encoding", 1)),
-    ([TIGHT_OK, WIDE_FAILS, TIGHT_OK, TIGHT_FAILS], ("no encoding", 2)),  # the lower index wins
-    ([TIGHT_FAILS, WIDE_FAILS], ("no encoding", 1)),
-    ([WIDE_OK, OVERWEIGHT, TIGHT_FAILS], ("ValueError", "word 0 has weight 2, above round-1 budget 1")),
-    ([WIDE_OK, TIGHT_FAILS, OVERWEIGHT], ("no encoding", 1)),
+    ([WIDE_OK, WIDE_OK, WIDE_OK, WIDE_FAILS_1, WIDE_OK], ("no encoding", 1)),
+    ([WIDE_OK, WIDE_FAILS, WIDE_OK, WIDE_FAILS_1], ("no encoding", 2)),  # the lower index wins
+    ([WIDE_FAILS_1, WIDE_FAILS], ("no encoding", 1)),
+    ([WIDE_OK, OVERWEIGHT, WIDE_FAILS_1], ("ValueError", "word 0 has weight 2, above round-1 budget 1")),
+    ([WIDE_OK, WIDE_FAILS_1, OVERWEIGHT], ("no encoding", 1)),
     ([SHORT_PAYLOAD, WIDE_FAILS], ("ValueError", "payload has 2 entries, expected 3")),
     ([WIDE_FAILS, SHORT_PAYLOAD], ("no encoding", 2)),
-    ([TIGHT_OK, WRONG_ROUND, WIDE_FAILS], ("SequencingError", "round 3 out of range 1..2")),
-    ([WIDE_FAILS, WRONG_ROUND], ("no encoding", 2)),
-    ([WIDE_OK, ROUND_ONE, TIGHT_FAILS], ("SequencingError", "block already holds 1 round(s)")),
-    ([WIDE_OK, WRONG_WIDTH, TIGHT_FAILS], ("ValueError", "message 0 has 3 bits, expected 4")),
-    ([TIGHT_FAILS, WRONG_WIDTH], ("no encoding", 1)),
+    ([WRONG_ROUND, WRONG_ROUND], ("SequencingError", "round 3 out of range 1..2")),
+    ([WIDE_OK, WRONG_WIDTH, SHORT_PAYLOAD], ("ValueError", "message 0 has 3 bits, expected 4")),
+    ([ROUND_ONE, ROUND_ONE], ("SequencingError", "block already holds 1 round(s)")),
+    ([WIDE_OK, SHORT_PAYLOAD, WRONG_WIDTH], ("ValueError", "payload has 2 entries, expected 3")),
+    ([WIDE_FAILS_1, WRONG_WIDTH], ("no encoding", 1)),
     ([], ("ValueError", "need at least one block")),
-    ([FRESH_OK, TIGHT_OK], ("ValueError", "blocks disagree on the current round: [0, 1]")),
+    ([FRESH_OK, WIDE_OK], ("ValueError", "blocks disagree on the current round: [0, 1]")),
 ])
 def test_the_lowest_failing_block_raises(blocks, expect):
     states, msgs = [state for state, _ in blocks], [msg for _, msg in blocks]
     got = assert_matches_oracle(states, msgs)
     assert (got[0], got[-1]) == expect
+
+
+def test_two_parameter_sets_or_two_rounds_are_refused_before_any_block(monkeypatch):
+    # one write is one round of one image; equal parameter objects are one set
+    refused = [
+        ([WIDE_OK, TIGHT_OK], "blocks disagree on parameters"),
+        ([TIGHT_FAILS, WIDE_FAILS], "blocks disagree on parameters"),
+        ([FRESH_OK, (BlockState.fresh(TIGHT), RoundMessage(1, [0, 1]))], "blocks disagree on parameters"),
+        ([WIDE_OK, ROUND_ONE, TIGHT_FAILS], "blocks disagree on parameters"),  # before the message rounds
+        ([WIDE_OK, WRONG_ROUND, WIDE_FAILS], "messages disagree on the round: [2, 3]"),
+        ([WIDE_FAILS, WRONG_ROUND], "messages disagree on the round: [2, 3]"),
+        ([OVERWEIGHT, ROUND_ONE], "messages disagree on the round: [1, 2]"),
+        ([FRESH_OK, (FRESH_OK[0], msg2(WIDE, [0, 0, 0]))], "messages disagree on the round: [1, 2]"),
+    ]
+    searched = []
+    monkeypatch.setattr(block_codec, "_search", lambda *args: searched.append(args))
+    monkeypatch.setattr(block_codec, "subset_unrank", lambda *args: searched.append(args))
+    for blocks, text in refused:
+        states, msgs = [state for state, _ in blocks], [msg for _, msg in blocks]
+        assert write_outcome(full_encode_round, states, msgs) == ("ValueError", text)
+    assert searched == []
+    monkeypatch.undo()
+    twin = replace(WIDE)
+    assert twin == WIDE and twin is not WIDE
+    for blocks in ([(round1(twin, [1, 2, 4]), msg2(twin, [3, 5, 6])), WIDE_OK, WIDE_OK],
+                   [(BlockState.fresh(twin), RoundMessage(1, [0, 1, 2])), FRESH_OK]):
+        states, msgs = [state for state, _ in blocks], [msg for _, msg in blocks]
+        assert assert_matches_oracle(states, msgs)[0] == "ok"
+        assert all(state.params is twin for state in full_encode_round(states, msgs))  # the first block's
 
 
 def traced_peak(encode, states, msgs):
