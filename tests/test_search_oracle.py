@@ -22,7 +22,7 @@ import pytest
 import search_oracle as oracle
 from value_oracle import replace
 from womkit import block_codec
-from womkit.bitwords import BitWord, count_above
+from womkit.bitwords import BitWord, count_above, subset_unrank
 from womkit.block_codec import BlockState, NoEncoding, RoundMessage, _built_state, search_block_encoding
 from womkit.capacity import WeightVector, WomParams
 from womkit.full_codec import full_encode_round
@@ -241,6 +241,30 @@ def test_blocks_whose_own_words_repeat_match_oracle():
         assert assert_matches_oracle(states, msgs)[0] == "ok"
 
 
+def test_mixed_parameter_sets_never_share_tables(monkeypatch):
+    # equal word bits under parameters whose hash widths, fields or rounds
+    # differ: a write that mixes them is refused before any search, and each
+    # parameter set written alone matches the oracle
+    narrow = WomParams(t=2, n=10, m=4, l=1, k=(7,), p=T2)
+    wide = WomParams(t=3, n=12, m=4, l=2, k=(7, 5), p=WeightVector([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
+    rnd = random.Random(6)
+    for params in (narrow, wide):
+        [(states, msgs)] = rounds_of(BULK_SHAPE, 30, seed=7, last=2)
+        twins = [BlockState(params, 1, (w if params.n == 10 else BitWord(12, w.bits) for w in s.data),
+                            (BitWord(2 * params.n, 0),) * (params.t - 1)) for s in states]
+        twin_msgs = [message(params, 2, rnd) for _ in twins]
+        mixed = [s for pair in zip(states, twins) for s in pair]
+        mixed_msgs = [m for pair in zip(msgs, twin_msgs) for m in pair]
+        searched = []
+        monkeypatch.setattr(block_codec, "_search", lambda *args: searched.append(args))
+        for image, image_msgs in ((mixed, mixed_msgs), (twins + states, twin_msgs + msgs)):
+            assert write_outcome(full_encode_round, image, image_msgs) == ("ValueError", "blocks disagree on parameters")
+        assert searched == []
+        monkeypatch.undo()
+        assert assert_matches_oracle(twins, twin_msgs)[0] == "ok"
+        assert assert_matches_oracle(states, msgs)[0] == "ok"
+
+
 def test_small_images_match_oracle_on_success_and_no_encoding():
     # narrow fields and long hash outputs: words repeat, and many writes fail
     rnd = random.Random(0x1A6E)
@@ -269,6 +293,33 @@ def test_round1_checks_each_rank_before_the_shared_table(entry, text):
     # check would give True and 1.0 rank 1's word
     msgs = [RoundMessage(1, [1, 2, 3, 4]), RoundMessage(1, [5, 1, 1, 6]), RoundMessage(1, [7, entry, 8, 9])]
     assert assert_matches_oracle([BlockState.fresh(BULK_SHAPE)] * 3, msgs) == ("ValueError", text)
+
+
+HEAVY = WomParams(t=2, n=10, m=4, l=1, k=(7,), p=WeightVector([Fraction(1, 2), Fraction(1, 2)]))
+
+
+def test_round1_tables_are_kept_apart_per_parameter_set(monkeypatch):
+    # equal ranks under parameters whose widths or round-1 weights differ:
+    # a write that mixes them is refused before any rank is unranked, and
+    # each parameter set written alone unranks under its own widths and weights
+    narrow = WomParams(t=2, n=10, m=4, l=1, k=(7,), p=T2)
+    wide = WomParams(t=3, n=12, m=4, l=2, k=(7, 5), p=T3)
+    rnd = random.Random(6)
+    ranks = [[rnd.randrange(narrow.round1_space) for _ in range(4)] for _ in range(30)]
+    unranked = []
+    monkeypatch.setattr(block_codec, "subset_unrank", lambda *args: unranked.append(args))
+    states = [BlockState.fresh(params) for _ in ranks for params in (narrow, wide, HEAVY)]
+    msgs = [RoundMessage(1, block) for block in ranks for _ in (narrow, wide, HEAVY)]
+    assert write_outcome(full_encode_round, states, msgs) == ("ValueError", "blocks disagree on parameters")
+    assert unranked == []
+    monkeypatch.undo()
+    for params in (narrow, wide, HEAVY):
+        states = [BlockState.fresh(params) for _ in ranks]
+        msgs = [RoundMessage(1, block) for block in ranks]
+        assert assert_matches_oracle(states, msgs)[0] == "ok"
+        for state, msg in zip(full_encode_round(states, msgs), msgs):
+            assert state.params is params
+            assert state.data == tuple(subset_unrank(rank, params.n, params.budgets[0]) for rank in msg.payload)
 
 
 # Failure order: the error each case expects is the one the per-block loop raises.
