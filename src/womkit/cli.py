@@ -166,10 +166,11 @@ def cmd_init(args) -> int:
     if not params.desk_executable:
         raise ValueError(f"n={params.n} is outside the searchable field width {MIN_WIDTH}..{MAX_WIDTH}")
     dev = Device.fresh(args.blocks * params.n0)
+    path = os.path.realpath(args.out)  # a symlinked image is replaced at its target, the link kept
     # Overwriting takes the image's lock: a writer that holds it would later
     # rename its own image over this one.
-    with _image_lock(args.out) if os.path.exists(args.out) else nullcontext():
-        _atomic_write(args.out, save_image(dev, params, 0))
+    with _image_lock(path) if os.path.exists(path) else nullcontext():
+        _atomic_write(path, save_image(dev, params, 0))
     print(f"image={args.out}")
     print(f"blocks={args.blocks}")
     print(f"N0={params.n0}")
@@ -201,8 +202,9 @@ def _read_message_file(path: str) -> BitWord:
 
 
 def cmd_write(args) -> int:
-    with _image_lock(args.img):
-        dev, full, current, states, _ = _load_session(args.img)
+    path = os.path.realpath(args.img)  # a symlinked image is replaced at its target, the link kept
+    with _image_lock(path):
+        dev, full, current, states, _ = _load_session(path)
         if args.blocks is not None and args.blocks != full.n1:
             raise ValueError(f"image holds {full.n1} block(s), not {args.blocks}")
         if not 1 <= args.round <= full.block.t:
@@ -217,7 +219,7 @@ def cmd_write(args) -> int:
             regime = "guaranteed" if guaranteed else "empirical"
         new_states = full_encode_round(states, msgs)
         dev = apply_write(dev, states_to_memory(new_states))
-        _atomic_write(args.img, save_image(dev, full.block, args.round))
+        _atomic_write(path, save_image(dev, full.block, args.round))
     print(f"round={args.round}")
     print(f"blocks={full.n1}")
     print(f"regime={regime}")

@@ -17,11 +17,11 @@ from fractions import Fraction
 from math import comb, log2
 
 from .bitwords import BitWord, _Frozen, dominates, enumerate_above, subset_rank, subset_unrank
-from .block_codec import (
-    BlockState, RoundMessage, decode_round, encode_round, in_guaranteed_regime, search_block_encoding,
-)
+from .block_codec import decode_round, encode_round, in_guaranteed_regime, search_block_encoding
 from .capacity import WeightVector, WomParams, achieved_rate, derive_parameters, in_capacity_region, optimal_point
-from .full_codec import FullParams, full_encode_round, memory_to_states, states_to_memory
+from .full_codec import (
+    FullParams, full_encode_round, memory_to_states, pack_messages, states_to_memory, unpack_messages,
+)
 from .gf2n import canonical_spec, mul_bits
 from .hashfam import hash_apply, image_fraction_audit, lhl_exact_distance
 from .wom_device import ChecksumMismatch, Device, apply_write, load_image, save_image
@@ -61,50 +61,38 @@ def params_t3() -> WomParams:
     )
 
 
-def _random_message(params: WomParams, j: int, rnd: random.Random) -> RoundMessage:
-    if j == 1:
-        space = params.round1_space
-        return RoundMessage(1, tuple(rnd.randrange(space) for _ in range(params.m)))
-    width = params.payload_bits(j)
-    return RoundMessage(j, tuple(BitWord(width, rnd.getrandbits(width)) for _ in range(params.m)))
+def _session(params: WomParams, seed: int, blocks: int) -> bytes:
+    """One image of `blocks` blocks written through every round as `womkit write` and `read` do.
 
-
-def _run_sessions(params: WomParams, seed: int, count: int) -> list[bytes]:
-    """Full encode/decode sessions through the write-once device.
-
-    Raises CheckFailed on any decode mismatch or budget overrun; a
-    WriteOnceViolation propagates from the device layer. Returns the final
-    image bytes of every session (they capture the chosen coefficients).
+    Each round packs a random stream, writes it whole-image (checked against
+    `encode_round` per block) on the strict device, saves, loads and resumes
+    from the image, and reads the stream back. Raises CheckFailed on any
+    mismatch or budget overrun; a WriteOnceViolation propagates. Returns the
+    final image, whose bytes capture the chosen coefficients.
     """
     rnd = random.Random(seed)
-    images = []
-    for _ in range(count):
-        dev = Device.fresh(params.n0)
-        state = BlockState.fresh(params)
-        for j in range(1, params.t + 1):
-            msg = _random_message(params, j, rnd)
-            previous = states_to_memory([state])
-            state = encode_round(state, msg)
-            flat = states_to_memory([state])
-            _require(dominates(flat, previous), "encode produced a non-dominating state")
-            dev = apply_write(dev, flat)
-            _require(all(d.weight <= params.budgets[j - 1] for d in state.data), f"round {j} budget exceeded")
-            _require(decode_round(state, j) == msg, f"round {j} decode mismatch")
-        images.append(save_image(dev, params, params.t))
-    return images
-
-
-def _whole_image(params: WomParams, seed: int, blocks: int) -> bytes:
-    """An image written through every round by `full_encode_round`, checked against `encode_round`."""
-    rnd = random.Random(seed)
-    states = [BlockState.fresh(params)] * blocks
+    full = FullParams(params, blocks)
+    dev = Device.fresh(full.N1)
+    states = memory_to_states(dev.cells, full)
     for j in range(1, params.t + 1):
-        msgs = [_random_message(params, j, rnd) for _ in range(blocks)]
-        per_block = [encode_round(state, msg) for state, msg in zip(states, msgs)]
-        states = full_encode_round(states, msgs)
-        _require(states == per_block, f"round {j}: whole-image states differ from per-block states")
-    memory = states_to_memory(states)
-    return save_image(apply_write(Device.fresh(memory.length), memory), params, params.t)
+        width = full.round_capacity(j)
+        stream = BitWord(width, rnd.getrandbits(width))
+        msgs = pack_messages(stream, j, full)
+        written = full_encode_round(states, msgs)
+        _require(written == list(map(encode_round, states, msgs)),
+                 f"round {j}: whole-image states differ from per-block states")
+        _require(all(d.weight <= params.budgets[j - 1] for s in written for d in s.data), f"round {j} budget exceeded")
+        memory = states_to_memory(written)
+        _require(dominates(memory, dev.cells), "encode produced a non-dominating state")
+        image = save_image(apply_write(dev, memory), params, j)
+        dev, loaded_params, loaded_round = load_image(image)
+        _require((dev.cells, loaded_params, loaded_round) == (memory, params, j),
+                 "save/load round trip is not bit-exact")
+        _require(save_image(dev, loaded_params, loaded_round) == image, "re-serialized image differs")
+        states = memory_to_states(dev.cells, full)
+        _require(states == written, f"round {j}: loaded states differ from written states")
+        _require(unpack_messages([decode_round(s, j) for s in states], full) == stream, f"round {j} decode mismatch")
+    return image
 
 
 def criterion_1() -> str:
@@ -121,13 +109,13 @@ def criterion_1() -> str:
 
 def criterion_2() -> str:
     """100 two-round sessions round-trip on the strict device."""
-    _run_sessions(params_t2(), seed=0x2C0DE, count=100)
+    _session(params_t2(), seed=0x2C0DE, blocks=100)
     return "100 sessions, all rounds decoded, no violations"
 
 
 def criterion_3() -> str:
     """50 three-round sessions round-trip on the strict device."""
-    _run_sessions(params_t3(), seed=0x3C0DE, count=50)
+    _session(params_t3(), seed=0x3C0DE, blocks=50)
     return "50 sessions, all rounds decoded, no violations"
 
 
@@ -246,18 +234,7 @@ def criterion_8() -> str:
 
 def criterion_9() -> str:
     """Images round-trip bit-exactly, reject corruption, and resume cleanly."""
-    params = params_t2()
-    rnd = random.Random(0x9C0DE)
-    dev = Device.fresh(params.n0)
-    state = encode_round(BlockState.fresh(params), _random_message(params, 1, rnd))
-    dev = apply_write(dev, states_to_memory([state]))
-    image = save_image(dev, params, 1)
-
-    loaded_dev, loaded_params, loaded_round = load_image(image)
-    _require((loaded_dev.cells, loaded_params, loaded_round) == (dev.cells, params, 1),
-             "save/load round trip is not bit-exact")
-    _require(save_image(loaded_dev, loaded_params, loaded_round) == image, "re-serialized image differs")
-
+    image = _session(params_t2(), seed=0x9C0DE, blocks=3)
     corrupt = bytearray(image)
     pos = image.index(b"data0=") + len(b"data0=")
     corrupt[pos] = ord("f") if corrupt[pos] != ord("f") else ord("0")
@@ -266,25 +243,14 @@ def criterion_9() -> str:
         raise CheckFailed("corrupted image was accepted")
     except ChecksumMismatch:
         pass
-
-    msg2 = _random_message(params, 2, rnd)
-    direct = apply_write(dev, states_to_memory([encode_round(state, msg2)]))
-    resumed_state = memory_to_states(loaded_dev.cells, FullParams(loaded_params, 1))[0]
-    resumed = apply_write(loaded_dev, states_to_memory([encode_round(resumed_state, msg2)]))
-    _require(save_image(direct, params, 2) == save_image(resumed, loaded_params, 2), "resumed session diverged")
     return "round trip, corruption detection, resume identical"
 
 
 def criterion_10() -> str:
-    """Re-running the end-to-end sessions, and a 40-block whole-image write, reproduces byte-identical images."""
-    first = _run_sessions(params_t2(), seed=0x2C0DE, count=100)
-    second = _run_sessions(params_t2(), seed=0x2C0DE, count=100)
-    _require(first == second, "t=2 images differ between runs")
-    first = _run_sessions(params_t3(), seed=0x3C0DE, count=50)
-    second = _run_sessions(params_t3(), seed=0x3C0DE, count=50)
-    _require(first == second, "t=3 images differ between runs")
-    first, second = (_whole_image(params_t3(), seed=0xAC0DE, blocks=40) for _ in range(2))
-    _require(first == second, "whole-image writes differ between runs")
+    """Re-running the end-to-end sessions reproduces byte-identical images."""
+    for label, params, seed, blocks in (("t=2", params_t2(), 0x2C0DE, 100), ("t=3", params_t3(), 0x3C0DE, 50)):
+        first, second = (_session(params, seed, blocks) for _ in range(2))
+        _require(first == second, f"{label} images differ between runs")
     return "byte-identical images, coefficients included"
 
 

@@ -289,6 +289,22 @@ def test_init_takes_the_umask_and_writes_keep_the_images_mode(tmp_path, capsys):
         os.umask(umask)
 
 
+def test_write_and_init_force_follow_a_symlinked_image(tmp_path, capsys):
+    real, link = tmp_path / "real.wom", tmp_path / "link.wom"
+    init_image(capsys, real)
+    link.symlink_to("real.wom")
+    msg = write_hex(tmp_path / "m.hex", "ffffff")
+    assert run(capsys, "write", "--img", str(link), "--round", "1", "--in", msg)[0] == 0
+    assert os.readlink(link) == "real.wom"
+    code, out, _ = run(capsys, "read", "--img", str(real))
+    assert (code, parse_kv(out)["round"]) == (0, "1")
+    assert run(capsys, "init", "--out", str(link), "--force", "--t", "2", "--n", "10", "--m", "4", "--l", "2",
+               "--k", "7", "--p", "1/3,1/2")[0] == 0
+    assert os.readlink(link) == "real.wom"
+    assert run(capsys, "read", "--img", str(real))[0] == 3
+    assert sorted(os.listdir(tmp_path)) == ["link.wom", "m.hex", "real.wom"]
+
+
 def test_init_refuses_overwrite_without_force(tmp_path, capsys):
     img = tmp_path / "x.wom"
     init_image(capsys, img)
@@ -653,7 +669,7 @@ def test_selftest_a_crashing_criterion_fails_alone(capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("session crashed")
 
-    monkeypatch.setattr(selftest, "_run_sessions", crash)
+    monkeypatch.setattr(selftest, "_session", crash)
     code, out, err = run(capsys, "selftest", "--only", "1,7,10")
     assert (code, err) == (1, "")
     lines = out.splitlines()
@@ -673,9 +689,36 @@ def test_selftest_a_value_error_in_a_check_is_its_fail_line(capsys, monkeypatch)
 
 def test_selftest_refuses_an_unknown_criterion_before_any_runs(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(selftest, "_run_sessions", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(selftest, "_session", lambda *args, **kwargs: calls.append(args))
     assert run(capsys, "selftest", "--only", "2,99") == (2, "", "error: unknown criterion 99\n")
     assert calls == []
+
+
+def test_the_cli_reads_every_image_selftest_builds(tmp_path, capsys, monkeypatch):
+    # each round's stream, as the session splits it, and each image it saves
+    streams, saved = {}, []
+    pack, save = selftest.pack_messages, selftest.save_image
+
+    def packing(stream, j, full):
+        streams[j] = stream
+        return pack(stream, j, full)
+
+    def saving(dev, params, round_):
+        image = save(dev, params, round_)
+        saved.append((image, round_, streams[round_]))
+        return image
+
+    monkeypatch.setattr(selftest, "pack_messages", packing)
+    monkeypatch.setattr(selftest, "save_image", saving)
+    for number in (9, 2):
+        assert selftest.run_criterion(number).passed
+    assert [round_ for _, round_, _ in saved] == [1, 1, 2, 2] * 2  # each saved, then saved again
+    for i, (image, round_, stream) in enumerate(saved):
+        img = tmp_path / f"{i}.wom"
+        img.write_bytes(image)
+        payload = stream.bits.to_bytes((stream.length + 7) // 8, "little").hex()
+        assert run(capsys, "read", "--img", str(img)) == (
+            0, f"round={round_}\nbits={stream.length}\npayload={payload}\n", "")
 
 
 def python(*args):
