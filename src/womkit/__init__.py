@@ -6,8 +6,8 @@ from .block_codec import (
     in_guaranteed_regime, search_block_encoding,
 )
 from .capacity import (
-    RatePoint, WeightVector, WomParams, achieved_rate, derive_parameters, entropy, in_capacity_region,
-    inverse_entropy, optimal_point,
+    WeightVector, WomParams, achieved_rate, derivation_constant, derive_parameters, entropy,
+    in_capacity_region, inverse_entropy, optimal_point,
 )
 from .full_codec import (
     FullParams, full_encode_round, memory_to_states, pack_messages, states_to_memory, unpack_messages,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, comb, floor, log2
+from typing import Sequence
 
 from .bitwords import _Frozen
 from .gf2n import MAX_WIDTH, MIN_WIDTH
@@ -51,27 +52,6 @@ def inverse_entropy(h: float) -> float:
         else:
             hi = mid
     return (lo + hi) / 2.0
-
-
-class RatePoint(_Frozen):
-    """Per-round rates (R_1..R_t) in bits per cell."""
-
-    __slots__ = _fields = ("rates",)
-
-    def __init__(self, rates: tuple[float, ...]):
-        if len(rates) < 1:
-            raise ValueError("need at least one round")
-        if any(r < 0 for r in rates):
-            raise ValueError("rates must be nonnegative")
-        object.__setattr__(self, "rates", rates)
-
-    @property
-    def t(self) -> int:
-        return len(self.rates)
-
-    @property
-    def total(self) -> float:
-        return sum(self.rates)
 
 
 class WeightVector(_Frozen):
@@ -118,33 +98,33 @@ def parse_densities(text: str) -> list[Fraction]:
     return entries
 
 
-def optimal_point(t: int) -> tuple[RatePoint, WeightVector]:
-    """The rate point of maximal total log2(t+1) and its density vector."""
+def optimal_point(t: int) -> tuple[tuple[float, ...], WeightVector]:
+    """The per-round rates (R_1..R_t, bits per cell) of maximal total log2(t+1), and their densities."""
     if t < 1:
         raise ValueError("need at least one round")
     rates = tuple((t + 2 - j) / (t + 1) * entropy(1.0 / (t + 2 - j)) for j in range(1, t)) + (
         2.0 / (t + 1),
     )
     densities = WeightVector([Fraction(1, t + 2 - j) for j in range(1, t)] + [Fraction(1, 2)])
-    return RatePoint(rates), densities
+    return rates, densities
 
 
-def in_capacity_region(rates: RatePoint, p: WeightVector) -> bool:
-    """Whether the rate point is achievable under densities p.
+def in_capacity_region(rates: Sequence[float], p: WeightVector) -> bool:
+    """Whether the per-round rates are achievable under densities p.
 
     Checks R_1 <= H(p_1), R_j <= prod_{i<j}(1-p_i)*H(p_j) for middle rounds,
     and R_t <= prod_{i<t}(1-p_i), with REGION_TOL slack for float round-off.
     """
-    if rates.t != p.t:
-        raise ValueError(f"length mismatch: {rates.t} rates vs {p.t} densities")
-    t = rates.t
+    t = len(rates)
+    if t != p.t:
+        raise ValueError(f"length mismatch: {t} rates vs {p.t} densities")
     remaining = Fraction(1)
     for j in range(1, t + 1):
         if j < t:
             bound = float(remaining) * entropy(float(p.p[j - 1]))
         else:
             bound = float(remaining)
-        if rates.rates[j - 1] > bound + REGION_TOL:
+        if rates[j - 1] > bound + REGION_TOL:
             return False
         remaining *= 1 - p.p[j - 1]
     return True
@@ -156,15 +136,14 @@ class WomParams(_Frozen):
     t rounds over m data words of n bits each, with t-1 side words of 2n
     bits holding per-round hash coefficients and t header bits counting
     rounds in unary. k lists k_2..k_t (hash input sizes, l <= k_j <= n);
-    l is the output slack. c records the derivation constant when the
-    parameters came from derive_parameters. The weight budgets are
-    computed once, when the parameters are built.
+    l is the output slack. The weight budgets are computed once, when the
+    parameters are built.
     """
 
-    _fields = ("t", "n", "m", "l", "k", "p", "c")
+    _fields = ("t", "n", "m", "l", "k", "p")
     __slots__ = _fields + ("_budgets",)
 
-    def __init__(self, t: int, n: int, m: int, l: int, k: tuple[int, ...], p: WeightVector, c: int | None = None):
+    def __init__(self, t: int, n: int, m: int, l: int, k: tuple[int, ...], p: WeightVector):
         named = [("t", t), ("n", n), ("m", m), ("l", l)]
         for name, value in named + [(f"k_{j}", kj) for j, kj in enumerate(k, 2)]:
             if type(value) is not int:
@@ -188,7 +167,7 @@ class WomParams(_Frozen):
         for pj in p.p:
             remaining *= 1 - pj
             out.append(floor((1 - remaining) * n))
-        for name, value in zip(self.__slots__, (t, n, m, l, k, p, c, tuple(out))):
+        for name, value in zip(self.__slots__, (t, n, m, l, k, p, tuple(out))):
             object.__setattr__(self, name, value)
 
     @property
@@ -239,35 +218,42 @@ class WomParams(_Frozen):
         return self.t + self.m * self.n + j * 2 * self.n
 
 
-def derive_parameters(epsilon: float, t: int, rates: RatePoint, p: WeightVector) -> WomParams:
-    """Block parameters guaranteeing total rate >= sum(rates) - epsilon.
+def derivation_constant(epsilon: float, t: int) -> int:
+    """The smallest integer c above 20 with 6t^2 < (t/eps)^(c/12-1), for eps in (0, t)."""
+    if not 0 < epsilon < t:
+        raise ValueError(f"epsilon must lie in (0, {t}), got {epsilon}")
+    c = 21
+    while not 6 * t * t < (t / epsilon) ** (c / 12 - 1):
+        c += 1
+    return c
 
-    c is the smallest integer above 20 with 6t^2 < (t/eps)^(c/12-1); then
-    n = ceil(c*t*log2(t/eps)/eps), l = ceil(eps*n/(3t)), m = 2^floor(l/4)-1
-    and k_j = floor((R_j - eps/(3t))*n), clamped up to l for rounds whose
-    rate is too small to carry data. n and l round up, k_j and the weight
-    budgets round down: every rounding errs toward keeping the existence
-    guarantee valid. The result may be far beyond searchable width; it is
-    then still usable for rate arithmetic (desk_executable is False).
+
+def derive_parameters(epsilon: float, rates: Sequence[float], p: WeightVector) -> WomParams:
+    """Block parameters for t = len(rates) rounds guaranteeing total rate >= sum(rates) - epsilon.
+
+    With c = derivation_constant(epsilon, t): n = ceil(c*t*log2(t/eps)/eps),
+    l = ceil(eps*n/(3t)), m = 2^floor(l/4)-1 and k_j = floor((R_j - eps/(3t))*n),
+    clamped up to l for rounds whose rate is too small to carry data. n and
+    l round up, k_j and the weight budgets round down: every rounding errs
+    toward keeping the existence guarantee valid. The result may be far
+    beyond searchable width; it is then still usable for rate arithmetic
+    (desk_executable is False).
     """
+    t = len(rates)
     if t < 1:
         raise ValueError("need at least one round")
-    if rates.t != t or p.t != t:
-        raise ValueError("rates and densities must have t entries")
-    if not 0 < epsilon < rates.total:
-        raise ValueError(f"epsilon must lie in (0, {rates.total}), got {epsilon}")
+    if any(r < 0 for r in rates):
+        raise ValueError("rates must be nonnegative")
+    if not 0 < epsilon < sum(rates):
+        raise ValueError(f"epsilon must lie in (0, {sum(rates)}), got {epsilon}")
     if not in_capacity_region(rates, p):
         raise ValueError("rate point is not achievable under the given densities")
 
-    ratio = t / epsilon
-    c = 21
-    while not 6 * t * t < ratio ** (c / 12 - 1):
-        c += 1
-    n = ceil(c * t * log2(ratio) / epsilon)
+    n = ceil(derivation_constant(epsilon, t) * t * log2(t / epsilon) / epsilon)
     l = ceil(epsilon * n / (3 * t))
     m = 2 ** (l // 4) - 1
-    k = tuple(max(l, floor((rates.rates[j - 1] - epsilon / (3 * t)) * n)) for j in range(2, t + 1))
-    return WomParams(t=t, n=n, m=m, l=l, k=k, p=p, c=c)
+    k = tuple(max(l, floor((rates[j - 1] - epsilon / (3 * t)) * n)) for j in range(2, t + 1))
+    return WomParams(t=t, n=n, m=m, l=l, k=k, p=p)
 
 
 def achieved_rate(params: WomParams) -> float:

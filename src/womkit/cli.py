@@ -13,15 +13,15 @@ import fcntl
 import os
 import sys
 import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from fractions import Fraction
 from math import ceil
 
 from .bitwords import BitWord
 from .block_codec import BlockState, NoEncoding, SequencingError, decode_round, in_guaranteed_regime
 from .capacity import (
-    RatePoint, WeightVector, WomParams, achieved_rate, derive_parameters, inverse_entropy, optimal_point,
-    parse_densities,
+    WeightVector, WomParams, achieved_rate, derivation_constant, derive_parameters, inverse_entropy,
+    optimal_point, parse_densities,
 )
 from .full_codec import (
     FullParams, full_encode_round, memory_to_states, pack_messages, states_to_memory, unpack_messages,
@@ -43,11 +43,14 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _parse_rates(text: str) -> RatePoint:
+def _parse_rates(text: str) -> tuple[float, ...]:
     try:
-        return RatePoint(tuple(float(x) for x in text.split(",")))
+        rates = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad rates {text!r}: {exc}") from exc
+    if any(r < 0 for r in rates):
+        raise ValueError(f"bad rates {text!r}: rates must be nonnegative")
+    return rates
 
 
 def _parse_ints(option: str, text: str) -> tuple[int, ...]:
@@ -57,17 +60,17 @@ def _parse_ints(option: str, text: str) -> tuple[int, ...]:
         raise ValueError(f"{option} must be comma-separated integers, got {text!r}") from None
 
 
-def _densities_for_rates(rates: RatePoint) -> WeightVector:
+def _densities_for_rates(rates: tuple[float, ...]) -> WeightVector:
     """Smallest densities supporting each round's rate, final round at 1/2.
 
     Each density is at most 1/2, so the memory left stays at least 2^-(t-1).
     """
     entries = []
     remaining = 1.0
-    for j in range(1, rates.t):
-        target = rates.rates[j - 1] / remaining
+    for j in range(1, len(rates)):
+        target = rates[j - 1] / remaining
         if target > 1 + 1e-9:
-            raise ValueError(f"round {j} rate {rates.rates[j - 1]} is not achievable")
+            raise ValueError(f"round {j} rate {rates[j - 1]} is not achievable")
         p = inverse_entropy(min(target, 1.0))
         entries.append(Fraction(p))
         remaining *= 1.0 - p
@@ -75,10 +78,17 @@ def _densities_for_rates(rates: RatePoint) -> WeightVector:
     return WeightVector(entries)
 
 
-def _report_params(params: WomParams, rates: RatePoint) -> None:
+def cmd_params(args) -> int:
+    if args.rates:
+        rates = _parse_rates(args.rates)
+        if len(rates) != args.t:
+            raise ValueError(f"{len(rates)} rates given for t={args.t}")
+        densities = _densities_for_rates(rates)
+    else:
+        rates, densities = optimal_point(args.t)
+    params = derive_parameters(args.epsilon, rates, densities)
     rate = achieved_rate(params)
-    if params.c is not None:
-        print(f"c={params.c}")
+    print(f"c={derivation_constant(args.epsilon, params.t)}")
     print(f"t={params.t}")
     print(f"n={params.n}")
     print(f"l={params.l}")
@@ -86,22 +96,10 @@ def _report_params(params: WomParams, rates: RatePoint) -> None:
     print("k=" + ",".join(str(kj) for kj in params.k))
     print("budgets=" + ",".join(str(b) for b in params.budgets))
     print(f"N0={params.n0}")
-    print(f"sum_rates={rates.total!r}")
+    print(f"sum_rates={sum(rates)!r}")
     print(f"achieved_rate={rate!r}")
-    print(f"rate_gap={rates.total - rate!r}")
+    print(f"rate_gap={sum(rates) - rate!r}")
     print(f"scale={'desk' if params.desk_executable else 'analysis'}")
-
-
-def cmd_params(args) -> int:
-    if args.rates:
-        rates = _parse_rates(args.rates)
-        if rates.t != args.t:
-            raise ValueError(f"{rates.t} rates given for t={args.t}")
-        densities = _densities_for_rates(rates)
-    else:
-        rates, densities = optimal_point(args.t)
-    params = derive_parameters(args.epsilon, args.t, rates, densities)
-    _report_params(params, rates)
     return EXIT_OK
 
 
@@ -114,10 +112,12 @@ def _manual_params(args) -> WomParams:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    """Replace path with data through a synced temp file and rename, keeping path's mode."""
+    """Replace path with data through a synced temp file and rename, keeping path's mode, owner and group."""
     directory = os.path.dirname(os.path.abspath(path))
+    owner = (-1, -1)  # -1 leaves an id as the temp file has it
     try:
-        mode = os.stat(path).st_mode & 0o7777
+        old = os.stat(path)
+        mode, owner = old.st_mode & 0o7777, (old.st_uid, old.st_gid)
     except FileNotFoundError:  # a new file gets open()'s mode: 0o666 less the umask
         umask = os.umask(0)
         os.umask(umask)
@@ -125,7 +125,9 @@ def _atomic_write(path: str, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".womimg-")  # mode 0o600
     try:
         with os.fdopen(fd, "wb") as handle:
-            os.fchmod(fd, mode)
+            with suppress(PermissionError):  # only root may give a file away; others write as themselves
+                os.fchown(fd, *owner)
+            os.fchmod(fd, mode)  # after fchown, which may clear the setuid and setgid bits
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
@@ -274,9 +276,9 @@ def cmd_selftest(args) -> int:
 
     numbers = _parse_ints("--only", args.only) if args.only else None
     results = selftest.run_all(numbers)
-    for result in results:
-        print(result.line())
-    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
+    for _, line in results:
+        print(line)
+    return EXIT_OK if all(passed for passed, _ in results) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -68,11 +68,8 @@ def canonical_spec(n: int) -> int:
     """The modulus of the width-n field: the smallest-mask irreducible polynomial."""
     if not MIN_WIDTH <= n <= MAX_WIDTH:
         raise ValueError(f"field width must be in {MIN_WIDTH}..{MAX_WIDTH}, got {n}")
-    # Constant term must be 1, otherwise z divides the candidate.
-    for candidate in range((1 << n) + 1, 1 << (n + 1), 2):
-        if is_irreducible(candidate):
-            return candidate
-    raise AssertionError(f"no irreducible polynomial of degree {n}")  # unreachable
+    # Constant term must be 1, otherwise z divides the candidate; every degree has an irreducible one.
+    return next(filter(is_irreducible, range((1 << n) + 1, 1 << (n + 1), 2)))
 
 
 def mul_bits(modulus: int, a: int, b: int) -> int:

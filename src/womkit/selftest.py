@@ -16,27 +16,17 @@ import random
 from fractions import Fraction
 from math import comb, log2
 
-from .bitwords import BitWord, _Frozen, dominates, enumerate_above, subset_rank, subset_unrank
+from .bitwords import BitWord, dominates, enumerate_above, subset_rank, subset_unrank
 from .block_codec import decode_round, encode_round, in_guaranteed_regime, search_block_encoding
-from .capacity import WeightVector, WomParams, achieved_rate, derive_parameters, in_capacity_region, optimal_point
+from .capacity import (
+    WeightVector, WomParams, achieved_rate, derivation_constant, derive_parameters, in_capacity_region, optimal_point,
+)
 from .full_codec import (
     FullParams, full_encode_round, memory_to_states, pack_messages, states_to_memory, unpack_messages,
 )
 from .gf2n import canonical_spec, mul_bits
 from .hashfam import hash_apply, image_fraction_audit, lhl_exact_distance
 from .wom_device import ChecksumMismatch, Device, apply_write, load_image, save_image
-
-
-class CriterionResult(_Frozen):
-    __slots__ = _fields = ("number", "name", "passed", "detail")
-
-    def __init__(self, number: int, name: str, passed: bool, detail: str):
-        for field, value in zip(self._fields, (number, name, passed, detail)):
-            object.__setattr__(self, field, value)
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"criterion_{self.number}={status} ({self.name}: {self.detail})"
 
 
 class CheckFailed(Exception):
@@ -100,7 +90,7 @@ def criterion_1() -> str:
     worst = 0.0
     for t in range(1, 11):
         rates, densities = optimal_point(t)
-        worst = max(worst, abs(rates.total - log2(t + 1)))
+        worst = max(worst, abs(sum(rates) - log2(t + 1)))
         _require(in_capacity_region(rates, densities), f"optimal point t={t} outside region")
     detail = f"max |sum - log2(t+1)| = {worst:.3g}"
     _require(worst <= 1e-9, detail)
@@ -172,9 +162,8 @@ def criterion_6() -> str:
 
 def criterion_7() -> str:
     """Derived parameters at eps=0.5, t=2 match the closed forms."""
-    rates, densities = optimal_point(2)
-    params = derive_parameters(0.5, 2, rates, densities)
-    _require((params.c, params.n) == (40, 320), f"got c={params.c}, n={params.n}")
+    c, params = derivation_constant(0.5, 2), derive_parameters(0.5, *optimal_point(2))
+    _require((c, params.n) == (40, 320), f"got c={c}, n={params.n}")
     rate = achieved_rate(params)
     floor_rate = log2(3) - 0.5
     _require(rate >= floor_rate, f"rate {rate:.4f} below {floor_rate:.4f}")
@@ -268,8 +257,8 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int) -> CriterionResult:
-    """Run one criterion's check; whatever it raises becomes its FAIL line."""
+def run_criterion(number: int) -> tuple[bool, str]:
+    """Whether one criterion's check passed, and its line; whatever the check raises becomes its FAIL line."""
     name, check = CRITERIA[number]
     try:
         passed, detail = True, check()
@@ -277,10 +266,10 @@ def run_criterion(number: int) -> CriterionResult:
         passed, detail = False, str(exc)
     except Exception as exc:  # a crash fails this criterion, not the rest of the suite
         passed, detail = False, repr(exc)
-    return CriterionResult(number, name, passed, detail)
+    return passed, f"criterion_{number}={'PASS' if passed else 'FAIL'} ({name}: {detail})"
 
 
-def run_all(numbers=None) -> list[CriterionResult]:
+def run_all(numbers=None) -> list[tuple[bool, str]]:
     chosen = sorted(CRITERIA if numbers is None else numbers)
     for number in chosen:
         if number not in CRITERIA:

@@ -4,10 +4,10 @@ from math import comb, log2
 import pytest
 
 from womkit.capacity import (
-    RatePoint,
     WeightVector,
     WomParams,
     achieved_rate,
+    derivation_constant,
     derive_parameters,
     entropy,
     in_capacity_region,
@@ -15,6 +15,7 @@ from womkit.capacity import (
     optimal_point,
     parse_densities,
 )
+from womkit.wom_device import Device, load_image, save_image
 
 
 def test_entropy_values():
@@ -45,16 +46,16 @@ def test_inverse_entropy():
 def test_optimal_point_sums():
     for t in range(1, 11):
         rates, densities = optimal_point(t)
-        assert abs(rates.total - log2(t + 1)) < 1e-9
+        assert abs(sum(rates) - log2(t + 1)) < 1e-9
         assert densities.p[-1] == Fraction(1, 2)
     rates, densities = optimal_point(1)
-    assert rates.rates == (1.0,)
+    assert rates == (1.0,)
     rates, densities = optimal_point(2)
-    assert rates.rates[0] == pytest.approx(entropy(1 / 3))
-    assert rates.rates[1] == pytest.approx(2 / 3)
+    assert rates[0] == pytest.approx(entropy(1 / 3))
+    assert rates[1] == pytest.approx(2 / 3)
     assert densities.p == (Fraction(1, 3), Fraction(1, 2))
     rates3, _ = optimal_point(3)
-    assert abs(rates3.total - 2.0) < 1e-12
+    assert abs(sum(rates3) - 2.0) < 1e-12
     with pytest.raises(ValueError, match="^need at least one round$"):
         optimal_point(0)
 
@@ -67,7 +68,7 @@ def test_optimal_point_in_region():
 
 def test_region_rejects_overfull_rates():
     # R_1 = 1 forces p_1 = 1/2, leaving at most 1/2 for the final round
-    rates = RatePoint((1.0, 0.6))
+    rates = (1.0, 0.6)
     for i in range(10_001):
         p1 = Fraction(i, 20_000)
         assert not in_capacity_region(rates, WeightVector([p1, Fraction(1, 2)]))
@@ -75,11 +76,11 @@ def test_region_rejects_overfull_rates():
 
 def test_region_trivial_cases():
     t = 4
-    zero = RatePoint((0.0,) * t)
+    zero = (0.0,) * t
     p = WeightVector([Fraction(0)] * (t - 1) + [Fraction(1, 2)])
     assert in_capacity_region(zero, p)
     with pytest.raises(ValueError):
-        in_capacity_region(RatePoint((0.5, 0.5)), WeightVector([Fraction(1, 2)]))
+        in_capacity_region((0.5, 0.5), WeightVector([Fraction(1, 2)]))
 
 
 def test_weight_vector_validation():
@@ -89,16 +90,17 @@ def test_weight_vector_validation():
         WeightVector([Fraction(2, 3), Fraction(1, 2)])  # above 1/2
     with pytest.raises(ValueError):
         WeightVector([])
+    # derive_parameters refuses an empty or negative rate list before it looks at epsilon
     with pytest.raises(ValueError, match="^need at least one round$"):
-        RatePoint(())
+        derive_parameters(0.5, (), WeightVector([Fraction(1, 2)]))
     with pytest.raises(ValueError, match="^rates must be nonnegative$"):
-        RatePoint((0.5, -0.1))
+        derive_parameters(0.5, (0.5, -0.1), WeightVector([Fraction(1, 3), Fraction(1, 2)]))
 
 
 def test_derive_parameters_frozen_example():
     rates, densities = optimal_point(2)
-    params = derive_parameters(0.5, 2, rates, densities)
-    assert params.c == 40
+    params = derive_parameters(0.5, rates, densities)
+    assert derivation_constant(0.5, 2) == 40
     assert params.n == 320
     assert params.l == 27  # ceil(0.5 * 320 / 6)
     assert params.m == 2 ** (27 // 4) - 1
@@ -109,28 +111,45 @@ def test_derive_parameters_frozen_example():
 def test_derive_parameters_rejects_vacuous_target():
     rates, densities = optimal_point(2)
     with pytest.raises(ValueError):
-        derive_parameters(rates.total, 2, rates, densities)
+        derive_parameters(sum(rates), rates, densities)
     with pytest.raises(ValueError):
-        derive_parameters(2.0, 2, rates, densities)
+        derive_parameters(2.0, rates, densities)
     with pytest.raises(ValueError):
-        derive_parameters(0.0, 2, rates, densities)
+        derive_parameters(0.0, rates, densities)
     with pytest.raises(ValueError, match="^need at least one round$"):
-        derive_parameters(0.5, 0, rates, densities)
-    with pytest.raises(ValueError, match="^rates and densities must have t entries$"):
-        derive_parameters(0.5, 3, rates, densities)
+        derive_parameters(0.5, (), densities)
+    with pytest.raises(ValueError, match="^length mismatch: 3 rates vs 2 densities$"):
+        derive_parameters(0.5, rates + (0.0,), densities)
     with pytest.raises(ValueError, match="^rate point is not achievable under the given densities$"):
-        derive_parameters(0.5, 2, RatePoint((1.0, 0.6)), densities)
+        derive_parameters(0.5, (1.0, 0.6), densities)
+    # the constant alone refuses an epsilon outside (0, t), where its loop would not end
+    for t, epsilon in ((2, 0.0), (2, 2.0), (2, -0.5), (0, 0.5)):
+        with pytest.raises(ValueError, match=rf"^epsilon must lie in \(0, {t}\), got {epsilon}$"):
+            derivation_constant(epsilon, t)
+    assert derivation_constant(1.99, 2) >= 21
 
 
 def test_derived_occupancy_and_rate_guarantee():
     for eps in (0.3, 0.5, 0.8):
         for t in (2, 3, 4):
             rates, densities = optimal_point(t)
-            params = derive_parameters(eps, t, rates, densities)
+            params = derive_parameters(eps, rates, densities)
             assert params.m * params.n / params.n0 > 1 - eps / (3 * t)
-            assert achieved_rate(params) >= rates.total - eps
+            assert achieved_rate(params) >= sum(rates) - eps
             # side condition keeping the existence argument valid
             assert params.n >= 20 * log2(1 / eps) / eps
+
+
+def test_derived_parameters_equal_their_fields_and_their_image():
+    # a code is its six fields: how derive_parameters reached them is not part of its value
+    params = derive_parameters(0.5, *optimal_point(2))
+    fields = (params.t, params.n, params.m, params.l, params.k, params.p)
+    built = WomParams(*fields)
+    dev, loaded, round_ = load_image(save_image(Device.fresh(params.n0), params, 0))
+    for other in (built, loaded):
+        assert other == params and hash(other) == hash(params) == hash(fields)
+    assert (dev.cells.length, round_) == (params.n0, 0)
+    assert repr(params) == repr(built) == f"WomParams(t=2, n=320, m=63, l=27, k={params.k!r}, p={params.p!r})"
 
 
 def test_budget_floors():

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from womkit import selftest, wom_device
+from womkit import cli, selftest, wom_device
+from womkit.bitwords import BitWord
 from womkit.cli import main
 
 
@@ -287,6 +288,58 @@ def test_init_takes_the_umask_and_writes_keep_the_images_mode(tmp_path, capsys):
         assert stat.S_IMODE((tmp_path / "private.wom").stat().st_mode) == 0o600
     finally:
         os.umask(umask)
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root can give an image to another user")
+def test_write_and_init_force_keep_the_images_owner_and_group(tmp_path, capsys):
+    img = tmp_path / "owned.wom"
+    init_image(capsys, img)
+    os.chown(img, 65534, 65534)  # nobody:nogroup on most systems; the ids need no account
+    img.chmod(0o664)
+    msg = write_hex(tmp_path / "m.hex", "ffffff")
+    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
+    after = img.stat()
+    assert (after.st_uid, after.st_gid, stat.S_IMODE(after.st_mode)) == (65534, 65534, 0o664)
+    assert run(capsys, "init", "--out", str(img), "--force", "--t", "2", "--n", "10", "--m", "4", "--l", "2",
+               "--k", "7", "--p", "1/3,1/2")[0] == 0
+    after = img.stat()
+    assert (after.st_uid, after.st_gid, stat.S_IMODE(after.st_mode)) == (65534, 65534, 0o664)
+
+
+def test_a_writer_that_may_not_give_the_image_away_still_writes_it(tmp_path, capsys, monkeypatch):
+    img = tmp_path / "shared.wom"
+    init_image(capsys, img)
+
+    def refuse(fd, uid, gid):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "fchown", refuse)
+    msg = write_hex(tmp_path / "m.hex", "ffffff")
+    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
+    code, out, _ = run(capsys, "read", "--img", str(img))
+    assert (code, parse_kv(out)["payload"]) == (0, "ffffff")
+    assert sorted(os.listdir(tmp_path)) == ["m.hex", "shared.wom"]
+
+
+def test_a_write_that_clears_a_programmed_cell_exits_6_and_leaves_the_image(tmp_path, capsys, monkeypatch):
+    img = tmp_path / "once.wom"
+    init_image(capsys, img)
+    msg = write_hex(tmp_path / "a.hex", "a1b2c3")
+    assert run(capsys, "write", "--img", str(img), "--round", "1", "--in", msg)[0] == 0
+    before = img.read_bytes()
+    programmed = wom_device.load_image(before)[0].cells.bits >> 2 << 2  # round 1's data cells, past the header
+    lowest = programmed & -programmed
+    encode = cli.states_to_memory
+
+    def clearing(states):
+        memory = encode(states)
+        return BitWord(memory.length, memory.bits & ~lowest)
+
+    monkeypatch.setattr(cli, "states_to_memory", clearing)
+    msg = write_hex(tmp_path / "b.hex", "0d0e0f")
+    assert run(capsys, "write", "--img", str(img), "--round", "2", "--in", msg) == (
+        6, "", f"error: write clears programmed cell {lowest.bit_length() - 1}\n")
+    assert img.read_bytes() == before
 
 
 def test_write_and_init_force_follow_a_symlinked_image(tmp_path, capsys):
@@ -711,7 +764,7 @@ def test_the_cli_reads_every_image_selftest_builds(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(selftest, "pack_messages", packing)
     monkeypatch.setattr(selftest, "save_image", saving)
     for number in (9, 2):
-        assert selftest.run_criterion(number).passed
+        assert selftest.run_criterion(number)[0]
     assert [round_ for _, round_, _ in saved] == [1, 1, 2, 2] * 2  # each saved, then saved again
     for i, (image, round_, stream) in enumerate(saved):
         img = tmp_path / f"{i}.wom"

@@ -258,4 +258,4 @@ def test_states_to_memory_compares_params_by_value():
     states = [BlockState.fresh(params), BlockState.fresh(twin)]
     assert states_to_memory(states) == BitWord(2 * params.n0, 0)
     with pytest.raises(ValueError, match="^blocks disagree on parameters$"):
-        states_to_memory([BlockState.fresh(params), BlockState.fresh(replace(params, c=7))])
+        states_to_memory([BlockState.fresh(params), BlockState.fresh(replace(params, l=3))])

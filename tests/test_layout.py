@@ -171,7 +171,7 @@ def test_state_memory_error_paths_match():
     params = random_params(rnd, 3)
     full = FullParams(params, 4)
     same("states_to_memory", [])
-    states = [BlockState.fresh(params), BlockState.fresh(replace(params, c=7))]
+    states = [BlockState.fresh(params), BlockState.fresh(replace(params, l=params.l + 1))]
     assert same("states_to_memory", states)[0] == "raised"
     same("memory_to_states", BitWord(full.N1 - 1, 0), full)
     memory = random_memory(rnd, full)
@@ -268,15 +268,14 @@ def test_load_image_error_paths_match(t, n1):
 
 def test_budgets_computed_once_without_changing_identity():
     params = random_params(random.Random(47), 3)
-    fields = (params.t, params.n, params.m, params.l, params.k, params.p, params.c)
+    fields = (params.t, params.n, params.m, params.l, params.k, params.p)
     assert repr(params) == (
-        f"WomParams(t={params.t}, n={params.n}, m={params.m}, l={params.l}, k={params.k!r}, "
-        f"p={params.p!r}, c=None)"
+        f"WomParams(t={params.t}, n={params.n}, m={params.m}, l={params.l}, k={params.k!r}, p={params.p!r})"
     )
     assert hash(params) == hash(fields)
     twin = WomParams(*fields)
     assert twin == params and hash(twin) == hash(params)
-    assert params != replace(params, c=3)
+    assert params != replace(params, l=params.l + 1)
     assert isinstance(vars(WomParams)["budgets"], property)
     for n in (params.n, params.n + 5, 40):
         wider = replace(params, n=n)

@@ -2,7 +2,7 @@
 
 Each twin is the frozen dataclass the library class once was, fields only,
 with no checks: `WomParams` keeps its budgets in a `_budgets` field that is
-neither shown nor compared, and `CriterionResult` has no slots.
+neither shown nor compared.
 `tests/test_value_oracle.py` compares each library value with its twin.
 """
 
@@ -32,11 +32,6 @@ class BlockState:
 
 
 @dataclass(frozen=True, slots=True)
-class RatePoint:
-    rates: tuple
-
-
-@dataclass(frozen=True, slots=True)
 class WeightVector:
     p: tuple[Fraction, ...]
 
@@ -49,7 +44,6 @@ class WomParams:
     l: int
     k: tuple[int, ...]
     p: WeightVector
-    c: int | None = None
     _budgets: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
@@ -64,16 +58,8 @@ class Device:
     cells: BitWord
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-
-
 TWINS = {cls.__name__: cls for cls in (
-    BitWord, RoundMessage, BlockState, RatePoint, WeightVector, WomParams, FullParams, Device, CriterionResult,
+    BitWord, RoundMessage, BlockState, WeightVector, WomParams, FullParams, Device,
 )}
 
 
