@@ -1,11 +1,11 @@
 """Binary entropy, the t-round achievable-rate region, and code parameters.
 
 The region for t rounds is parameterized by write densities p_1..p_{t-1}
-in [0, 1/2]: round 1 may carry up to H(p_1) bits per cell, round j up to
-prod_{i<j}(1-p_i) * H(p_j), and the final round up to prod_{i<t}(1-p_i).
-The best achievable total over all densities is log2(t+1). This module
-also derives concrete code parameters (n, l, m, k_j, weight budgets) from
-a target rate point and slack epsilon.
+in [0, 1/2]: round j may carry up to prod_{i<j}(1-p_i) * H(p_j) bits per
+cell, and p_t = 1/2 with H(1/2) = 1 makes the final round's bound the cells
+left. The best achievable total over all densities is log2(t+1). This
+module also derives concrete code parameters (n, l, m, k_j, weight budgets)
+from a target rate point and slack epsilon.
 
 Densities are kept as exact rationals: weight budgets round through exact
 floors and the image file format stores densities as num/den pairs.
@@ -14,7 +14,7 @@ floors and the image file format stores densities as num/den pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, floor, log2
+from math import ceil, comb, floor, lgamma, log, log2
 from typing import Sequence
 
 from .bitwords import _Frozen
@@ -102,31 +102,24 @@ def optimal_point(t: int) -> tuple[tuple[float, ...], WeightVector]:
     """The per-round rates (R_1..R_t, bits per cell) of maximal total log2(t+1), and their densities."""
     if t < 1:
         raise ValueError("need at least one round")
-    rates = tuple((t + 2 - j) / (t + 1) * entropy(1.0 / (t + 2 - j)) for j in range(1, t)) + (
-        2.0 / (t + 1),
-    )
-    densities = WeightVector([Fraction(1, t + 2 - j) for j in range(1, t)] + [Fraction(1, 2)])
+    rates = tuple((t + 2 - j) / (t + 1) * entropy(1.0 / (t + 2 - j)) for j in range(1, t + 1))
+    densities = WeightVector([Fraction(1, t + 2 - j) for j in range(1, t + 1)])
     return rates, densities
 
 
 def in_capacity_region(rates: Sequence[float], p: WeightVector) -> bool:
     """Whether the per-round rates are achievable under densities p.
 
-    Checks R_1 <= H(p_1), R_j <= prod_{i<j}(1-p_i)*H(p_j) for middle rounds,
-    and R_t <= prod_{i<t}(1-p_i), with REGION_TOL slack for float round-off.
+    Checks R_j <= prod_{i<j}(1-p_i)*H(p_j) for every round, with REGION_TOL
+    slack for float round-off; for the last round H(p_t) = H(1/2) = 1.
     """
-    t = len(rates)
-    if t != p.t:
-        raise ValueError(f"length mismatch: {t} rates vs {p.t} densities")
+    if len(rates) != p.t:
+        raise ValueError(f"length mismatch: {len(rates)} rates vs {p.t} densities")
     remaining = Fraction(1)
-    for j in range(1, t + 1):
-        if j < t:
-            bound = float(remaining) * entropy(float(p.p[j - 1]))
-        else:
-            bound = float(remaining)
-        if rates[j - 1] > bound + REGION_TOL:
+    for rate, pj in zip(rates, p.p):
+        if rate > float(remaining) * entropy(float(pj)) + REGION_TOL:
             return False
-        remaining *= 1 - p.p[j - 1]
+        remaining *= 1 - pj
     return True
 
 
@@ -222,7 +215,8 @@ def derivation_constant(epsilon: float, t: int) -> int:
     """The smallest integer c above 20 with 6t^2 < (t/eps)^(c/12-1), for eps in (0, t)."""
     if not 0 < epsilon < t:
         raise ValueError(f"epsilon must lie in (0, {t}), got {epsilon}")
-    c = 21
+    # the smallest c is this floor + 1; starting two below it, float round-off never overshoots
+    c = max(21, floor(12 * (1 + log(6 * t * t) / log(t / epsilon))) - 1)
     while not 6 * t * t < (t / epsilon) ** (c / 12 - 1):
         c += 1
     return c
@@ -259,9 +253,10 @@ def derive_parameters(epsilon: float, rates: Sequence[float], p: WeightVector) -
 def achieved_rate(params: WomParams) -> float:
     """Total message bits per memory cell across all rounds.
 
-    Round 1 carries log2(C(n, B_1)) bits per data word; round j >= 2
-    carries k_j - l bits per data word.
+    Round 1 carries log2(C(n, B_1)) bits per data word, taken from lgamma as
+    the exact C(n, B_1) of a derived n can take minutes; round j >= 2 carries k_j - l.
     """
-    per_word = log2(params.round1_space)
+    n, b = params.n, params.budgets[0]
+    per_word = (lgamma(n + 1) - lgamma(b + 1) - lgamma(n - b + 1)) / log(2)
     per_word += sum(kj - params.l for kj in params.k)
     return params.m * per_word / params.n0

@@ -27,7 +27,7 @@ from .full_codec import (
     FullParams, full_encode_round, memory_to_states, pack_messages, states_to_memory, unpack_messages,
 )
 from .gf2n import MAX_WIDTH, MIN_WIDTH
-from .hashfam import AUDIT_MAX_WIDTH, DISTANCE_MAX_WIDTH, image_fraction_audit, lhl_exact_distance
+from .hashfam import AUDIT_MAX_WIDTH, DISTANCE_MAX_WIDTH, _check_shape, image_fraction_audit, lhl_exact_distance
 from .wom_device import Device, ImageFormatError, WriteOnceViolation, apply_write, load_image, save_image
 
 EXIT_OK = 0
@@ -246,10 +246,7 @@ def cmd_read(args) -> int:
 def cmd_audit_hash(args) -> int:
     import random
 
-    if not 2 <= args.n <= AUDIT_MAX_WIDTH:
-        raise ValueError(f"audit width must be in 2..{AUDIT_MAX_WIDTH}, got {args.n}")
-    if not 0 <= args.l <= args.k <= args.n:
-        raise ValueError(f"need 0 <= l <= k <= n, got l={args.l} k={args.k} n={args.n}")
+    _check_shape(args.n, args.k, args.l, AUDIT_MAX_WIDTH, "audit")  # before 2^k of 2^n words are sampled
     if args.trials < 1:
         raise ValueError("need at least one trial set")
     rnd = random.Random(args.seed)

@@ -15,7 +15,7 @@ distance of (a, b, output) from uniform.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitwords import BitWord
 from .gf2n import canonical_spec
@@ -76,23 +76,31 @@ def _distinct_masks(values: Iterable, n: int) -> list[int]:
     return sorted(masks)
 
 
+def _check_shape(n: int, k: int, l: int, max_width: int, kind: str) -> None:
+    if not 2 <= n <= max_width:
+        raise ValueError(f"{kind} width must be in 2..{max_width}, got {n}")
+    if not 0 <= l <= k <= n:
+        raise ValueError(f"need 0 <= l <= k <= n, got l={l} k={k} n={n}")
+
+
+def _source_hashes(n: int, out_len: int, ys: list[int]) -> Iterator[list[int]]:
+    """Per multiplier a, H_{a,0}(ys); it stands for every b, as XOR by b only permutes the outputs."""
+    modulus = canonical_spec(n)
+    for a in range(1 << n):
+        yield hash_words(truncated_rows(modulus, a, out_len), ys, 0)
+
+
 def image_fraction_audit(n: int, k: int, l: int, sets: Sequence[Iterable]) -> float:
     """Worst-case fraction of coefficient pairs with a small truncated image.
 
     For each source Y (at least 2^k distinct n-bit words) counts the pairs
     (a, b) whose image H_{a,b}(Y) has at most 2^(k-l) * (1 - 2^(-l/4))
     distinct values, exhaustively over all 2^(2n) pairs, and returns the
-    largest fraction seen. The image size is invariant under b (XOR by the
-    truncated b permutes the output space), so each a is evaluated once and
-    stands for all 2^n values of b.
+    largest fraction seen.
     """
-    if not 2 <= n <= AUDIT_MAX_WIDTH:
-        raise ValueError(f"audit width must be in 2..{AUDIT_MAX_WIDTH}, got {n}")
-    if not 0 <= l <= k <= n:
-        raise ValueError(f"need 0 <= l <= k <= n, got l={l} k={k} n={n}")
+    _check_shape(n, k, l, AUDIT_MAX_WIDTH, "audit")
     if not sets:
         raise ValueError("need at least one source set")
-    modulus = canonical_spec(n)
     threshold = (1 << (k - l)) * (1.0 - 2.0 ** (-l / 4))
     worst = 0.0
     for raw in sets:
@@ -100,9 +108,8 @@ def image_fraction_audit(n: int, k: int, l: int, sets: Sequence[Iterable]) -> fl
         if len(ys) < (1 << k):
             raise ValueError(f"source has {len(ys)} elements, need at least {1 << k}")
         bad_pairs = 0
-        for a in range(1 << n):
-            image_size = len(set(hash_words(truncated_rows(modulus, a, k - l), ys, 0)))
-            if image_size <= threshold:
+        for hashes in _source_hashes(n, k - l, ys):
+            if len(set(hashes)) <= threshold:
                 bad_pairs += 1 << n
         worst = max(worst, bad_pairs / (1 << (2 * n)))
     return worst
@@ -113,24 +120,19 @@ def lhl_exact_distance(n: int, k: int, l: int, source: Iterable) -> float:
 
     a and b are uniform over the field, y uniform over the 2^k-element
     source; the reference distribution is uniform over pairs x {0,1}^(k-l).
-    Walks every (a, y) pair, so n is capped low. XOR by b's first k-l bits
-    permutes the outputs, so each a stands for all 2^n values of b.
+    Walks every (a, y) pair, so n is capped low.
     """
-    if not 2 <= n <= DISTANCE_MAX_WIDTH:
-        raise ValueError(f"distance width must be in 2..{DISTANCE_MAX_WIDTH}, got {n}")
-    if not 0 <= l <= k <= n:
-        raise ValueError(f"need 0 <= l <= k <= n, got l={l} k={k} n={n}")
+    _check_shape(n, k, l, DISTANCE_MAX_WIDTH, "distance")
     ys = _distinct_masks(source, n)
     if len(ys) != (1 << k):
         raise ValueError(f"source has {len(ys)} elements, expected exactly {1 << k}")
-    modulus = canonical_spec(n)
     out_len = k - l
     size = len(ys)
     # Accumulate sum |count*2^(k-l) - |Y|| over all atoms in exact integers;
     # the distance is that sum / (2 * 2^(2n) * |Y| * 2^(k-l)).
     total = 0
-    for a in range(1 << n):
-        counts = Counter(hash_words(truncated_rows(modulus, a, out_len), ys, 0))
+    for hashes in _source_hashes(n, out_len, ys):
+        counts = Counter(hashes)
         per_b = ((1 << out_len) - len(counts)) * size
         for count in counts.values():
             per_b += abs(count * (1 << out_len) - size)

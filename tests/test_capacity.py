@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
-from math import comb, log2
+from math import comb, exp, log, log2, nextafter
 
 import pytest
 
 from womkit.capacity import (
+    REGION_TOL,
     WeightVector,
     WomParams,
     achieved_rate,
@@ -58,6 +60,53 @@ def test_optimal_point_sums():
     assert abs(sum(rates3) - 2.0) < 1e-12
     with pytest.raises(ValueError, match="^need at least one round$"):
         optimal_point(0)
+
+
+def test_optimal_point_equals_the_two_piece_formula():
+    # the last round is the general formula's case j = t: density 1/2, entropy exactly 1
+    for t in range(1, 13):
+        rates = tuple((t + 2 - j) / (t + 1) * entropy(1.0 / (t + 2 - j)) for j in range(1, t)) + (2.0 / (t + 1),)
+        densities = [Fraction(1, t + 2 - j) for j in range(1, t)] + [Fraction(1, 2)]
+        got_rates, got = optimal_point(t)
+        assert got_rates == rates and all(type(r) is float for r in got_rates)
+        assert got.p == tuple(densities) and all(type(x) is Fraction for x in got.p)
+
+
+def two_branch_region(rates, p):
+    """The region test with the final round's bound prod_{i<t}(1-p_i) stated apart."""
+    t = len(rates)
+    remaining = Fraction(1)
+    for j in range(1, t + 1):
+        if j < t:
+            bound = float(remaining) * entropy(float(p.p[j - 1]))
+        else:
+            bound = float(remaining)
+        if rates[j - 1] > bound + REGION_TOL:
+            return False
+        remaining *= 1 - p.p[j - 1]
+    return True
+
+
+def test_region_equals_the_two_branch_rule():
+    rnd = random.Random(3030)
+    seen = set()
+    for _ in range(3000):
+        t = rnd.randint(1, 6)
+        den = rnd.choice((2, 3, 7, 10, 64, 1000))
+        p = WeightVector([Fraction(rnd.randint(0, den // 2), den) for _ in range(t - 1)] + [Fraction(1, 2)])
+        rates, remaining = [], Fraction(1)
+        for pj in p.p:
+            bound = float(remaining) * entropy(float(pj))
+            edge = bound + REGION_TOL
+            rates.append(rnd.choice((
+                bound, edge, nextafter(edge, 2.0), nextafter(edge, -1.0), bound - REGION_TOL,
+                bound + 2 * REGION_TOL, rnd.uniform(0.0, bound), 0.0,
+            )))
+            remaining *= 1 - pj
+        expected = two_branch_region(rates, p)
+        assert in_capacity_region(rates, p) is expected, (rates, p)
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_optimal_point_in_region():
@@ -136,8 +185,46 @@ def test_derived_occupancy_and_rate_guarantee():
             params = derive_parameters(eps, rates, densities)
             assert params.m * params.n / params.n0 > 1 - eps / (3 * t)
             assert achieved_rate(params) >= sum(rates) - eps
+            round1 = log2(comb(params.n, params.budgets[0]))
+            exact = params.m * (round1 + sum(kj - params.l for kj in params.k)) / params.n0
+            assert achieved_rate(params) == pytest.approx(exact, rel=1e-12, abs=0)
             # side condition keeping the existence argument valid
             assert params.n >= 20 * log2(1 / eps) / eps
+
+
+def test_small_epsilon_keeps_the_rate_guarantee():
+    # the exact C(n, B_1) of this n = 6,000,840 took minutes; lgamma answers at once
+    rates, densities = optimal_point(2)
+    params = derive_parameters(1e-4, rates, densities)
+    assert (params.n, params.budgets[0]) == (6000840, 2000280)
+    assert achieved_rate(params) >= sum(rates) - 1e-4
+
+
+def counting_constant(epsilon, t):
+    """derivation_constant as it was: count c up from 21."""
+    c = 21
+    while not 6 * t * t < (t / epsilon) ** (c / 12 - 1):
+        c += 1
+    return c
+
+
+def test_derivation_constant_equals_the_counting_loop():
+    rnd = random.Random(2901)
+    cases = [(t, t / (1 + 10 ** rnd.uniform(-3, 1))) for t in range(1, 11) for _ in range(20)]
+    # epsilon where 12 * (1 + ln(6t^2) / ln(t/eps)) lands on an integer c0, and a few ulps around it
+    for t in range(1, 11):
+        for c0 in (22, 23, 37, 100, 1000, rnd.randint(24, 5000)):
+            eps = t / exp(log(6 * t * t) / (c0 / 12 - 1))
+            for _ in range(4):
+                cases += [(t, eps), (t, nextafter(eps, 0.0)), (t, nextafter(eps, t))]
+                eps = nextafter(nextafter(eps, t), t)
+    for t, eps in cases:
+        assert derivation_constant(eps, t) == counting_constant(eps, t), (t, eps)
+    # far beyond where counting ends: c still is the smallest integer that passes the test
+    t, eps = 1, 1 - 1e-9
+    c = derivation_constant(eps, t)
+    assert 6 * t * t < (t / eps) ** (c / 12 - 1)
+    assert not 6 * t * t < (t / eps) ** ((c - 1) / 12 - 1)
 
 
 def test_derived_parameters_equal_their_fields_and_their_image():
