@@ -9,21 +9,21 @@ map H, the int pair (a, b), and per-word replacements y_i >= w_i within
 the round's weight budget such that H(y_i) equals the i-th message, then
 stores a | b << n in side word j-2. `full_encode_round` writes one round
 of one image, block by block, and `encode_round` is its one-block case.
-For each block of a round j >= 2, `_search` tries a = 0, 1, ... over ints:
-one `hashfam.hash_words` pass over a word's candidate masks gives its
-table H_{a,0}(y) -> smallest y, and membership tests find the targets v
-with v ^ x_i in every table. H_{a,0} is GF(2)-linear, so word i's targets
-lie in its hull: H(w_i) XOR the span of the rows of w_i's unset bits (the
-point H(w_i) when w_i has no budget left), shifted by x_i ^ x_0. Before
-any table at a, the hull test skips a when the block's memo tables and
-hulls leave no common target; it never skips a multiplier that works. One
-memo per write, keyed on a word's bits, holds a word's descending
-candidates and its tables at the multipliers that encoded one of its
-holders, until its last holder is written. A block builds a word's table
-or hull at a once, drops those of a failing a and notes only which
-multipliers the test skipped; when every multiplier fails, it rescans
-those with the test off, so NoEncoding names the exact bottleneck. The
-first failing block raises its error, its check's or its NoEncoding.
+For each block of a round j >= 2, `_search` tries a = 0, 1, ... over ints.
+H_{a,0} is GF(2)-linear, so word i's targets lie in its hull: H(w_i) XOR
+the span of the rows of w_i's unset bits (the point H(w_i) when w_i has
+no budget left), shifted by x_i ^ x_0. At each a, `_narrow` intersects
+the words' targets, first over their hulls, which skips a when they leave
+no common target and never skips a multiplier that works, then over the
+tables H_{a,0}(y) -> smallest y that one `hashfam.hash_words` pass over a
+word's candidate masks gives. One memo per write, keyed on a word's bits,
+holds a word's descending candidates and its tables at the multipliers
+that encoded one of its holders, until its last holder is written; both
+passes take a memo table first. A block builds a word's table or hull at
+a once, drops those of a failing a and notes only which multipliers the
+test skipped; when every multiplier fails, it rescans those with the test
+off, so NoEncoding names the exact bottleneck. The first failing block
+raises its error, its check's or its NoEncoding.
 Decoding re-applies the current round's map with one `hash_words` call
 over the data words. Both build their row table with
 `hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
@@ -44,7 +44,6 @@ construction. Every message and word goes through its checked constructor.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -192,12 +191,12 @@ def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
 def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bool:
     """Whether round j's search is guaranteed to succeed from these words.
 
-    True when m < 2^(l/4) and every candidate set (words above w_i within
-    the round budget) has at least 2^(k_j) elements. Outside the regime the
-    search is still exact: it either finds an encoding or proves there is
-    none.
+    True when m < 2^(l/4), decided in integers as m^4 < 2^l, and every
+    candidate set (words above w_i within the round budget) has at least
+    2^(k_j) elements. Outside the regime the search is still exact: it
+    either finds an encoding or proves there is none.
     """
-    if not params.m < 2 ** (params.l / 4):
+    if params.m ** 4 >= 1 << params.l:
         return False
     kj = params.k_for_round(j)
     budget = params.budgets[j - 1]
@@ -242,11 +241,10 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
             memo: dict) -> tuple[int, int, tuple[BitWord, ...]]:
     """(a, b, ys) for one checked block; `memo` shares words as the module docstring says.
 
-    `_may_meet` is the hull test, run once at each multiplier of the first
-    pass. At a = 0 every row is zero, so each hull is the point x_i ^ x_0,
-    and the test skips a = 0 unless all x_i are equal. A skipped multiplier
-    counts no fail, a tested one the fail an exhaustive scan counts, so the
-    rescan (`exact`) visits only the skipped.
+    At a = 0 every row is zero, so each hull is the point x_i ^ x_0, and
+    the hull test skips a = 0 unless all x_i are equal. A skipped
+    multiplier counts no fail, a tested one the fail an exhaustive scan
+    counts, so the rescan (`exact`) visits only the skipped.
     """
     n, modulus, out_len = params.n, canonical_spec(params.n), params.payload_bits(j)
     budget = params.budgets[j - 1]
@@ -259,46 +257,42 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
     fails, skipped = [0] * params.m, list(range(start))
     for exact in (False, True):
         for a in skipped if exact else range(start, 1 << n):
-            rows, common, used, built = truncated_rows(modulus, a, out_len), None, [], {}
-            if not exact and not _may_meet(rows, a, words):
+            rows = truncated_rows(modulus, a, out_len)
+            if not exact and _narrow(words, a, lambda bits, cands: _hull(rows, bits, len(cands)))[0] == []:
                 skipped.append(a)
                 continue
-            for i, ((cands, tables), bits, shift) in enumerate(words):
-                table = tables.get(a) or built.get(bits)
-                if table is None:
-                    table = built[bits] = dict(zip(hash_words(rows, cands, 0), cands))
-                common = table if common is None else [h for h in common if h ^ shift in table]
-                if not common:
-                    fails[i] += 1
-                    break
-                used.append(table)
-            else:
-                for ((_, tables), _, _), table in zip(words, used):
-                    tables[a] = table
-                v = min(h ^ x0 for h in common)
-                return a, v, tuple([BitWord(n, table[v ^ x.bits]) for table, x in zip(used, xs)])
+            common, used = _narrow(words, a, lambda bits, cands: dict(zip(hash_words(rows, cands, 0), cands)))
+            if not common:
+                fails[len(used) - 1] += 1
+                continue
+            for ((_, tables), _, _), table in zip(words, used):
+                tables[a] = table
+            v = min(h ^ x0 for h in common)
+            return a, v, tuple([BitWord(n, table[v ^ x.bits]) for table, x in zip(used, xs)])
     bottleneck = max(range(params.m), key=lambda i: (fails[i], -i))
     raise NoEncoding(f"exhausted all {1 << n} multipliers for round {j}; data word {bottleneck} was the "
                      "most frequent bottleneck", bottleneck)
 
 
-def _may_meet(rows: list[int], a: int, words: list) -> bool:
-    """False only if no h has h ^ shift in every word's targets at a.
+def _narrow(words: list, a: int, build) -> tuple[list | None, list]:
+    """The common targets h at multiplier a of a block's words, and the sets they came from.
 
-    A word's memo table at a holds its targets exactly. Without one, its
-    targets lie in its hull, built once per word and dropped after the
-    test, which narrows the common h through each table or hull in turn.
+    Each word takes its memo table at a, or else build(bits, candidates),
+    run once per distinct word; h is common when h ^ shift is in every
+    word's set. An empty set narrows nothing, and None means none bounded
+    them. The walk stops at the set that empties them, the last one taken.
     """
-    common, hulls = None, {}
+    common, used, built = None, [], {}
     for (cands, tables), bits, shift in words:
-        hull = tables.get(a) or hulls.get(bits)
-        if hull is None:
-            hull = hulls[bits] = _hull(rows, bits, len(cands))
-        if hull:
-            common = [h ^ shift for h in hull] if common is None else [h for h in common if h ^ shift in hull]
+        found = tables.get(a) or built.get(bits)
+        if found is None:
+            found = built[bits] = build(bits, cands)
+        used.append(found)
+        if found:
+            common = [h ^ shift for h in found] if common is None else [h for h in common if h ^ shift in found]
             if not common:
-                return False
-    return True
+                break
+    return common, used
 
 
 def _hull(rows: list[int], bits: int, size: int) -> set:
@@ -366,14 +360,13 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
         words = {rank: subset_unrank(rank, p.n, p.budgets[0]) for rank in distinct}
         data = zip(*[map(words.__getitem__, ranks)] * p.m)
         return list(map(_built_state, repeat(p), repeat(1), data, [s.sides for s in states]))
-    holders, memo, out = Counter([w.bits for s in states for w in s.data]), {}, []
-    for state, msg in zip(states, msgs):
+    last, memo, out = {w.bits: i for i, s in enumerate(states) for w in s.data}, {}, []
+    for i, (state, msg) in enumerate(zip(states, msgs)):
         _check_payload(state, msg)
         _check_search(p, j, state.data, msg.payload)
         a, b, ys = _search(p, j, state.data, msg.payload, memo)
-        holders.subtract([w.bits for w in state.data])
         for w in state.data:
-            if not holders[w.bits]:
+            if last[w.bits] == i:
                 memo.pop(w.bits, None)
         out.append(_built_state(p, j, ys, state.sides[: j - 2] + (BitWord(2 * p.n, a | (b << p.n)),)
                                 + state.sides[j - 1 :]))

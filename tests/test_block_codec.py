@@ -1,6 +1,9 @@
+import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -17,7 +20,8 @@ from womkit.block_codec import (
     in_guaranteed_regime,
     search_block_encoding,
 )
-from womkit.capacity import WeightVector, WomParams
+from womkit.capacity import WeightVector, WomParams, derive_parameters, optimal_point
+from womkit.full_codec import full_encode_round
 from womkit.gf2n import canonical_spec, mul_bits
 from womkit.hashfam import hash_apply
 
@@ -230,6 +234,80 @@ def test_regime_detects_small_candidate_sets():
     assert in_guaranteed_regime(params, 2, [light, heavy])
     crowded = params_t2()  # m = 4 is not below 2^(l/4) = 2^(1/2)
     assert not in_guaranteed_regime(crowded, 2, [BitWord.zeros(10)] * 4)
+
+
+def test_regime_decides_m_below_two_to_the_quarter_l_exactly():
+    # k = l and a zero word of 1,000 bits: every candidate count clears
+    # 2^k, so the answer is m^4 < 2^l alone. A float 2^(l/4) first rounds
+    # wrongly at l = 209 and overflows from l = 4,096 on.
+    half = WeightVector([Fraction(1, 2), Fraction(1, 2)])
+
+    def regime(l, m, n=1000, ws=(BitWord.zeros(1000),)):
+        return in_guaranteed_regime(WomParams(t=2, n=n, m=m, l=l, k=(l,), p=half), 2, ws)
+
+    assert not regime(218, 25_476_206_690_103_091)  # m^4 >= 2^218; the float rule said True
+    assert regime(209, 5_355_712_719_992_597)  # m^4 < 2^209; the float rule said False
+    top = 1 << 1025  # 2^(4100/4)
+    assert regime(4100, top - 1, n=4100, ws=()) is True
+    assert regime(4100, top, n=4100, ws=()) is False
+    for l in range(209):  # with no words, the answer is the m test alone
+        root = math.floor(2 ** (l / 4))
+        for m in range(max(1, root - 2), root + 3):
+            assert regime(l, m, ws=()) == (m < 2 ** (l / 4)), (l, m)
+
+
+# The paper's existence argument, exhaustively: candidate sets of at least
+# 2^(k_j) words and m < 2^(l/4) words leave some (a, b) for any messages.
+REGIME = WomParams(t=2, n=10, m=2, l=6, k=(7,), p=WeightVector([Fraction(1, 5), Fraction(1, 2)]))
+
+
+def test_every_block_of_a_regime_family_encodes():
+    # all 56 words of weight <= B_1 = 2 in pairs, with all 4 pairs of 1-bit
+    # messages: 12,544 searches. The 8,100 of weight-B_1 pairs, reachable
+    # after round 1, run as one whole-image write, the rest one by one.
+    # The winning multipliers are pinned, so a search that picks another a
+    # shows here; a = 0 wins exactly when the two messages are equal.
+    n, budget = REGIME.n, REGIME.budgets[0]
+    words = [BitWord.from_support(s, n) for weight in range(budget + 1) for s in combinations(range(n), weight)]
+    assert len(words) == 56
+    pairs = list(product(words, repeat=2))
+    assert all(in_guaranteed_regime(REGIME, 2, ws) for ws in pairs)
+    messages = [RoundMessage(2, xs) for xs in product([BitWord(1, 0), BitWord(1, 1)], repeat=2)]
+    full = [(ws, msg) for ws in pairs if {w.weight for w in ws} == {budget} for msg in messages]
+    rest = [(ws, msg) for ws in pairs if {w.weight for w in ws} != {budget} for msg in messages]
+    assert (len(full), len(rest)) == (8100, 4444)
+    sides = (BitWord.zeros(2 * n),)
+    states = [BlockState(REGIME, 1, ws, sides) for ws, _ in full]
+    written = full_encode_round(states, [msg for _, msg in full])
+    winners = Counter(state.sides[0].bits & ((1 << n) - 1) for state in written)
+    winners.update(search_block_encoding(REGIME, 2, ws, msg.payload)[0] for ws, msg in rest)
+    assert winners == {0: 6272, 1: 6072, 2: 198, 4: 2}
+
+
+def test_derived_parameters_keep_every_reachable_word_in_the_regime():
+    # t = 1..6 at epsilon from 0.9 to 0.01 of the total rate log2(t + 1):
+    # m^4 < 2^l, and in each round j >= 2 a word at the heaviest weight it
+    # can hold, B_(j-1), has at least 2^(k_j) candidates. That count is the
+    # sum of C(n - B_(j-1), i) over i <= B_j - B_(j-1); past n = 5,000 its
+    # largest term, from lgamma, must clear k_j by a bit.
+    checked = 0
+    for t in range(1, 7):
+        rates, p = optimal_point(t)
+        for share in (0.9, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01):
+            params = derive_parameters(share * math.log2(t + 1), rates, p)
+            budgets = (0,) + params.budgets
+            for j in range(2, t + 1):
+                assert in_guaranteed_regime(params, j, [])
+                free, room, kj = params.n - budgets[j - 1], budgets[j] - budgets[j - 1], params.k_for_round(j)
+                if params.n <= 5000:
+                    assert sum(math.comb(free, i) for i in range(room + 1)) >= 1 << kj, (t, share, j)
+                else:
+                    i = min(room, free // 2)
+                    bits = (math.lgamma(free + 1) - math.lgamma(i + 1) - math.lgamma(free - i + 1)) / math.log(2)
+                    assert bits >= kj + 1, (t, share, j)
+            assert params.m ** 4 < 1 << params.l
+            checked += 1
+    assert checked == 42
 
 
 def full_session(params, seed):

@@ -453,32 +453,47 @@ def test_shared_blocks_that_no_multiplier_encodes_keep_no_failing_tables():
 
 # The hull test. At multiplier a every target of word i lies in its hull,
 # H(w_i) XOR the span of the rows of w_i's unset bits, shifted by x_i ^ x_0.
-# The search skips a multiplier whose hulls and memo tables leave no common
-# target before it looks up or builds any table, and NoEncoding comes from
-# a rescan with the test off.
+# At each multiplier of its first pass the search runs `_narrow` over the
+# hulls and memo tables, and skips a when they leave no common target
+# before it builds any table; otherwise it runs `_narrow` again over the
+# tables. NoEncoding comes from a rescan with the test off, one `_narrow`
+# over the tables at each skipped multiplier.
+
+
+def narrow_calls(monkeypatch):
+    """Per visit (one `truncated_rows` call): a, and per `_narrow` run (common, every word had a memo table at a)."""
+    visits, rows_at, narrow = [], block_codec.truncated_rows, block_codec._narrow
+
+    def rows(modulus, a, out_len):
+        visits.append((a, []))
+        return rows_at(modulus, a, out_len)
+
+    def narrowing(words, a, build):
+        held = all(a in tables for (_, tables), _, _ in words)
+        common, used = narrow(words, a, build)
+        visits[-1][1].append((common, held))
+        return common, used
+
+    monkeypatch.setattr(block_codec, "truncated_rows", rows)
+    monkeypatch.setattr(block_codec, "_narrow", narrowing)
+    return visits
 
 
 def test_the_hull_test_runs_once_at_each_multiplier_a_block_visits(monkeypatch):
     # rounds 2 and 3 of the 400-block image above raise no NoEncoding, so a
     # block visits only multipliers of its first pass, and each gets one
-    # test, also when all the block's words hold memo tables at it
-    calls, rows_at, may_meet = Counter(), block_codec.truncated_rows, block_codec._may_meet
-
-    def rows(*args):
-        calls["visits"] += 1
-        return rows_at(*args)
-
-    def meets(*args):
-        calls["tests"] += 1
-        return may_meet(*args)
-
+    # test, its first `_narrow` run: the one run of a skipped multiplier, or
+    # the first of two. That holds also when all the block's words hold
+    # memo tables at it, which some visits of each round do
     rounds = rounds_of(CLI_SHAPE, 400, seed=3)
-    monkeypatch.setattr(block_codec, "truncated_rows", rows)
-    monkeypatch.setattr(block_codec, "_may_meet", meets)
+    visits = narrow_calls(monkeypatch)
     for states, msgs in rounds:
-        calls.clear()
+        visits.clear()
         full_encode_round(states, msgs)
-        assert calls["visits"] > len(states) and calls["tests"] == calls["visits"], calls
+        assert len(visits) > len(states)
+        for a, runs in visits:
+            assert [common == [] for common, _ in runs] in ([True], [False, False]), (a, runs)
+        assert any(runs[0][1] for _, runs in visits)
 
 
 def first_fail(params, j, ws, xs, a, hulls=False):
@@ -499,28 +514,22 @@ def first_fail(params, j, ws, xs, a, hulls=False):
 def test_hull_test_never_skips_a_multiplier_that_works(monkeypatch):
     # random blocks at n <= 8: each hull holds its word's candidate hashes,
     # each multiplier the test skips (a = 0 included) has an empty candidate
-    # intersection, and the search matches the oracle
-    skipped, may_meet = [], block_codec._may_meet
-
-    def spy(rows, a, *rest):
-        meets = may_meet(rows, a, *rest)
-        if not meets:
-            skipped.append(a)
-        return meets
-
-    monkeypatch.setattr(block_codec, "_may_meet", spy)
+    # intersection, and the search matches the oracle. A visit with one
+    # `_narrow` run is a multiplier the test skipped or its rescan
+    visits = narrow_calls(monkeypatch)
     rnd = random.Random(0x4011)
     kinds = Counter()
     for n in range(2, 9):
         for _ in range(60):
             j = rnd.choice((2, 3))
             params, ws, xs = random_instance(rnd, n, j)
-            skipped.clear()
+            visits.clear()
             got = outcome(search_block_encoding, params, j, ws, xs)
             assert got == outcome(oracle.search_block_encoding, params, j, ws, xs), (params, j, ws, xs)
             kinds[got[0]] += 1
+            skipped = {a for a, runs in visits if len(runs) == 1}
             if len({x.bits for x in xs}) > 1:
-                skipped.append(0)
+                skipped.add(0)
             for a in skipped:
                 assert first_fail(params, j, ws, xs, a) is not None, (params, j, ws, xs, a)
             kinds["skipped"] += len(skipped)
