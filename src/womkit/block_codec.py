@@ -8,30 +8,28 @@ a fixed-weight subset. Every later round j finds a single truncated affine
 map H, the int pair (a, b), and per-word replacements y_i >= w_i within
 the round's weight budget such that H(y_i) equals the i-th message, then
 stores a | b << n in side word j-2. `full_encode_round` writes one round
-of one image, block by block, and `encode_round` is its one-block case.
-For each block of a round j >= 2, `_search` tries a = 0, 1, ... over ints.
-H_{a,0} is GF(2)-linear, so word i's targets lie in its hull: H(w_i) XOR
-the span of the rows of w_i's unset bits (the point H(w_i) when w_i has
-no budget left), shifted by x_i ^ x_0. At each a, `_narrow` intersects
-the words' targets, first over their hulls, which skips a when they leave
-no common target and never skips a multiplier that works, then over the
-tables H_{a,0}(y) -> smallest y that one `hashfam.hash_words` pass over a
-word's candidate masks gives. One memo per write, keyed on a word's bits,
-holds a word's descending candidates and its tables at the multipliers
-that encoded one of its holders, until its last holder is written; both
-passes take a memo table first. A block builds a word's table or hull at
-a once, drops those of a failing a and notes only which multipliers the
-test skipped; when every multiplier fails, it rescans those with the test
-off, so NoEncoding names the exact bottleneck. The first failing block
-raises its error, its check's or its NoEncoding.
-Decoding re-applies the current round's map with one `hash_words` call
-over the data words. Both build their row table with
-`hashfam.truncated_rows`, so H is evaluated only in `hashfam`. Round 1
-decodes by ranking the subsets and encodes in column passes: each check
-runs once over all blocks, the rank types before any lookup (True would
-find rank 1's word), each distinct rank is unranked once and `map` builds
-the states. When a check fails, a check-only walk in block order raises
-the first faulty block's error. `encode_round1` is the one-block case.
+of one image; `encode_round1` and `encode_round` are its one-block cases.
+One faulty block voids a round, so `_check_blocks` walks the blocks in
+order and raises the first faulty one's check error before any rank is
+unranked or block searched; round 1 walks only when its column test
+fails, then unranks each distinct rank once. For each block of a round
+j >= 2, `_search` tries a = 0, 1, ... over ints. H_{a,0} is GF(2)-linear,
+so word i's targets lie in its hull: H(w_i) XOR the span of the rows of
+w_i's unset bits (the point H(w_i) when w_i has no budget left), shifted
+by x_i ^ x_0. At each a, `_narrow` intersects the words' targets, first
+over their hulls, which skips a when they leave no common target and
+never skips a multiplier that works, then over the tables H_{a,0}(y) ->
+smallest y that one `hashfam.hash_words` pass over a word's candidates
+gives. One memo per write, keyed on a word's bits, holds a word's
+descending candidates and its tables at the multipliers that encoded one
+of its holders, until its last holder is written. Both passes take a
+memo table first; where the memo holds every word's table, the table
+pass runs alone. A block builds a word's table or hull at a once and
+drops those of a failing a; when every multiplier fails, it rescans the
+skipped ones with the test off, so NoEncoding names the exact bottleneck.
+Decoding ranks round 1's subsets and re-applies a later round's map in
+one `hash_words` call. H is evaluated only in `hashfam`, through its
+`truncated_rows` row tables.
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise. `check_block` is the one budget rule a block must
@@ -174,15 +172,8 @@ def _check_words(p: WomParams, r: int, data: Iterable[int], sides: Iterable[Iter
                 raise ValueError(f"side word {s} is set, but round {s + 2} is not written")
 
 
-def _check_payload(state: BlockState, msg: RoundMessage) -> None:
-    if len(msg.payload) != state.params.m:
-        raise ValueError(f"payload has {len(msg.payload)} entries, expected {state.params.m}")
-
-
 def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
     """Write the first round into one block: `full_encode_round` on that block."""
-    if state.round != 0:
-        raise SequencingError(f"block already holds {state.round} round(s)")
     if msg.round != 1:
         raise SequencingError(f"message is for round {msg.round}, block expects round 1")
     return full_encode_round([state], [msg])[0]
@@ -242,9 +233,10 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
     """(a, b, ys) for one checked block; `memo` shares words as the module docstring says.
 
     At a = 0 every row is zero, so each hull is the point x_i ^ x_0, and
-    the hull test skips a = 0 unless all x_i are equal. A skipped
-    multiplier counts no fail, a tested one the fail an exhaustive scan
-    counts, so the rescan (`exact`) visits only the skipped.
+    the hull test skips a = 0 unless all x_i are equal. At a `held` a the
+    test would intersect the same memo tables as the table pass, so it is
+    not run. A skipped multiplier counts no fail, any other the fail an
+    exhaustive scan counts, so the rescan (`exact`) visits only the skipped.
     """
     n, modulus, out_len = params.n, canonical_spec(params.n), params.payload_bits(j)
     budget = params.budgets[j - 1]
@@ -253,12 +245,14 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
             memo[w.bits] = list(enumerate_above(w, budget))[::-1], {}
     x0 = xs[0].bits
     words = [(memo[w.bits], w.bits, x.bits ^ x0) for w, x in zip(ws, xs)]
+    held = set.intersection(*[set(tables) for (_, tables), _, _ in words])
     start = int(any(x.bits != x0 for x in xs))
     fails, skipped = [0] * params.m, list(range(start))
     for exact in (False, True):
         for a in skipped if exact else range(start, 1 << n):
             rows = truncated_rows(modulus, a, out_len)
-            if not exact and _narrow(words, a, lambda bits, cands: _hull(rows, bits, len(cands)))[0] == []:
+            tested = not (exact or a in held)
+            if tested and _narrow(words, a, lambda bits, cands: _hull(rows, bits, len(cands)))[0] == []:
                 skipped.append(a)
                 continue
             common, used = _narrow(words, a, lambda bits, cands: dict(zip(hash_words(rows, cands, 0), cands)))
@@ -317,11 +311,11 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     """Write one round of one image, in block order; fails atomically.
 
     Blocks of one parameter set (equal objects count as one; the states
-    carry the first block's) take messages of one round. Those checks and
-    the sequencing run once, before any block. Round 1 runs in column
-    passes; a later round runs `_search` per block with one memo per write,
-    dropping a word's entry after its last holder. The first failing
-    block's error is raised before any state is returned.
+    carry the first block's) take messages of one round. Those checks, the
+    sequencing and then `_check_blocks` run before any rank is unranked or
+    block searched. Round 1 runs in column passes; a later round runs
+    `_search` per block with one memo per write, dropping a word's entry
+    after its last holder, and raises the first failing block's NoEncoding.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -350,20 +344,13 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
         typed = set(map(len, payloads)) == {p.m} and set(map(type, ranks)) == {int}
         distinct = set(ranks) if typed else ()
         if not typed or min(distinct) < 0 or max(distinct) >= p.round1_space:
-            for state, msg in zip(states, msgs):  # raises the first faulty block's error
-                _check_payload(state, msg)
-                for i, rank in enumerate(msg.payload):
-                    if type(rank) is not int:
-                        raise ValueError(f"word {i}: rank {rank!r} is not an int")
-                for rank in msg.payload:
-                    subset_unrank(rank, p.n, p.budgets[0])
+            _check_blocks(p, j, states, msgs)
         words = {rank: subset_unrank(rank, p.n, p.budgets[0]) for rank in distinct}
         data = zip(*[map(words.__getitem__, ranks)] * p.m)
         return list(map(_built_state, repeat(p), repeat(1), data, [s.sides for s in states]))
+    _check_blocks(p, j, states, msgs)
     last, memo, out = {w.bits: i for i, s in enumerate(states) for w in s.data}, {}, []
     for i, (state, msg) in enumerate(zip(states, msgs)):
-        _check_payload(state, msg)
-        _check_search(p, j, state.data, msg.payload)
         a, b, ys = _search(p, j, state.data, msg.payload, memo)
         for w in state.data:
             if last[w.bits] == i:
@@ -371,6 +358,22 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
         out.append(_built_state(p, j, ys, state.sides[: j - 2] + (BitWord(2 * p.n, a | (b << p.n)),)
                                 + state.sides[j - 1 :]))
     return out
+
+
+def _check_blocks(p: WomParams, j: int, states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> None:
+    """Raise the first faulty block's check error, walking the blocks in order; unranks and searches nothing."""
+    for state, msg in zip(states, msgs):
+        if len(msg.payload) != p.m:
+            raise ValueError(f"payload has {len(msg.payload)} entries, expected {p.m}")
+        if j > 1:
+            _check_search(p, j, state.data, msg.payload)
+            continue
+        for i, rank in enumerate(msg.payload):
+            if type(rank) is not int:
+                raise ValueError(f"word {i}: rank {rank!r} is not an int")
+        for rank in msg.payload:
+            if not 0 <= rank < p.round1_space:
+                raise ValueError(f"rank {rank} out of range, expected 0..{p.round1_space - 1}")
 
 
 def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:

@@ -48,7 +48,7 @@ def _parse_rates(text: str) -> tuple[float, ...]:
         rates = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad rates {text!r}: {exc}") from exc
-    if any(r < 0 for r in rates):
+    if any(not r >= 0 for r in rates):  # NaN too
         raise ValueError(f"bad rates {text!r}: rates must be nonnegative")
     return rates
 

@@ -3,13 +3,11 @@
 A full code is n1 side-by-side copies of the basic block; blocks encode
 and decode independently (each may pick its own hash coefficients), so
 concatenation preserves the rate while the per-block search cost becomes
-polynomial in the total length. `block_codec.full_encode_round`, which
-this module exports, writes one round of one image: round 1 in column
-passes, each distinct rank unranked once; later rounds block by block,
-sharing a repeated word's candidates and winning tables. This module
-splits a flat bitstream into per-block round messages, joins them back,
-and bridges block states to the flat device memory, where a block's round
-is its t-bit unary header.
+polynomial in the total length. This module exports
+`block_codec.full_encode_round`, which writes one round of one image. It
+splits a flat bitstream into per-block round messages, joins them back
+under the encoder's rule for entries, and bridges block states to the
+flat device memory, where a block's round is its t-bit unary header.
 
 Splitting and joining never shift the whole stream or memory once per
 field: they convert it to bytes once and cut or glue each group of eight
@@ -82,12 +80,11 @@ def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMess
 def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord:
     """Join per-block messages back into the bitstream pack_messages split.
 
-    Round-1 ranks must have type int, as in `encode_round1`, and later
-    entries type `BitWord`. The flattened payloads have their types checked
-    once, and their width once, through max and min. Any other case, a
-    payload of the wrong length, an entry of another type (a bool included)
-    or a value that does not fit, takes one walk over the blocks in order,
-    which names the block and word of the first error.
+    Entries keep the encoder's rule: a round-1 rank is an int, a later entry
+    a `BitWord` of exactly `payload_bits(j)` bits. Payload lengths, entry
+    types, then the ranks' range or the words' lengths are each tested once
+    as a column. Any other case (a bool is no int) takes one walk over the
+    blocks in order, which names the block and word of the first error.
     """
     if len(msgs) != params.n1:
         raise ValueError(f"{len(msgs)} messages for {params.n1} blocks")
@@ -98,16 +95,13 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
     m = params.block.m
     width = params.block.payload_bits(j)
     kind = int if j == 1 else BitWord
-    entries = []
-    for msg in msgs:
-        if len(msg.payload) != m:
-            break
-        entries.extend(msg.payload)
-    else:
-        if set(map(type, entries)) == {kind}:
-            values = entries if j == 1 else [entry.bits for entry in entries]
-            if not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
-                return BitWord(len(values) * width, _join_fields(values, width))
+    payloads = [msg.payload for msg in msgs]
+    entries = list(chain.from_iterable(payloads))
+    if set(map(len, payloads)) == {m} and set(map(type, entries)) == {kind} and (
+            j == 1 or {entry.length for entry in entries} == {width}):
+        values = entries if j == 1 else [entry.bits for entry in entries]
+        if not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
+            return BitWord(len(values) * width, _join_fields(values, width))
     for block, msg in enumerate(msgs):
         if len(msg.payload) != m:
             raise ValueError(f"payload has {len(msg.payload)} entries, expected {m}")
@@ -118,6 +112,8 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
             value = entry if j == 1 else entry.bits
             if value >> width:
                 raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")
+            if j > 1 and entry.length != width:
+                raise ValueError(f"block {block} word {word}: message has {entry.length} bits, expected {width}")
 
 
 def states_to_memory(states: Sequence[BlockState]) -> BitWord:

@@ -13,8 +13,10 @@ words, blocks and lines instead. The image helpers (`_LineReader`,
 do not follow the library's internals. `memory_to_states` checks each
 unary header, builds its states through the public constructor and names
 the first block it rejects. `unpack_messages` refuses a round-1 rank that
-is no int. `save_image` refuses a round that is no int and
-a block header that is not the round's unary counter. `load_image` takes
+is no int and, as the encoder does, a round-j word whose value fits but
+whose length is not the round's payload width. `save_image` refuses a
+round that is no int and a block header that is not the round's unary
+counter. `load_image` takes
 only the text `save_image` writes: the same parameter and round lines,
 exact block labels (none in a one-block image) and lower case hex. Tests
 require bit-identical results, byte-identical images and the same
@@ -179,6 +181,8 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
             value = entry if j == 1 else entry.bits
             if value >> width:
                 raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")
+            if j != 1 and entry.length != width:
+                raise ValueError(f"block {block} word {word}: message has {entry.length} bits, expected {width}")
             bits |= value << offset
             offset += width
     return BitWord(offset, bits)

@@ -12,15 +12,19 @@ target to its smallest witness. `encode_round` and `full_encode_round` are
 the per-block write loop built on it, which searched each block alone and
 raised the first failing block's error; its round 1 is `encode_round1`,
 the per-block write that unranked every rank of a block on its own. The
-library writes the blocks in the same order, but unranks each distinct
-round-1 rank once and shares a repeated word's tables across blocks
-through one memo per write. Tests require the same `(a, b, ys)`, the same
+loop now first runs `check_round` over every block, in block order, so
+the first faulty block's check error comes before any block's search or
+unrank, as a round that one block cannot take is void. The library
+writes the blocks in the same order, but unranks each distinct round-1
+rank once and shares a repeated word's tables across blocks through one
+memo per write. Tests require the same `(a, b, ys)`, the same
 `NoEncoding` message and `bottleneck`, and the same check errors from all
 of them.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator, Sequence
 
 from womkit.bitwords import BitWord, subset_unrank
@@ -30,7 +34,6 @@ from womkit.block_codec import (
     RoundMessage,
     SequencingError,
     _built_state,
-    _check_payload,
 )
 from womkit.capacity import WomParams
 from womkit.gf2n import canonical_spec
@@ -197,13 +200,18 @@ def one_pass_search(
     )
 
 
+def check_payload(state: BlockState, msg: RoundMessage) -> None:
+    if len(msg.payload) != state.params.m:
+        raise ValueError(f"payload has {len(msg.payload)} entries, expected {state.params.m}")
+
+
 def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
     """Write the first round: payload ranks become fixed-weight data words."""
     if state.round != 0:
         raise SequencingError(f"block already holds {state.round} round(s)")
     if msg.round != 1:
         raise SequencingError(f"message is for round {msg.round}, block expects round 1")
-    _check_payload(state, msg)
+    check_payload(state, msg)
     p = state.params
     b1 = p.budgets[0]
     for i, rank in enumerate(msg.payload):
@@ -222,7 +230,7 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
         raise SequencingError(f"round {j} out of range 1..{state.params.t}")
     if state.round != j - 1:
         raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
-    _check_payload(state, msg)
+    check_payload(state, msg)
     p = state.params
     a, b, ys = one_pass_search(p, j, state.data, msg.payload)
     side = BitWord(2 * p.n, a | (b << p.n))
@@ -230,8 +238,43 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
     return _built_state(p, j, tuple(ys), sides)
 
 
+def check_round(state: BlockState, msg: RoundMessage) -> None:
+    """Every check that encode_round makes of one block, in its order, with no search and no unrank."""
+    p, j = state.params, msg.round
+    if j == 1:
+        if state.round != 0:
+            raise SequencingError(f"block already holds {state.round} round(s)")
+    else:
+        if j > p.t:
+            raise SequencingError(f"round {j} out of range 1..{p.t}")
+        if state.round != j - 1:
+            raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
+    check_payload(state, msg)
+    if j == 1:
+        for i, rank in enumerate(msg.payload):
+            if type(rank) is not int:
+                raise ValueError(f"word {i}: rank {rank!r} is not an int")
+        total = comb(p.n, p.budgets[0])
+        for rank in msg.payload:
+            if not 0 <= rank < total:
+                raise ValueError(f"rank {rank} out of range, expected 0..{total - 1}")
+        return
+    canonical_spec(p.n)
+    out_len, prev_budget = p.k_for_round(j) - p.l, p.budgets[j - 2]
+    for i, w in enumerate(state.data):
+        if w.length != p.n:
+            raise ValueError(f"word {i} has {w.length} bits, expected {p.n}")
+        if w.weight > prev_budget:
+            raise ValueError(f"word {i} has weight {w.weight}, above round-{j - 1} budget {prev_budget}")
+    for i, x in enumerate(msg.payload):
+        if not isinstance(x, BitWord):
+            raise ValueError(f"message {i} is {x!r}, not a BitWord")
+        if x.length != out_len:
+            raise ValueError(f"message {i} has {x.length} bits, expected {out_len}")
+
+
 def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:
-    """The per-block loop: each block searched alone, the first failing block's error raised."""
+    """The per-block loop: every block checked first, then each searched alone; the first failing block's error raised."""
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
     if not states:
@@ -239,4 +282,6 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     rounds = {s.round for s in states}
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
+    for state, msg in zip(states, msgs):
+        check_round(state, msg)
     return [encode_round(state, msg) for state, msg in zip(states, msgs)]

@@ -85,6 +85,12 @@ def test_params_with_explicit_rates(capsys):
     (["init", "--out", "{img}", "--t", "2", "--m", "4", "--l", "2", "--k", "7", "--p", "1/3,1/2"],
      "manual parameters need --n"),
     (["audit-hash", "--n", "6", "--k", "4", "--l", "2", "--trials", "0"], "need at least one trial set"),
+    (["params", "--t", "2", "--epsilon", "0.5", "--rates", "0.5,-0.1"],
+     "bad rates '0.5,-0.1': rates must be nonnegative"),
+    (["params", "--t", "2", "--epsilon", "0.5", "--rates", "0.5,nan"],
+     "bad rates '0.5,nan': rates must be nonnegative"),
+    (["params", "--t", "2", "--epsilon", "0.5", "--rates", "nan,0.5"],
+     "bad rates 'nan,0.5': rates must be nonnegative"),
 ])
 def test_usage_errors_print_one_line_and_exit_2(tmp_path, capsys, argv, message):
     img = tmp_path / "none.wom"
@@ -738,6 +744,29 @@ def test_selftest_a_value_error_in_a_check_is_its_fail_line(capsys, monkeypatch)
     monkeypatch.setattr(selftest, "load_image", bad_image)
     assert run(capsys, "selftest", "--only", "9") == (
         1, "criterion_9=FAIL (persistence: ValueError('bad image'))\n", "")
+
+
+def test_selftest_a_failing_property_is_its_fail_line(capsys, monkeypatch):
+    # a field multiply that always returns 0 fails criterion 8's Fermat check
+    monkeypatch.setattr(selftest, "mul_bits", lambda modulus, x, y: 0)
+    code, out, err = run(capsys, "selftest", "--only", "8")
+    assert (code, err) == (1, "")
+    assert out.startswith("criterion_8=FAIL (field and combinatorics suites: Fermat failed for 0x")
+    assert out.endswith(")\n") and out.count("\n") == 1
+
+
+def test_selftest_fails_criterion_9_when_a_corrupted_image_loads(capsys, monkeypatch):
+    load = selftest.load_image
+
+    def lenient(data):
+        try:
+            return load(data)
+        except selftest.ChecksumMismatch:
+            return None
+
+    monkeypatch.setattr(selftest, "load_image", lenient)
+    assert run(capsys, "selftest", "--only", "9") == (
+        1, "criterion_9=FAIL (persistence: corrupted image was accepted)\n", "")
 
 
 def test_selftest_refuses_an_unknown_criterion_before_any_runs(capsys, monkeypatch):

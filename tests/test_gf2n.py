@@ -92,6 +92,12 @@ def test_canonical_spec_rejects_out_of_range():
         canonical_spec(25)
 
 
+@pytest.mark.parametrize("modulus", [0, 1])
+def test_is_irreducible_needs_degree_one(modulus):
+    with pytest.raises(ValueError, match="^degree must be at least 1$"):
+        is_irreducible(modulus)
+
+
 def test_is_irreducible_matches_trial_division():
     for poly in range(0b100, 0b10000000):
         assert is_irreducible(poly) == irreducible_by_trial_division(poly), bin(poly)

@@ -215,6 +215,8 @@ def unpack_cases():
         ("rank that is a word", r1(fit, (0, BitWord(width1, 1), 0), fit, fit)),
         ("round-2 words fit", r2(ok2, ok2, ok2, ok2)),
         ("round-2 word too wide at block 1 word 1", r2(ok2, ((1, 0), (1 << width2, 1), (0, 0)), ok2, ok2)),
+        ("round-2 word one bit long at block 1 word 1", r2(ok2, ((1, 0), (2, 1), (3, 0)), ok2, ok2)),
+        ("round-2 words one bit short", r2(*[((1, -1), (2, -1), (3, -1))] * 4)),
         ("round-2 entry that is no word", [RoundMessage(2, (1, 2, 3))] * 4),
         ("round-2 entry that is no word after words",
          r2(ok2, ok2) + [RoundMessage(2, (BitWord(width2, 0), None, 0))] * 2),
@@ -234,6 +236,13 @@ REFUSED = {
 }
 
 
+# A round-2 word must be exactly as long as the encoder takes it.
+LENGTH = {
+    "round-2 word one bit long at block 1 word 1": "block 1 word 1: message has 6 bits, expected 5",
+    "round-2 words one bit short": "block 0 word 0: message has 4 bits, expected 5",
+}
+
+
 @pytest.mark.parametrize("what,msgs", unpack_cases(), ids=[what for what, _ in unpack_cases()])
 def test_unpack_messages_matches_oracle_on_every_path(what, msgs):
     got = outcome(unpack_messages, msgs, FULL)
@@ -241,6 +250,8 @@ def test_unpack_messages_matches_oracle_on_every_path(what, msgs):
         assert got == ("raised", ValueError, REFUSED[what])
     else:
         assert got == outcome(layout_oracle.unpack_messages, msgs, FULL)
+    if what in LENGTH:
+        assert got == ("raised", ValueError, LENGTH[what])
     assert (got[0] == "ok") == (what in {"fits", "round-2 words fit"}), got
 
 

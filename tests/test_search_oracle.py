@@ -322,7 +322,9 @@ def test_round1_tables_are_kept_apart_per_parameter_set(monkeypatch):
             assert state.data == tuple(subset_unrank(rank, params.n, params.budgets[0]) for rank in msg.payload)
 
 
-# Failure order: the error each case expects is the one the per-block loop raises.
+# Failure order: the error each case expects is the one the per-block loop
+# raises. It checks every block before it searches any, so the first block
+# whose check fails wins over an earlier block that no multiplier encodes.
 
 TIGHT = WomParams(t=2, n=2, m=2, l=1, k=(2,), p=WeightVector([Fraction(1, 2), Fraction(1, 2)]))
 WIDE = WomParams(t=2, n=4, m=3, l=0, k=(4,), p=WeightVector([Fraction(1, 4), Fraction(1, 2)]))
@@ -363,14 +365,14 @@ FRESH_OK = (BlockState.fresh(WIDE), RoundMessage(1, [0, 1, 2]))  # with WIDE_OK,
     ([WIDE_OK, WIDE_FAILS, WIDE_OK, WIDE_FAILS_1], ("no encoding", 2)),  # the lower index wins
     ([WIDE_FAILS_1, WIDE_FAILS], ("no encoding", 1)),
     ([WIDE_OK, OVERWEIGHT, WIDE_FAILS_1], ("ValueError", "word 0 has weight 2, above round-1 budget 1")),
-    ([WIDE_OK, WIDE_FAILS_1, OVERWEIGHT], ("no encoding", 1)),
+    ([WIDE_OK, WIDE_FAILS_1, OVERWEIGHT], ("ValueError", "word 0 has weight 2, above round-1 budget 1")),
     ([SHORT_PAYLOAD, WIDE_FAILS], ("ValueError", "payload has 2 entries, expected 3")),
-    ([WIDE_FAILS, SHORT_PAYLOAD], ("no encoding", 2)),
+    ([WIDE_FAILS, SHORT_PAYLOAD], ("ValueError", "payload has 2 entries, expected 3")),
     ([WRONG_ROUND, WRONG_ROUND], ("SequencingError", "round 3 out of range 1..2")),
     ([WIDE_OK, WRONG_WIDTH, SHORT_PAYLOAD], ("ValueError", "message 0 has 3 bits, expected 4")),
     ([ROUND_ONE, ROUND_ONE], ("SequencingError", "block already holds 1 round(s)")),
     ([WIDE_OK, SHORT_PAYLOAD, WRONG_WIDTH], ("ValueError", "payload has 2 entries, expected 3")),
-    ([WIDE_FAILS_1, WRONG_WIDTH], ("no encoding", 1)),
+    ([WIDE_FAILS_1, WRONG_WIDTH], ("ValueError", "message 0 has 3 bits, expected 4")),
     ([], ("ValueError", "need at least one block")),
     ([FRESH_OK, WIDE_OK], ("ValueError", "blocks disagree on the current round: [0, 1]")),
 ])
@@ -378,6 +380,30 @@ def test_the_lowest_failing_block_raises(blocks, expect):
     states, msgs = [state for state, _ in blocks], [msg for _, msg in blocks]
     got = assert_matches_oracle(states, msgs)
     assert (got[0], got[-1]) == expect
+
+
+NOT_A_WORD = (round1(WIDE, [1, 2, 4]), RoundMessage(2, [BitWord(4, 0), 0, BitWord(4, 0)]))
+RANK_OUT_OF_RANGE = (BlockState.fresh(WIDE), RoundMessage(1, [0, 1, WIDE.round1_space]))
+
+
+@pytest.mark.parametrize("good, last, text", [
+    (WIDE_OK, WRONG_WIDTH, "message 0 has 3 bits, expected 4"),
+    (WIDE_OK, NOT_A_WORD, "message 1 is 0, not a BitWord"),
+    (WIDE_OK, SHORT_PAYLOAD, "payload has 2 entries, expected 3"),
+    (FRESH_OK, RANK_OUT_OF_RANGE, "rank 4 out of range, expected 0..3"),
+])
+def test_a_faulty_last_block_is_refused_before_any_search_or_unrank(monkeypatch, good, last, text):
+    # one block that cannot take its message voids the round: the check walk
+    # runs over every block before the first is searched or unranked
+    calls, search, unrank = [], block_codec._search, block_codec.subset_unrank
+    monkeypatch.setattr(block_codec, "_search", lambda *args: calls.append("search") or search(*args))
+    monkeypatch.setattr(block_codec, "subset_unrank", lambda *args: calls.append("unrank") or unrank(*args))
+    states, msgs = [good[0]] * 4 + [last[0]], [good[1]] * 4 + [last[1]]
+    assert write_outcome(full_encode_round, states, msgs) == ("ValueError", text)
+    assert calls == []
+    assert write_outcome(full_encode_round, states[:4], msgs[:4])[0] == "ok" and calls
+    monkeypatch.undo()
+    assert assert_matches_oracle(states, msgs) == ("ValueError", text)
 
 
 def test_two_parameter_sets_or_two_rounds_are_refused_before_any_block(monkeypatch):
@@ -480,19 +506,22 @@ def narrow_calls(monkeypatch):
 
 
 def test_the_hull_test_runs_once_at_each_multiplier_a_block_visits(monkeypatch):
-    # rounds 2 and 3 of the 400-block image above raise no NoEncoding, so a
-    # block visits only multipliers of its first pass, and each gets one
-    # test, its first `_narrow` run: the one run of a skipped multiplier, or
-    # the first of two. That holds also when all the block's words hold
-    # memo tables at it, which some visits of each round do
-    rounds = rounds_of(CLI_SHAPE, 400, seed=3)
+    # the rounds of the 400-block image above and of the 2,000-block
+    # bulk-shaped one raise no NoEncoding, so a block visits only
+    # multipliers of its first pass. Where every word of the block holds its
+    # memo table, which some visits of each round do, the hull test would
+    # intersect those same tables: the one `_narrow` run is the table pass.
+    # Any other visit gets one test, its first run: the one run of a skipped
+    # multiplier, or the first of two when the hulls meet
+    rounds = rounds_of(CLI_SHAPE, 400, seed=3) + rounds_of(BULK_SHAPE, 2000, seed=4)
     visits = narrow_calls(monkeypatch)
     for states, msgs in rounds:
         visits.clear()
         full_encode_round(states, msgs)
         assert len(visits) > len(states)
         for a, runs in visits:
-            assert [common == [] for common, _ in runs] in ([True], [False, False]), (a, runs)
+            held, tested = runs[0][1], runs[0][0] != []
+            assert len(runs) == (1 if held else 1 + tested), (a, runs)
         assert any(runs[0][1] for _, runs in visits)
 
 
