@@ -19,16 +19,16 @@ w_i's unset bits (the point H(w_i) when w_i has no budget left), shifted
 by x_i ^ x_0. At each a, `_narrow` intersects the words' targets, first
 over their hulls, which skips a when they leave no common target and
 never skips a multiplier that works, then over the tables H_{a,0}(y) ->
-smallest y that one `hashfam.hash_words` pass over a word's candidates
+smallest y that one `hashfam.hash_table` pass over a word's candidates
 gives. One memo per write, keyed on a word's bits, holds a word's
-descending candidates and its tables at the multipliers that encoded one
-of its holders, until its last holder is written. Both passes take a
-memo table first; where the memo holds every word's table, the table
-pass runs alone. A block builds a word's table or hull at a once and
+descending candidates, packed 4 bytes each in an `array`, and its tables
+at the multipliers that encoded one of its holders, until its last holder
+is written. Both passes take a memo table first; where the memo holds
+every word's table, the table pass runs alone. A block builds a word's table or hull at a once and
 drops those of a failing a; when every multiplier fails, it rescans the
 skipped ones with the test off, so NoEncoding names the exact bottleneck.
 Decoding ranks round 1's subsets and re-applies a later round's map in
-one `hash_words` call. H is evaluated only in `hashfam`, through its
+one `hash_words` call. H is evaluated only in `hashfam`, from its
 `truncated_rows` row tables.
 
 All states are immutable; encoders return new states that dominate their
@@ -42,13 +42,14 @@ construction. Every message and word goes through its checked constructor.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .bitwords import BitWord, _Frozen, colex_rank, count_above, enumerate_above, subset_unrank
 from .capacity import WomParams
 from .gf2n import canonical_spec
-from .hashfam import hash_words, truncated_rows
+from .hashfam import hash_table, hash_words, truncated_rows
 
 
 class SequencingError(Exception):
@@ -232,17 +233,18 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
             memo: dict) -> tuple[int, int, tuple[BitWord, ...]]:
     """(a, b, ys) for one checked block; `memo` shares words as the module docstring says.
 
-    At a = 0 every row is zero, so each hull is the point x_i ^ x_0, and
-    the hull test skips a = 0 unless all x_i are equal. At a `held` a the
-    test would intersect the same memo tables as the table pass, so it is
-    not run. A skipped multiplier counts no fail, any other the fail an
+    A word's candidates descend, so `hash_table` keeps the smallest y of
+    each hash. At a = 0 every row is zero, so each hull is the point x_i ^
+    x_0, and the hull test skips a = 0 unless all x_i are equal. At a `held`
+    a the test would intersect the same memo tables as the table pass, so it
+    is not run. A skipped multiplier counts no fail, any other the fail an
     exhaustive scan counts, so the rescan (`exact`) visits only the skipped.
     """
     n, modulus, out_len = params.n, canonical_spec(params.n), params.payload_bits(j)
     budget = params.budgets[j - 1]
     for w in ws:
         if w.bits not in memo:  # descending candidates: the last witness stored is the smallest
-            memo[w.bits] = list(enumerate_above(w, budget))[::-1], {}
+            memo[w.bits] = array("I", enumerate_above(w, budget))[::-1], {}
     x0 = xs[0].bits
     words = [(memo[w.bits], w.bits, x.bits ^ x0) for w, x in zip(ws, xs)]
     held = set.intersection(*[set(tables) for (_, tables), _, _ in words])
@@ -255,7 +257,7 @@ def _search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence[BitWo
             if tested and _narrow(words, a, lambda bits, cands: _hull(rows, bits, len(cands)))[0] == []:
                 skipped.append(a)
                 continue
-            common, used = _narrow(words, a, lambda bits, cands: dict(zip(hash_words(rows, cands, 0), cands)))
+            common, used = _narrow(words, a, lambda bits, cands: hash_table(rows, cands))
             if not common:
                 fails[len(used) - 1] += 1
                 continue
@@ -272,9 +274,11 @@ def _narrow(words: list, a: int, build) -> tuple[list | None, list]:
     """The common targets h at multiplier a of a block's words, and the sets they came from.
 
     Each word takes its memo table at a, or else build(bits, candidates),
-    run once per distinct word; h is common when h ^ shift is in every
-    word's set. An empty set narrows nothing, and None means none bounded
-    them. The walk stops at the set that empties them, the last one taken.
+    run once per distinct word on its packed candidates: `_hull` in the hull
+    test, `hash_table` in the table pass; h is common when h ^ shift is in
+    every word's set. An empty set narrows nothing, and None means none
+    bounded them. The walk stops at the set that empties them, the last one
+    taken.
     """
     common, used, built = None, [], {}
     for (cands, tables), bits, shift in words:

@@ -3,13 +3,16 @@
 A map is the int pair (a, b) of n-bit coefficient masks: compute a*x + b
 in the field, read the result as an n-bit word, keep the first k-l bits
 (indices 0..k-l-1). The truncated product is GF(2)-linear in x, so the
-map is evaluated by one kernel over ints: `truncated_rows` builds the n
-rows a*z^i cut to k-l bits, and `hash_words` hashes each word as the
-shift (b's first k-l bits) XOR the rows of its set bits. The encoder's
-search, the decoder, `hash_apply` and both audits all call it. Two exact
-audits back the guarantees the encoder relies on: how often the truncated
-image of a fixed 2^k-element source is small, and the exact statistical
-distance of (a, b, output) from uniform.
+map is evaluated over ints from `truncated_rows`, the n rows a*z^i cut to
+k-l bits, by one of two kernels. `hash_words` hashes each word as the
+shift (b's first k-l bits) XOR the rows of its set bits: the decoder,
+`hash_apply`, the search's hull points and the distance audit call it.
+`hash_table` maps long word lists, the search's candidates and the image
+audit's sources, to {hash at shift 0: last word}, one lookup per byte of a
+word in a 256-entry table per 8 rows (the method of Four Russians). Two
+exact audits back the guarantees the encoder relies on: how often the
+truncated image of a fixed 2^k-element source is small, and the exact
+statistical distance of (a, b, output) from uniform.
 """
 
 from __future__ import annotations
@@ -51,6 +54,17 @@ def hash_words(rows: Sequence[int], words: Iterable[int], shift: int) -> list[in
     return out
 
 
+def hash_table(rows: Sequence[int], words: Iterable[int]) -> dict[int, int]:
+    """{shift-0 hash of y: y} over words of at most 24 bits, the last y kept per hash.
+
+    Each 8 rows give a 256-entry table of their subsets' XORs, built by doubling.
+    """
+    t0, t1, t2 = tables = [[0], [0], [0]]
+    for i, row in enumerate(rows):
+        tables[i >> 3] += [x ^ row for x in tables[i >> 3]]
+    return {t0[y & 255] ^ t1[y >> 8 & 255] ^ t2[y >> 16]: y for y in words}
+
+
 def hash_apply(a: int, b: int, out_len: int, x: BitWord) -> BitWord:
     """The first out_len bits of a*x + b in the field as wide as the word x.
 
@@ -83,11 +97,11 @@ def _check_shape(n: int, k: int, l: int, max_width: int, kind: str) -> None:
         raise ValueError(f"need 0 <= l <= k <= n, got l={l} k={k} n={n}")
 
 
-def _source_hashes(n: int, out_len: int, ys: list[int]) -> Iterator[list[int]]:
-    """Per multiplier a, H_{a,0}(ys); it stands for every b, as XOR by b only permutes the outputs."""
+def _all_rows(n: int, out_len: int) -> Iterator[list[int]]:
+    """Per multiplier a, the rows of H_{a,0}; it stands for every b, as XOR by b only permutes the outputs."""
     modulus = canonical_spec(n)
     for a in range(1 << n):
-        yield hash_words(truncated_rows(modulus, a, out_len), ys, 0)
+        yield truncated_rows(modulus, a, out_len)
 
 
 def image_fraction_audit(n: int, k: int, l: int, sets: Sequence[Iterable]) -> float:
@@ -108,8 +122,8 @@ def image_fraction_audit(n: int, k: int, l: int, sets: Sequence[Iterable]) -> fl
         if len(ys) < (1 << k):
             raise ValueError(f"source has {len(ys)} elements, need at least {1 << k}")
         bad_pairs = 0
-        for hashes in _source_hashes(n, k - l, ys):
-            if len(set(hashes)) <= threshold:
+        for rows in _all_rows(n, k - l):
+            if len(hash_table(rows, ys)) <= threshold:
                 bad_pairs += 1 << n
         worst = max(worst, bad_pairs / (1 << (2 * n)))
     return worst
@@ -131,8 +145,8 @@ def lhl_exact_distance(n: int, k: int, l: int, source: Iterable) -> float:
     # Accumulate sum |count*2^(k-l) - |Y|| over all atoms in exact integers;
     # the distance is that sum / (2 * 2^(2n) * |Y| * 2^(k-l)).
     total = 0
-    for hashes in _source_hashes(n, out_len, ys):
-        counts = Counter(hashes)
+    for rows in _all_rows(n, out_len):
+        counts = Counter(hash_words(rows, ys, 0))
         per_b = ((1 << out_len) - len(counts)) * size
         for count in counts.values():
             per_b += abs(count * (1 << out_len) - size)

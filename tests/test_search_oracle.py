@@ -177,16 +177,14 @@ def test_whole_image_writes_share_tables(monkeypatch):
     # and 158,534 with the hull test, whether the memo keeps a word's tables
     # at every multiplier or only at those that encoded its holders,
     # 113,620 and 428,396 without the hull test, and 356,460 and 577,149
-    # when each block is searched alone. A hull's point is a one-word hash;
-    # every candidate list here holds more words.
-    hashed, hash_words = [], block_codec.hash_words
+    # when each block is searched alone
+    hashed, hash_table = [], block_codec.hash_table
 
-    def counting(rows, words, shift):
-        if len(words) > 1:
-            hashed.append(len(words))
-        return hash_words(rows, words, shift)
+    def counting(rows, words):
+        hashed.append(len(words))
+        return hash_table(rows, words)
 
-    monkeypatch.setattr(block_codec, "hash_words", counting)
+    monkeypatch.setattr(block_codec, "hash_table", counting)
     counts = []
     for states, msgs in rounds_of(CLI_SHAPE, 400, seed=3):
         hashed.clear()
@@ -200,23 +198,22 @@ def test_a_block_builds_a_repeated_words_table_and_hull_once_per_multiplier(monk
     # does: a word that a block holds twice has its candidates hashed, and
     # its hull built, at most once at each multiplier
     built, at = [], []
-    rows_at, hash_words, hull = block_codec.truncated_rows, block_codec.hash_words, block_codec._hull
+    rows_at, hash_table, hull = block_codec.truncated_rows, block_codec.hash_table, block_codec._hull
 
     def rows(modulus, a, out_len):
         at[:] = [a]
         return rows_at(modulus, a, out_len)
 
-    def hashing(rows, words, shift):
-        if len(words) > 1:  # a candidate list, not a hull's point; its last candidate is the word
-            built.append(("table", at[0], words[-1]))
-        return hash_words(rows, words, shift)
+    def hashing(rows, words):
+        built.append(("table", at[0], words[-1]))  # the last candidate is the word
+        return hash_table(rows, words)
 
     def hulling(rows, bits, size):
         built.append(("hull", at[0], bits))
         return hull(rows, bits, size)
 
     monkeypatch.setattr(block_codec, "truncated_rows", rows)
-    monkeypatch.setattr(block_codec, "hash_words", hashing)
+    monkeypatch.setattr(block_codec, "hash_table", hashing)
     monkeypatch.setattr(block_codec, "_hull", hulling)
     [(states, msgs)] = rounds_of(BULK_SHAPE, 128, seed=5)
     assert sum(len({w.bits for w in s.data}) < BULK_SHAPE.m for s in states) >= 5
@@ -460,6 +457,20 @@ def test_whole_image_search_memory():
     assert traced_peak(full_encode_round, *second) <= 1.25 * traced_peak(oracle.full_encode_round, *second)
 
 
+def test_packed_candidates_and_byte_tables_bound_the_search_peak():
+    # a word's candidates are 4-byte array entries and its tables come from
+    # three byte tables, not from one hash list per multiplier: a round-2
+    # block at search_wide's parameters peaks near 0.1 MB (0.5 MB with int
+    # lists and `hash_words`), and the 400-block CLI_SHAPE round 3 near
+    # 0.4 MB (1.3 MB)
+    wide = WomParams(t=2, n=18, m=4, l=2, k=(11,), p=T2)
+    [(states, msgs)] = rounds_of(wide, 3, seed=1)
+    for state, msg in zip(states, msgs):
+        assert traced_peak(lambda *args: search_block_encoding(wide, 2, *args), state.data, msg.payload) <= 300_000
+    [_, third] = rounds_of(CLI_SHAPE, 400, seed=3)
+    assert traced_peak(full_encode_round, *third) <= 700_000
+
+
 def test_shared_blocks_that_no_multiplier_encodes_keep_no_failing_tables():
     # two blocks hold the same 8 round-1 words, and no multiplier encodes
     # their round-2 message: the tables and hulls built at the 512 failing
@@ -600,14 +611,14 @@ def test_no_encoding_names_the_exact_bottleneck_when_hulls_empty_first():
 
 def test_no_table_is_built_at_a_zero_unless_all_messages_are_equal(monkeypatch):
     # at a = 0 every row is zero and word i's hull is the point x_i ^ x_0
-    zero_tables, hash_words_ = [], block_codec.hash_words
+    zero_tables, hash_table = [], block_codec.hash_table
 
-    def spy(rows, words, shift):
-        if not any(rows) and len(words) > 1:
+    def spy(rows, words):
+        if not any(rows):
             zero_tables.append(len(words))
-        return hash_words_(rows, words, shift)
+        return hash_table(rows, words)
 
-    monkeypatch.setattr(block_codec, "hash_words", spy)
+    monkeypatch.setattr(block_codec, "hash_table", spy)
     [(states, msgs)] = rounds_of(BULK_SHAPE, 300, seed=12)
     assert all(len({x.bits for x in msg.payload}) > 1 for msg in msgs)
     assert assert_matches_oracle(states, msgs)[0] == "ok"
