@@ -9,27 +9,29 @@ map H, the int pair (a, b), and per-word replacements y_i >= w_i within
 the round's weight budget such that H(y_i) equals the i-th message, then
 stores a | b << n in side word j-2. `full_encode_round` writes one round
 of one image; `encode_round1` and `encode_round` are its one-block cases.
-One faulty block voids a round, so `_check_blocks` walks the blocks in
-order and raises the first faulty one's check error before any rank is
-unranked or block searched; round 1 walks only when its column test
-fails, then unranks each distinct rank once. For each block of a round
-j >= 2, `_search` tries a = 0, 1, ... over ints. H_{a,0} is GF(2)-linear,
-so word i's targets lie in its hull: H(w_i) XOR the span of the rows of
-w_i's unset bits (the point H(w_i) when w_i has no budget left), shifted
-by x_i ^ x_0. At each a, `_narrow` intersects the words' targets, first
-over their hulls, which skips a when they leave no common target and
-never skips a multiplier that works, then over the tables H_{a,0}(y) ->
+One faulty block voids a round, so `_check_messages`, the message rule
+that `full_codec.unpack_messages` and `search_block_encoding` share,
+checks every message before any rank is unranked or block searched; a
+`BlockState`'s words keep its round's budget by type. Round 1 unranks
+each distinct rank once. For each block of a round j >= 2, `_search`
+tries a = 0, 1, ... over ints. H_{a,0} is GF(2)-linear, so word i's
+targets lie in its hull: H(w_i) XOR the span of the rows of w_i's unset
+bits (the point H(w_i) when w_i has no budget left), shifted by x_i ^
+x_0. At each a, `_narrow` intersects the words' targets, first over
+their hulls, which skips a when they leave no common target and never
+skips a multiplier that works, then over the tables H_{a,0}(y) ->
 smallest y that one `hashfam.hash_table` pass over a word's candidates
 gives. One memo per write, keyed on a word's bits, holds a word's
 descending candidates, packed 4 bytes each in an `array`, and its tables
-at the multipliers that encoded one of its holders, until its last holder
-is written. Both passes take a memo table first; where the memo holds
-every word's table, the table pass runs alone. A block builds a word's table or hull at a once and
-drops those of a failing a; when every multiplier fails, it rescans the
-skipped ones with the test off, so NoEncoding names the exact bottleneck.
-Decoding ranks round 1's subsets and re-applies a later round's map in
-one `hash_words` call. H is evaluated only in `hashfam`, from its
-`truncated_rows` row tables.
+at the multipliers that encoded one of its holders, until its last
+holder is written. Both passes take a memo table first; where the memo
+holds every word's table, the table pass runs alone. A block builds a
+word's table or hull at a once and drops those of a failing a; when
+every multiplier fails, it rescans the skipped ones with the test off,
+so NoEncoding names the exact bottleneck. Decoding ranks round 1's
+subsets and re-applies a later round's map in one `hash_words` call.
+Every H comes from `hashfam`'s `truncated_rows` row tables, whose rows
+the hulls XOR themselves.
 
 All states are immutable; encoders return new states that dominate their
 inputs coordinatewise. `check_block` is the one budget rule a block must
@@ -195,24 +197,35 @@ def in_guaranteed_regime(params: WomParams, j: int, ws: Sequence[BitWord]) -> bo
     return all(count_above(w, budget) >= (1 << kj) for w in ws)
 
 
-def _check_search(params: WomParams, j: int, ws: Sequence[BitWord], xs: Sequence) -> None:
-    """Raise unless ws and xs are one block's current words and round-j messages."""
-    if not 2 <= j <= params.t:
-        raise ValueError(f"round {j} out of range 2..{params.t}")
-    if len(ws) != params.m or len(xs) != params.m:
-        raise ValueError(f"expected {params.m} current words and messages")
-    canonical_spec(params.n)  # rejects widths the search cannot cover
-    out_len, prev_budget = params.payload_bits(j), params.budgets[j - 2]
-    for i, w in enumerate(ws):
-        if w.length != params.n:
-            raise ValueError(f"word {i} has {w.length} bits, expected {params.n}")
-        if w.weight > prev_budget:
-            raise ValueError(f"word {i} has weight {w.weight}, above round-{j - 1} budget {prev_budget}")
-    for i, x in enumerate(xs):
-        if type(x) is not BitWord:
-            raise ValueError(f"message {i} is {x!r}, not a BitWord")
-        if x.length != out_len:
-            raise ValueError(f"message {i} has {x.length} bits, expected {out_len}")
+def _check_messages(p: WomParams, j: int, payloads: Sequence[Sequence]) -> tuple[list, set]:
+    """Round j's entries of one image in block order and, in round 1, its distinct ranks.
+
+    The message rule: each payload holds m entries, a round-1 entry an int
+    rank below C(n, B_1) (a bool is no int), a later one a `BitWord` of
+    payload_bits(j) bits. A column test, over the distinct ranks in round
+    1, passes a clean round; any other takes one walk in block order, which
+    raises its first fault as `block <b> word <w>: ...`.
+    """
+    entries, kind = list(chain.from_iterable(payloads)), int if j == 1 else BitWord
+    typed = set(map(len, payloads)) == {p.m} and set(map(type, entries)) == {kind}
+    distinct = set(entries) if typed and j == 1 else set()
+    if not (typed and (min(distinct) >= 0 and max(distinct) < p.round1_space if j == 1
+                       else {x.length for x in entries} == {p.payload_bits(j)})):
+        space, width = p.round1_space, p.payload_bits(j)
+        for block, payload in enumerate(payloads):
+            if len(payload) != p.m:
+                raise ValueError(f"payload has {len(payload)} entries, expected {p.m}")
+            for word, x in enumerate(payload):
+                if type(x) is not kind:
+                    fault = f"rank {x!r} is not an int" if j == 1 else f"{x!r} is not a BitWord"
+                elif j == 1 and not 0 <= x < space:
+                    fault = f"rank {x} out of range, expected 0..{space - 1}"
+                elif j > 1 and x.length != width:
+                    fault = f"message has {x.length} bits, expected {width}"
+                else:
+                    continue
+                raise ValueError(f"block {block} word {word}: {fault}")
+    return entries, distinct
 
 
 def search_block_encoding(
@@ -222,9 +235,21 @@ def search_block_encoding(
 
     The least multiplier a whose targets T_i = { H_{a,0}(y) XOR x_i : y in
     Y_i } intersect gives b = v = min(intersection) and, per word, the
-    smallest candidate hashing to x_i XOR v: `_search` on one block.
+    smallest candidate hashing to x_i XOR v: `_search` on one block. The
+    messages keep the write's rule, as one block's (`block 0 word <i>`).
     """
-    _check_search(params, j, ws, xs)
+    if not 2 <= j <= params.t:
+        raise ValueError(f"round {j} out of range 2..{params.t}")
+    if len(ws) != params.m or len(xs) != params.m:
+        raise ValueError(f"expected {params.m} current words and messages")
+    canonical_spec(params.n)  # rejects widths the search cannot cover
+    prev_budget = params.budgets[j - 2]
+    for i, w in enumerate(ws):
+        if w.length != params.n:
+            raise ValueError(f"word {i} has {w.length} bits, expected {params.n}")
+        if w.weight > prev_budget:
+            raise ValueError(f"word {i} has weight {w.weight}, above round-{j - 1} budget {prev_budget}")
+    _check_messages(params, j, [xs])
     a, b, ys = _search(params, j, ws, xs, {})
     return a, b, list(ys)
 
@@ -296,18 +321,20 @@ def _narrow(words: list, a: int, build) -> tuple[list | None, list]:
 def _hull(rows: list[int], bits: int, size: int) -> set:
     """The points H(w) XOR span{rows of w's unset bits} for the word w = bits with size candidates.
 
-    H is GF(2)-linear, so every candidate y = w | s hashes to H(w) XOR H(s)
-    in this set. A word with one candidate has the point H(w) alone. The
-    set is empty, and bounds nothing, once the span outgrows the candidates,
-    which are then cheaper to hash than the hull is to build.
+    H is GF(2)-linear, so H(w) is the XOR of the rows of w's set bits, and
+    every candidate y = w | s hashes to H(w) XOR H(s) in this set. A word
+    with one candidate has the point H(w) alone. The set is empty, and
+    bounds nothing, once the span outgrows the candidates, which are then
+    cheaper to hash than the hull is to build.
     """
-    span = {0}
-    for q, row in enumerate(rows if size > 1 else ()):
-        if not bits >> q & 1 and row not in span:
+    point, span = 0, {0}
+    for q, row in enumerate(rows):
+        if bits >> q & 1:
+            point ^= row
+        elif size > 1 and row not in span:
             span |= {s ^ row for s in span}
             if len(span) > size:
                 return set()
-    point = hash_words(rows, (bits,), 0)[0]
     return {point ^ s for s in span}
 
 
@@ -316,10 +343,11 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
 
     Blocks of one parameter set (equal objects count as one; the states
     carry the first block's) take messages of one round. Those checks, the
-    sequencing and then `_check_blocks` run before any rank is unranked or
-    block searched. Round 1 runs in column passes; a later round runs
-    `_search` per block with one memo per write, dropping a word's entry
-    after its last holder, and raises the first failing block's NoEncoding.
+    sequencing, `_check_messages` and then a round j's field width run
+    before any rank is unranked or block searched; a `BlockState`'s words
+    need none. Round 1 runs in column passes; a later round runs `_search`
+    per block with one memo per write, dropping a word's entry after its
+    last holder, and raises the first failing block's NoEncoding.
     """
     if len(states) != len(msgs):
         raise ValueError(f"{len(states)} states but {len(msgs)} messages")
@@ -341,18 +369,12 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
         raise SequencingError(f"round {j} out of range 1..{p.t}")
     if r != j - 1:
         raise SequencingError(f"block holds {r} round(s), cannot write round {j}")
+    entries, distinct = _check_messages(p, j, [msg.payload for msg in msgs])
     if j == 1:
-        payloads = [msg.payload for msg in msgs]
-        ranks = list(chain.from_iterable(payloads))
-        # types before any lookup: True would find rank 1's word
-        typed = set(map(len, payloads)) == {p.m} and set(map(type, ranks)) == {int}
-        distinct = set(ranks) if typed else ()
-        if not typed or min(distinct) < 0 or max(distinct) >= p.round1_space:
-            _check_blocks(p, j, states, msgs)
         words = {rank: subset_unrank(rank, p.n, p.budgets[0]) for rank in distinct}
-        data = zip(*[map(words.__getitem__, ranks)] * p.m)
+        data = zip(*[map(words.__getitem__, entries)] * p.m)
         return list(map(_built_state, repeat(p), repeat(1), data, [s.sides for s in states]))
-    _check_blocks(p, j, states, msgs)
+    canonical_spec(p.n)  # rejects widths the search cannot cover
     last, memo, out = {w.bits: i for i, s in enumerate(states) for w in s.data}, {}, []
     for i, (state, msg) in enumerate(zip(states, msgs)):
         a, b, ys = _search(p, j, state.data, msg.payload, memo)
@@ -362,22 +384,6 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
         out.append(_built_state(p, j, ys, state.sides[: j - 2] + (BitWord(2 * p.n, a | (b << p.n)),)
                                 + state.sides[j - 1 :]))
     return out
-
-
-def _check_blocks(p: WomParams, j: int, states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> None:
-    """Raise the first faulty block's check error, walking the blocks in order; unranks and searches nothing."""
-    for state, msg in zip(states, msgs):
-        if len(msg.payload) != p.m:
-            raise ValueError(f"payload has {len(msg.payload)} entries, expected {p.m}")
-        if j > 1:
-            _check_search(p, j, state.data, msg.payload)
-            continue
-        for i, rank in enumerate(msg.payload):
-            if type(rank) is not int:
-                raise ValueError(f"word {i}: rank {rank!r} is not an int")
-        for rank in msg.payload:
-            if not 0 <= rank < p.round1_space:
-                raise ValueError(f"rank {rank} out of range, expected 0..{p.round1_space - 1}")
 
 
 def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:

@@ -14,7 +14,7 @@ floors and the image file format stores densities as num/den pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, floor, lgamma, log, log2
+from math import ceil, comb, floor, isfinite, lgamma, log, log2
 from typing import Sequence
 
 from .bitwords import _Frozen
@@ -243,7 +243,10 @@ def derive_parameters(epsilon: float, rates: Sequence[float], p: WeightVector) -
     if not in_capacity_region(rates, p):
         raise ValueError("rate point is not achievable under the given densities")
 
-    n = ceil(derivation_constant(epsilon, t) * t * log2(t / epsilon) / epsilon)
+    n = derivation_constant(epsilon, t) * t * log2(t / epsilon) / epsilon
+    if not isfinite(n):
+        raise ValueError(f"epsilon {epsilon} needs a block length n beyond float range")
+    n = ceil(n)
     l = ceil(epsilon * n / (3 * t))
     m = 2 ** (l // 4) - 1
     k = tuple(max(l, floor((rates[j - 1] - epsilon / (3 * t)) * n)) for j in range(2, t + 1))
@@ -253,10 +256,13 @@ def derive_parameters(epsilon: float, rates: Sequence[float], p: WeightVector) -
 def achieved_rate(params: WomParams) -> float:
     """Total message bits per memory cell across all rounds.
 
-    Round 1 carries log2(C(n, B_1)) bits per data word, taken from lgamma as
-    the exact C(n, B_1) of a derived n can take minutes; round j >= 2 carries k_j - l.
+    Round 1 carries log2(C(n, B_1)) bits per data word, from lgamma as the
+    exact C(n, B_1) of a derived n can take minutes, and from n = 2^64 on as
+    n * H(B_1 / n), exact to rounding there, where lgamma cancels and, past
+    n of about 2.5e305, overflows. Round j >= 2 carries k_j - l. m / N_0
+    comes first: m may outgrow a float.
     """
     n, b = params.n, params.budgets[0]
-    per_word = (lgamma(n + 1) - lgamma(b + 1) - lgamma(n - b + 1)) / log(2)
+    per_word = n * entropy(b / n) if n >> 64 else (lgamma(n + 1) - lgamma(b + 1) - lgamma(n - b + 1)) / log(2)
     per_word += sum(kj - params.l for kj in params.k)
-    return params.m * per_word / params.n0
+    return params.m / params.n0 * per_word

@@ -35,7 +35,8 @@ from typing import Sequence
 
 from .bitwords import BitWord, _Frozen, _join_fields, _split_fields
 from .capacity import WomParams
-from .block_codec import BlockState, RoundMessage, _built_state, _check_words, check_block, full_encode_round
+from .block_codec import (BlockState, RoundMessage, _built_state, _check_messages, _check_words, check_block,
+                          full_encode_round)
 
 
 class FullParams(_Frozen):
@@ -80,11 +81,10 @@ def pack_messages(stream: BitWord, j: int, params: FullParams) -> list[RoundMess
 def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord:
     """Join per-block messages back into the bitstream pack_messages split.
 
-    Entries keep the encoder's rule: a round-1 rank is an int, a later entry
-    a `BitWord` of exactly `payload_bits(j)` bits. Payload lengths, entry
-    types, then the ranks' range or the words' lengths are each tested once
-    as a column. Any other case (a bool is no int) takes one walk over the
-    blocks in order, which names the block and word of the first error.
+    Entries keep the encoder's message rule, `block_codec._check_messages`,
+    which names the block and word of the first fault. The stream adds one
+    rule of its own: a round-1 rank must fit the payload_bits(1) bits that
+    pack_messages gave it, tested once over the distinct ranks.
     """
     if len(msgs) != params.n1:
         raise ValueError(f"{len(msgs)} messages for {params.n1} blocks")
@@ -92,28 +92,15 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
     if len(rounds) != 1:
         raise ValueError(f"messages disagree on the round: {sorted(rounds)}")
     j = rounds.pop()
-    m = params.block.m
     width = params.block.payload_bits(j)
-    kind = int if j == 1 else BitWord
-    payloads = [msg.payload for msg in msgs]
-    entries = list(chain.from_iterable(payloads))
-    if set(map(len, payloads)) == {m} and set(map(type, entries)) == {kind} and (
-            j == 1 or {entry.length for entry in entries} == {width}):
-        values = entries if j == 1 else [entry.bits for entry in entries]
-        if not (max(values) >> width or min(values) < 0):  # n1 * m >= 1 values
-            return BitWord(len(values) * width, _join_fields(values, width))
-    for block, msg in enumerate(msgs):
-        if len(msg.payload) != m:
-            raise ValueError(f"payload has {len(msg.payload)} entries, expected {m}")
-        for word, entry in enumerate(msg.payload):
-            if type(entry) is not kind:
-                what = f"rank {entry!r} is not an int" if j == 1 else f"{entry!r} is not a BitWord"
-                raise ValueError(f"block {block} word {word}: {what}")
-            value = entry if j == 1 else entry.bits
-            if value >> width:
-                raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")
-            if j > 1 and entry.length != width:
-                raise ValueError(f"block {block} word {word}: message has {entry.length} bits, expected {width}")
+    values, distinct = _check_messages(params.block, j, [msg.payload for msg in msgs])
+    if j > 1:
+        values = [entry.bits for entry in values]
+    elif max(distinct) >> width:
+        i = next(i for i, value in enumerate(values) if value >> width)
+        block, word = divmod(i, params.block.m)
+        raise ValueError(f"block {block} word {word}: payload value {values[i]} does not fit in {width} bits")
+    return BitWord(len(values) * width, _join_fields(values, width))
 
 
 def states_to_memory(states: Sequence[BlockState]) -> BitWord:

@@ -6,7 +6,7 @@ in the field, read the result as an n-bit word, keep the first k-l bits
 map is evaluated over ints from `truncated_rows`, the n rows a*z^i cut to
 k-l bits, by one of two kernels. `hash_words` hashes each word as the
 shift (b's first k-l bits) XOR the rows of its set bits: the decoder,
-`hash_apply`, the search's hull points and the distance audit call it.
+`hash_apply` and the distance audit call it.
 `hash_table` maps long word lists, the search's candidates and the image
 audit's sources, to {hash at shift 0: last word}, one lookup per byte of a
 word in a 256-entry table per 8 rows (the method of Four Russians). Two

@@ -12,9 +12,10 @@ words, blocks and lines instead. The image helpers (`_LineReader`,
 `block_codec.check_block`) are kept here in their own words, so the oracles
 do not follow the library's internals. `memory_to_states` checks each
 unary header, builds its states through the public constructor and names
-the first block it rejects. `unpack_messages` refuses a round-1 rank that
-is no int and, as the encoder does, a round-j word whose value fits but
-whose length is not the round's payload width. `save_image` refuses a
+the first block it rejects. `unpack_messages` first walks every block
+under the encoder's message rule (m entries each: a round-1 rank an int
+below C(n, B_1), a round-j entry a `BitWord` of the payload width), then
+refuses a round-1 rank wider than its stream field. `save_image` refuses a
 round that is no int and a block header that is not the round's unary
 counter. `load_image` takes
 only the text `save_image` writes: the same parameter and round lines,
@@ -170,19 +171,26 @@ def unpack_messages(msgs: Sequence[RoundMessage], params: FullParams) -> BitWord
         raise ValueError(f"messages disagree on the round: {sorted(rounds)}")
     j = rounds.pop()
     width = params.block.payload_bits(j)
-    bits = 0
-    offset = 0
-    for block, msg in enumerate(msgs):
+    total = comb(params.block.n, params.block.budgets[0])
+    for block, msg in enumerate(msgs):  # the encoder's message rule, over every block first
         if len(msg.payload) != params.block.m:
             raise ValueError(f"payload has {len(msg.payload)} entries, expected {params.block.m}")
         for word, entry in enumerate(msg.payload):
-            if j == 1 and not isinstance(entry, int):
+            if j == 1 and type(entry) is not int:
                 raise ValueError(f"block {block} word {word}: rank {entry!r} is not an int")
+            if j == 1 and not 0 <= entry < total:
+                raise ValueError(f"block {block} word {word}: rank {entry} out of range, expected 0..{total - 1}")
+            if j != 1 and not isinstance(entry, BitWord):
+                raise ValueError(f"block {block} word {word}: {entry!r} is not a BitWord")
+            if j != 1 and entry.length != width:
+                raise ValueError(f"block {block} word {word}: message has {entry.length} bits, expected {width}")
+    bits = 0
+    offset = 0
+    for block, msg in enumerate(msgs):
+        for word, entry in enumerate(msg.payload):
             value = entry if j == 1 else entry.bits
             if value >> width:
                 raise ValueError(f"block {block} word {word}: payload value {value} does not fit in {width} bits")
-            if j != 1 and entry.length != width:
-                raise ValueError(f"block {block} word {word}: message has {entry.length} bits, expected {width}")
             bits |= value << offset
             offset += width
     return BitWord(offset, bits)

@@ -6,20 +6,23 @@ it scanned, on ints: for each multiplier it hashes every candidate into a
 set of targets, and on success hashes the candidates a second time to find
 each word's smallest witness.
 
-`one_pass_search` is the body that replaced it, kept verbatim: per
-multiplier and word, one `hash_words` pass with the shift x_i maps each
-target to its smallest witness. `encode_round` and `full_encode_round` are
-the per-block write loop built on it, which searched each block alone and
-raised the first failing block's error; its round 1 is `encode_round1`,
-the per-block write that unranked every rank of a block on its own. The
-loop now first runs `check_round` over every block, in block order, so
-the first faulty block's check error comes before any block's search or
-unrank, as a round that one block cannot take is void. The library
-writes the blocks in the same order, but unranks each distinct round-1
-rank once and shares a repeated word's tables across blocks through one
-memo per write. Tests require the same `(a, b, ys)`, the same
-`NoEncoding` message and `bottleneck`, and the same check errors from all
-of them.
+`one_pass_search` is the body that replaced it, kept verbatim but for
+its input checks: per multiplier and word, one `hash_words` pass with
+the shift x_i maps each target to its smallest witness. `encode_round`
+and `full_encode_round` are the per-block write loop built on it, which
+searched each block alone and raised the first failing block's error;
+its round 1 is `encode_round1`, the per-block write that unranked every
+rank of a block on its own. The loop now first runs `check_round` over
+every block, in block order, so the first faulty block's check error
+comes before any block's search or unrank, as a round that one block
+cannot take is void. It tests the messages alone, by the rule
+`full_codec.unpack_messages` keeps too, and names each fault's block and
+word; a `BlockState`'s words keep its round's budget by their type. The
+library writes the blocks in the same order, but unranks each distinct
+round-1 rank once and shares a repeated word's tables across blocks
+through one memo per write. Tests require the same `(a, b, ys)`, the
+same `NoEncoding` message and `bottleneck`, and the same check errors
+from all of them.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def search_block_encoding(
             raise ValueError(f"word {i} has weight {w.weight}, above round-{j - 1} budget {prev_budget}")
     for i, x in enumerate(xs):
         if x.length != out_len:
-            raise ValueError(f"message {i} has {x.length} bits, expected {out_len}")
+            raise ValueError(f"block 0 word {i}: message has {x.length} bits, expected {out_len}")
 
     candidates = []
     for i, w in enumerate(ws):
@@ -148,24 +151,11 @@ def one_pass_search(
     to its smallest witness. The ascending scan and min tie-breaks make the
     result a pure function of the inputs.
     """
-    if not 2 <= j <= params.t:
-        raise ValueError(f"round {j} out of range 2..{params.t}")
-    if len(ws) != params.m or len(xs) != params.m:
-        raise ValueError(f"expected {params.m} current words and messages")
     modulus = canonical_spec(params.n)  # rejects widths the search cannot cover
     n = params.n
     kj = params.k_for_round(j)
     out_len = kj - params.l
     budget = params.budgets[j - 1]
-    prev_budget = params.budgets[j - 2]
-    for i, w in enumerate(ws):
-        if w.length != n:
-            raise ValueError(f"word {i} has {w.length} bits, expected {n}")
-        if w.weight > prev_budget:
-            raise ValueError(f"word {i} has weight {w.weight}, above round-{j - 1} budget {prev_budget}")
-    for i, x in enumerate(xs):
-        if x.length != out_len:
-            raise ValueError(f"message {i} has {x.length} bits, expected {out_len}")
 
     # Candidates run in descending order, so the last witness stored for a
     # target is its smallest one.
@@ -214,9 +204,6 @@ def encode_round1(state: BlockState, msg: RoundMessage) -> BlockState:
     check_payload(state, msg)
     p = state.params
     b1 = p.budgets[0]
-    for i, rank in enumerate(msg.payload):
-        if type(rank) is not int:
-            raise ValueError(f"word {i}: rank {rank!r} is not an int")
     data = tuple([subset_unrank(rank, p.n, b1) for rank in msg.payload])
     return _built_state(p, 1, data, state.sides)
 
@@ -238,8 +225,12 @@ def encode_round(state: BlockState, msg: RoundMessage) -> BlockState:
     return _built_state(p, j, tuple(ys), sides)
 
 
-def check_round(state: BlockState, msg: RoundMessage) -> None:
-    """Every check that encode_round makes of one block, in its order, with no search and no unrank."""
+def check_round(state: BlockState, msg: RoundMessage, block: int) -> None:
+    """The checks a write makes of block `block` before any search or unrank: its sequencing, then its messages.
+
+    The state is a `BlockState`, whose words keep its round's budget by
+    their type, so no word is tested.
+    """
     p, j = state.params, msg.round
     if j == 1:
         if state.round != 0:
@@ -250,27 +241,17 @@ def check_round(state: BlockState, msg: RoundMessage) -> None:
         if state.round != j - 1:
             raise SequencingError(f"block holds {state.round} round(s), cannot write round {j}")
     check_payload(state, msg)
-    if j == 1:
-        for i, rank in enumerate(msg.payload):
-            if type(rank) is not int:
-                raise ValueError(f"word {i}: rank {rank!r} is not an int")
-        total = comb(p.n, p.budgets[0])
-        for rank in msg.payload:
-            if not 0 <= rank < total:
-                raise ValueError(f"rank {rank} out of range, expected 0..{total - 1}")
-        return
-    canonical_spec(p.n)
-    out_len, prev_budget = p.k_for_round(j) - p.l, p.budgets[j - 2]
-    for i, w in enumerate(state.data):
-        if w.length != p.n:
-            raise ValueError(f"word {i} has {w.length} bits, expected {p.n}")
-        if w.weight > prev_budget:
-            raise ValueError(f"word {i} has weight {w.weight}, above round-{j - 1} budget {prev_budget}")
+    total = comb(p.n, p.budgets[0])
+    out_len = p.k_for_round(j) - p.l if j > 1 else None
     for i, x in enumerate(msg.payload):
-        if not isinstance(x, BitWord):
-            raise ValueError(f"message {i} is {x!r}, not a BitWord")
-        if x.length != out_len:
-            raise ValueError(f"message {i} has {x.length} bits, expected {out_len}")
+        if j == 1 and type(x) is not int:
+            raise ValueError(f"block {block} word {i}: rank {x!r} is not an int")
+        if j == 1 and not 0 <= x < total:
+            raise ValueError(f"block {block} word {i}: rank {x} out of range, expected 0..{total - 1}")
+        if j != 1 and not isinstance(x, BitWord):
+            raise ValueError(f"block {block} word {i}: {x!r} is not a BitWord")
+        if j != 1 and x.length != out_len:
+            raise ValueError(f"block {block} word {i}: message has {x.length} bits, expected {out_len}")
 
 
 def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]) -> list[BlockState]:
@@ -282,6 +263,6 @@ def full_encode_round(states: Sequence[BlockState], msgs: Sequence[RoundMessage]
     rounds = {s.round for s in states}
     if len(rounds) > 1:
         raise ValueError(f"blocks disagree on the current round: {sorted(rounds)}")
-    for state, msg in zip(states, msgs):
-        check_round(state, msg)
+    for block, (state, msg) in enumerate(zip(states, msgs)):
+        check_round(state, msg, block)
     return [encode_round(state, msg) for state, msg in zip(states, msgs)]

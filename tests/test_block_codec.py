@@ -148,16 +148,16 @@ def test_round1_rejects_bad_rank():
 @pytest.mark.parametrize("entry", [3.7, True, "7", BitWord(7, 5)])
 def test_round1_refuses_ranks_that_are_no_int(entry):
     # int(3.7), int(True) and int("7") would write ranks 3, 1 and 7
-    with pytest.raises(ValueError, match=rf"^word 1: rank {re.escape(repr(entry))} is not an int$"):
+    with pytest.raises(ValueError, match=rf"^block 0 word 1: rank {re.escape(repr(entry))} is not an int$"):
         encode_round1(BlockState.fresh(params_t2()), RoundMessage(1, [3, entry, 5, 6]))
 
 
 def test_round2_refuses_messages_that_are_no_bitword():
     params = params_t2()
     state = encode_round1(BlockState.fresh(params), RoundMessage(1, [3, 1, 5, 6]))
-    with pytest.raises(ValueError, match=r"^message 0 is 1, not a BitWord$"):
+    with pytest.raises(ValueError, match=r"^block 0 word 0: 1 is not a BitWord$"):
         encode_round(state, RoundMessage(2, [1, 2, 3, 4]))
-    with pytest.raises(ValueError, match=r"^message 3 is 4, not a BitWord$"):
+    with pytest.raises(ValueError, match=r"^block 0 word 3: 4 is not a BitWord$"):
         search_block_encoding(params, 2, state.data, [BitWord(5, 0)] * 3 + [4])
 
 

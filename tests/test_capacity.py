@@ -200,6 +200,20 @@ def test_small_epsilon_keeps_the_rate_guarantee():
     assert achieved_rate(params) >= sum(rates) - 1e-4
 
 
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_tiny_epsilon_answers_until_n_leaves_float_range(t):
+    # 1e-15 and 1e-17 take n below and above 2^64, where log2 C(n, B_1) turns
+    # from lgamma's cancelling difference to n * H(B_1 / n); m = 2^(l//4) - 1
+    # outgrows a float from 1e-111 on, and lgamma(n) would from about 1e-302
+    rates, densities = optimal_point(t)
+    for eps in (1e-15, 1e-17, 1e-111, 1e-200, 1e-300, 1e-303):
+        params = derive_parameters(eps, rates, densities)
+        assert achieved_rate(params) == pytest.approx(log2(t + 1), rel=1e-12, abs=0)
+    for eps in (1e-306, 1e-308, 5e-324):
+        with pytest.raises(ValueError, match=rf"^epsilon {eps} needs a block length n beyond float range$"):
+            derive_parameters(eps, rates, densities)
+
+
 def counting_constant(epsilon, t):
     """derivation_constant as it was: count c up from 21."""
     c = 21

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 from binascii import crc32
+from math import log2
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,14 @@ def test_params_rejects_vacuous_epsilon(capsys):
     code, _, err = run(capsys, "params", "--t", "2", "--epsilon", "1.6")
     assert code == 2
     assert "epsilon" in err
+
+
+def test_params_answers_a_tiny_epsilon_and_refuses_one_past_float_range(capsys):
+    code, out, err = run(capsys, "params", "--t", "2", "--epsilon", "1e-300")
+    assert (code, err) == (0, "")
+    assert abs(float(parse_kv(out)["achieved_rate"]) - log2(3)) < 1e-12
+    code, out, err = run(capsys, "params", "--t", "2", "--epsilon", "1e-308")
+    assert (code, out, err) == (2, "", "error: epsilon 1e-308 needs a block length n beyond float range\n")
 
 
 def test_params_with_explicit_rates(capsys):

@@ -225,34 +225,74 @@ def unpack_cases():
     ]
 
 
-# The oracle raises AttributeError reading entry.bits, and takes a bool as a
-# rank and any entry with fitting bits as a word; the library names the
-# entry, and refuses what encode_round1 and the round-j search refuse.
-REFUSED = {
+# The oracle walks the encoder's message rule over every block before it
+# tests any rank's stream width, so a fault the rule names wins over an
+# earlier rank that is in range but too wide for its field.
+TEXTS = {
     "round-2 entry that is no word": "block 0 word 0: 1 is not a BitWord",
     "round-2 entry that is no word after words": "block 2 word 1: None is not a BitWord",
     "round-2 entries that are no words but fit": "block 0 word 0: namespace(bits=1) is not a BitWord",
     "bool ranks": "block 0 word 0: rank True is not an int",
-}
-
-
-# A round-2 word must be exactly as long as the encoder takes it.
-LENGTH = {
     "round-2 word one bit long at block 1 word 1": "block 1 word 1: message has 6 bits, expected 5",
     "round-2 words one bit short": "block 0 word 0: message has 4 bits, expected 5",
+    "round-2 word too wide at block 1 word 1": "block 1 word 1: message has 6 bits, expected 5",
+    "first of two wide ranks": "block 3 word 0: rank 200 out of range, expected 0..119",
+    "negative rank among fitting ones": "block 1 word 1: rank -1 out of range, expected 0..119",
+    "wide rank before a short payload": "payload has 1 entries, expected 3",
+    "short payload before a wide rank": "payload has 1 entries, expected 3",
 }
 
 
 @pytest.mark.parametrize("what,msgs", unpack_cases(), ids=[what for what, _ in unpack_cases()])
 def test_unpack_messages_matches_oracle_on_every_path(what, msgs):
     got = outcome(unpack_messages, msgs, FULL)
-    if what in REFUSED:
-        assert got == ("raised", ValueError, REFUSED[what])
-    else:
-        assert got == outcome(layout_oracle.unpack_messages, msgs, FULL)
-    if what in LENGTH:
-        assert got == ("raised", ValueError, LENGTH[what])
+    assert got == outcome(layout_oracle.unpack_messages, msgs, FULL)
+    if what in TEXTS:
+        assert got == ("raised", ValueError, TEXTS[what])
     assert (got[0] == "ok") == (what in {"fits", "round-2 words fit"}), got
+
+
+def image_before(j):
+    """FULL's checked states before round j and fitting round-j messages."""
+    rnd = random.Random(j)
+    fresh = [BlockState.fresh(ROUND1)] * FULL.n1
+    first = pack_messages(BitWord(FULL.round_capacity(1), rnd.getrandbits(FULL.round_capacity(1))), 1, FULL)
+    if j == 1:
+        return fresh, first
+    states = [BlockState(s.params, s.round, s.data, s.sides) for s in full_encode_round(fresh, first)]
+    return states, pack_messages(BitWord(FULL.round_capacity(2), rnd.getrandbits(FULL.round_capacity(2))), 2, FULL)
+
+
+def words(*values, width=5):
+    return tuple(BitWord(width, value) for value in values)
+
+
+# (round, block 2's payload, the text both raise). C(10, 3) = 120 ranks fill
+# 6-bit stream fields only up to 63: the last row, the one split, is a rank
+# the write takes and the stream refuses.
+MESSAGE_FAULTS = {
+    "short payload": (1, (0, 5), "payload has 2 entries, expected 3"),
+    "long payload": (2, words(1, 2, 3, 4), "payload has 4 entries, expected 3"),
+    "float rank": (1, (0, 5.0, 1), "block 2 word 1: rank 5.0 is not an int"),
+    "bool rank": (1, (0, True, 1), "block 2 word 1: rank True is not an int"),
+    "rank that is a word": (1, words(1, 0, 0, width=6), "block 2 word 0: rank BitWord(length=6, bits=1) is not an int"),
+    "round-2 entry that is an int": (2, (BitWord(5, 1), 7, BitWord(5, 3)), "block 2 word 1: 7 is not a BitWord"),
+    "round-2 word one bit long": (2, words(1, 2) + (BitWord(6, 3),), "block 2 word 2: message has 6 bits, expected 5"),
+    "round-2 word one bit short": (2, (BitWord(4, 1),) + words(2, 3), "block 2 word 0: message has 4 bits, expected 5"),
+    "rank at C(n, B_1)": (1, (0, 0, 120), "block 2 word 2: rank 120 out of range, expected 0..119"),
+    "negative rank": (1, (-1, 0, 0), "block 2 word 0: rank -1 out of range, expected 0..119"),
+    "rank past the stream width": (1, (0, 0, 64), "block 2 word 2: payload value 64 does not fit in 6 bits"),
+}
+
+
+@pytest.mark.parametrize("what", MESSAGE_FAULTS)
+def test_write_and_read_keep_one_message_rule(what):
+    j, payload, text = MESSAGE_FAULTS[what]
+    states, msgs = image_before(j)
+    msgs[2] = RoundMessage(j, payload)
+    assert outcome(unpack_messages, msgs, FULL) == ("raised", ValueError, text)
+    written = outcome(full_encode_round, states, msgs)
+    assert written[0] == "ok" if what == "rank past the stream width" else written == ("raised", ValueError, text)
 
 
 def test_unpack_messages_names_the_block_and_word_of_a_wide_value():
